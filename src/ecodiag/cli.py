@@ -9,11 +9,10 @@ import argparse
 import logging
 import os
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 from . import samples
-from .engine import compute_fleet, config_for
+from .engine import GridFactor, compute_fleet, config_for
 from .errors import EcodiagError, FactorParseError, FleetParseError, ScenarioError
 from .factors import FactorDatabase, load_factor_db, merge_factors, reliability_rank
 from .inventory import (
@@ -43,31 +42,21 @@ _INIT_FILES = {
 }
 
 
-@dataclass(frozen=True)
-class CliConfig:
-    """Resolved command-line inputs shared by compute-like commands."""
-
-    factors_path: str
-    inventory_path: str
-    reporting_year: int
-    perimeter_description: str
-    grid_override: float | None = None
-    output_format: str = "markdown"
-    output_path: str | None = None
-
-    def __post_init__(self):
-        if self.grid_override is not None and self.grid_override <= 0:
-            raise ValueError(f"grid override must be > 0, got {self.grid_override}")
-        if self.output_format not in ("json", "csv", "markdown"):
-            raise ValueError(f"unknown output format: {self.output_format}")
-
-
 class _Parser(argparse.ArgumentParser):
     # Usage failures must exit 1, not argparse's default 2 (2 is reserved for
     # validation failures).
     def error(self, message):
         self.print_usage(sys.stderr)
-        self.exit(1, f"{self.prog}: error: {message}\n")
+        _fail(message)
+        self.exit(1)
+
+
+def _grid_factor(text: str) -> float:
+    """--grid-factor value, held to GridFactor's finite-and-positive rule."""
+    try:
+        return GridFactor(float(text)).kgco2e_per_kwh
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _build_parser() -> _Parser:
@@ -81,7 +70,7 @@ def _build_parser() -> _Parser:
         p.add_argument("--glpi", action="store_true", help="treat inventory as a GLPI export")
         p.add_argument("--rules", help="mapping rules path (required with --glpi)")
         p.add_argument("--factors", help=f"factor file path (default: ${FACTORS_ENV_VAR})")
-        p.add_argument("--grid-factor", type=float, dest="grid_factor",
+        p.add_argument("--grid-factor", type=_grid_factor, dest="grid_factor",
                        help="override the factor file's grid kgCO2e/kWh")
         add_output_flags(p)
 
@@ -122,26 +111,10 @@ def _fail(message: str) -> None:
     print(f"ecodiag: error: {message}", file=sys.stderr)
 
 
-def _factors_path(args) -> str:
+def _load_db(args) -> tuple[FactorDatabase, str]:
     path = args.factors or os.environ.get(FACTORS_ENV_VAR)
     if not path:
         raise FactorParseError(f"no factor file given (--factors or ${FACTORS_ENV_VAR})")
-    return path
-
-
-def _cli_config(args) -> CliConfig:
-    return CliConfig(
-        factors_path=_factors_path(args),
-        inventory_path=args.inventory,
-        reporting_year=args.year,
-        perimeter_description=args.perimeter,
-        grid_override=args.grid_factor,
-        output_format=args.format,
-        output_path=args.out,
-    )
-
-
-def _load_db(path: str) -> tuple[FactorDatabase, str]:
     text = Path(path).read_text(encoding="utf-8")
     return merge_factors(load_factor_db(text)), factor_db_identity(Path(path).name, text)
 
@@ -175,23 +148,19 @@ def _emit(text: str, out_path: str | None) -> None:
 
 
 def cmd_compute(args) -> int:
-    cfg = _cli_config(args)
-    db, db_id = _load_db(cfg.factors_path)
+    db, db_id = _load_db(args)
     fleet = _load_fleet(args)
     issues = validate_fleet(fleet, db)
-    errors = [i for i in issues if i.severity == "error"]
-    _print_issues(issues if errors else [i for i in issues if i.severity == "warning"], sys.stderr)
-    if errors:
+    _print_issues(issues, sys.stderr)
+    if any(i.severity == "error" for i in issues):
         return 2
-    config = config_for(db, cfg.grid_override)
-    lines = compute_fleet(fleet, db, config)
-    _emit(render(aggregate(lines, fleet, db_id), cfg.output_format), cfg.output_path)
+    lines = compute_fleet(fleet, db, config_for(db, args.grid_factor))
+    _emit(render(aggregate(lines, fleet, db_id), args.format), args.out)
     return 0
 
 
 def cmd_validate(args) -> int:
-    cfg = _cli_config(args)
-    db, _ = _load_db(cfg.factors_path)
+    db, _ = _load_db(args)
     fleet = _load_fleet(args)
     issues = validate_fleet(fleet, db)
     _print_issues(issues, sys.stdout)
@@ -213,8 +182,7 @@ def cmd_compare(args) -> int:
 
 
 def cmd_scenario(args) -> int:
-    cfg = _cli_config(args)
-    db, _ = _load_db(cfg.factors_path)
+    db, _ = _load_db(args)
     fleet = _load_fleet(args)
     issues = validate_fleet(fleet, db)
     errors = [i for i in issues if i.severity == "error"]
@@ -222,14 +190,13 @@ def cmd_scenario(args) -> int:
         _print_issues(errors, sys.stderr)
         return 2
     actions = parse_actions_csv(Path(args.actions).read_text(encoding="utf-8"))
-    config = config_for(db, cfg.grid_override)
-    result = evaluate_scenario(fleet, list(actions), db, config)
-    _emit(render(result, cfg.output_format), cfg.output_path)
+    result = evaluate_scenario(fleet, list(actions), db, config_for(db, args.grid_factor))
+    _emit(render(result, args.format), args.out)
     return 0
 
 
 def cmd_factors(args) -> int:
-    db, db_id = _load_db(_factors_path(args))
+    db, db_id = _load_db(args)
     rows = [
         (
             f.category,

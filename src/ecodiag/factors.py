@@ -8,7 +8,7 @@ from __future__ import annotations
 import csv
 import io
 import math
-import unicodedata
+import re
 from dataclasses import dataclass
 
 from .errors import FactorParseError, MissingFactorError, UnknownFluidError
@@ -93,15 +93,19 @@ def category(cat_id: str) -> EquipmentCategory:
         raise ValueError(f"unknown category: {cat_id}") from None
 
 
+#: Unicode categories Cc, Cs, Zl and Zp: control characters, surrogates and
+#: the line and paragraph separators.
+_UNSAFE_TEXT = re.compile("[\x00-\x1f\x7f-\x9f\ud800-\udfff\u2028\u2029]")
+
+
 def check_text_field(value: str, field_name: str) -> None:
     """Reject text that cannot survive the line-oriented file formats.
 
     Control characters and unicode line/paragraph separators would either
     break a CSV row apart or be unwritable by the csv module.
     """
-    for ch in value:
-        if unicodedata.category(ch) in ("Cc", "Cs", "Zl", "Zp"):
-            raise ValueError(f"{field_name} must not contain control characters: {value!r}")
+    if _UNSAFE_TEXT.search(value):
+        raise ValueError(f"{field_name} must not contain control characters: {value!r}")
 
 
 @dataclass(frozen=True)

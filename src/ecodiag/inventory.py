@@ -6,12 +6,14 @@ user rules. Parsing is pure; a Fleet never mutates after construction.
 from __future__ import annotations
 
 import csv
+import dataclasses
 import fnmatch
 import io
 import logging
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field
+from typing import NamedTuple
 
 from .errors import FleetParseError, MissingFactorError
 from .factors import (
@@ -254,137 +256,132 @@ FLEET_CSV_COLUMNS = (
     "measured_power_w,vendor_fab_kgco2e,extra"
 ).split(",")
 
-_EXTRA_KEYS = {
-    "asset": ("hours",),
-    "room": ("fluid", "leak_kg", "ups_overhead", "room_kwh"),
-    "campaign": ("kwh", "core_hours", "watts_per_core", "pue"),
-    "external": ("kgco2e", "scope", "note"),
-    "cable": (),
+
+class FleetField(NamedTuple):
+    """A dataclass attribute and its FLEET_CSV_COLUMNS column, or else its
+    key in the 'extra' column. Empty text means ``default``, which rendering
+    leaves out; without a default the text is converted as it stands."""
+
+    key: str
+    attr: str
+    type: type  # str, int or float
+    default: object = MISSING
+
+
+#: The single definition of the fleet CSV, read by parse_fleet_csv and
+#: render_fleet_csv: per kind, in render order, (dataclass, the Fleet tuple
+#: holding it, its fields in dataclass order). Unlisted columns stay empty.
+FLEET_SCHEMA = {
+    "asset": (Asset, "assets", (
+        FleetField("id", "id", str),
+        FleetField("category", "category", str),
+        FleetField("quantity", "quantity", int),
+        FleetField("acquisition_year", "acquisition_year", int),
+        FleetField("disposal_year", "disposal_year", int, None),
+        FleetField("status", "status", str),
+        FleetField("measured_power_w", "measured_power_w", float, None),
+        FleetField("vendor_fab_kgco2e", "vendor_fab_transport_kgco2e", float, None),
+        FleetField("hours", "hour_profile_override", str, None),
+    )),
+    "room": (ServerRoom, "rooms", (
+        FleetField("id", "id", str),
+        FleetField("fluid", "refrigerant_fluid", str, None),
+        FleetField("leak_kg", "refrigerant_leak_kg_per_year", float, 0.0),
+        FleetField("ups_overhead", "ups_overhead_fraction", float, 0.0),
+        FleetField("room_kwh", "measured_room_kwh_per_year", float, None),
+    )),
+    "campaign": (ComputeCampaign, "campaigns", (
+        FleetField("id", "id", str),
+        FleetField("kwh", "kwh", float, None),
+        FleetField("core_hours", "core_hours", float, None),
+        FleetField("watts_per_core", "watts_per_core", float, None),
+        FleetField("pue", "pue", float, 1.0),
+    )),
+    "external": (ExternalServiceEntry, "external_services", (
+        FleetField("id", "id", str),
+        FleetField("kgco2e", "declared_kgco2e", float),
+        FleetField("scope", "scope_label", str),
+        FleetField("note", "note", str, ""),
+    )),
+    "cable": (CableBulk, "cable_bulks", (
+        FleetField("category", "category", str),
+        FleetField("quantity", "count_acquired_this_year", int),
+    )),
 }
 
 
-def _parse_extra(text: str, kind: str, rownum: int) -> dict[str, str]:
-    out: dict[str, str] = {}
+def csv_rows(text: str):
+    """Yield (line number, fields) for every line that is not blank or a '#' comment."""
+    for rownum, raw in enumerate(text.splitlines(), start=1):
+        head = raw.lstrip()
+        if not head or head[0] == "#":
+            continue
+        try:
+            yield rownum, next(csv.reader([raw]))
+        except csv.Error as exc:
+            raise FleetParseError(f"malformed CSV: {exc}", row=rownum) from None
+
+
+def _compile(cls: type, fields: tuple[FleetField, ...]):
+    """Per-row form of one kind: its class, its extra keys, its empty columns,
+    and per field (index of its text in the columns then the extra values,
+    type, default, field)."""
+    assert [f.attr for f in fields] == [x.name for x in dataclasses.fields(cls)]
+    columns = FLEET_CSV_COLUMNS[1:]
+    extra_keys = tuple(f.key for f in fields if f.key not in columns)
+    texts = columns + list(extra_keys)
+    used = {f.key for f in fields} | ({"extra"} if extra_keys else set())
+    empty = tuple((i, name) for i, name in enumerate(columns) if name not in used)
+    return cls, extra_keys, empty, tuple((texts.index(f.key), f.type, f.default, f) for f in fields)
+
+
+_COMPILED = {kind: _compile(cls, fields) for kind, (cls, _, fields) in FLEET_SCHEMA.items()}
+
+
+def _extra_values(text: str, kind: str, keys: tuple[str, ...], rownum: int) -> list[str]:
+    """The value of each key in an 'extra' cell, "" where the key is absent."""
     if not text:
-        return out
+        return [""] * len(keys)
+    out: dict[str, str] = {}
     for part in text.split(";"):
         key, sep, value = part.partition("=")
         if not sep:
             raise FleetParseError(f"extra field {part!r} is not key=value", row=rownum)
-        if key not in _EXTRA_KEYS[kind]:
+        if key not in keys:
             raise FleetParseError(f"unknown extra key {key!r} for kind {kind}", row=rownum)
         if key in out:
             raise FleetParseError(f"duplicate extra key {key!r}", row=rownum)
         out[key] = value
-    return out
+    return [out.get(key, "") for key in keys]
 
 
-def _opt_float(text: str, name: str, rownum: int) -> float | None:
-    if text == "":
-        return None
+def parse_fleet_row(kind: str, fields: list[str], rownum: int = 0):
+    """Build the object of one fleet-CSV row from the nine columns after 'kind'."""
     try:
-        return float(text)
-    except ValueError:
-        raise FleetParseError(f"field {name}: not a number: {text!r}", row=rownum) from None
-
-
-def _req_int(text: str, name: str, rownum: int) -> int:
+        cls, extra_keys, empty, converters = _COMPILED[kind]
+    except KeyError:
+        raise FleetParseError(f"unknown kind: {kind!r}", row=rownum) from None
+    for i, name in empty:
+        if fields[i]:
+            message = f"field {name} must be empty for kind {kind}, got {fields[i]!r}"
+            raise FleetParseError(message, row=rownum)
+    if extra_keys:
+        fields = fields + _extra_values(fields[8], kind, extra_keys, rownum)
+    values = []
+    for i, convert, default, f in converters:
+        text = fields[i]
+        if not text and default is not MISSING:
+            values.append(default)
+            continue
+        try:
+            values.append(convert(text))  # str() keeps an empty text; int() and float() reject it
+        except ValueError:
+            if text:
+                what = "an integer" if convert is int else "a number"
+                raise FleetParseError(f"field {f.key}: not {what}: {text!r}", row=rownum) from None
+            raise FleetParseError(f"field {f.key} is required for kind {kind}", row=rownum) from None
     try:
-        return int(text)
-    except ValueError:
-        raise FleetParseError(f"field {name}: not an integer: {text!r}", row=rownum) from None
-
-
-def _require_empty(fields: list[str], names: list[str], kind: str, rownum: int) -> None:
-    for value, name in zip(fields, names):
-        if value != "":
-            raise FleetParseError(
-                f"field {name} must be empty for kind {kind}, got {value!r}", row=rownum
-            )
-
-
-def asset_from_csv_fields(fields: list[str], rownum: int = 0) -> Asset:
-    """Build an Asset from the nine fleet-CSV columns after 'kind'."""
-    if len(fields) != 9:
-        raise FleetParseError(f"expected 9 asset fields, got {len(fields)}", row=rownum)
-    extra = _parse_extra(fields[8], "asset", rownum)
-    try:
-        return Asset(
-            id=fields[0],
-            category=fields[1],
-            quantity=_req_int(fields[2], "quantity", rownum),
-            acquisition_year=_req_int(fields[3], "acquisition_year", rownum),
-            disposal_year=None if fields[4] == "" else _req_int(fields[4], "disposal_year", rownum),
-            status=fields[5],
-            measured_power_w=_opt_float(fields[6], "measured_power_w", rownum),
-            vendor_fab_transport_kgco2e=_opt_float(fields[7], "vendor_fab_kgco2e", rownum),
-            hour_profile_override=extra.get("hours"),
-        )
-    except ValueError as exc:
-        raise FleetParseError(str(exc), row=rownum) from None
-
-
-def _room_from_fields(fields: list[str], rownum: int) -> ServerRoom:
-    _require_empty(fields[1:8], FLEET_CSV_COLUMNS[2:9], "room", rownum)
-    extra = _parse_extra(fields[8], "room", rownum)
-    leak = _opt_float(extra.get("leak_kg", ""), "leak_kg", rownum)
-    ups = _opt_float(extra.get("ups_overhead", ""), "ups_overhead", rownum)
-    try:
-        return ServerRoom(
-            id=fields[0],
-            refrigerant_fluid=extra.get("fluid") or None,
-            refrigerant_leak_kg_per_year=0.0 if leak is None else leak,
-            ups_overhead_fraction=0.0 if ups is None else ups,
-            measured_room_kwh_per_year=_opt_float(extra.get("room_kwh", ""), "room_kwh", rownum),
-        )
-    except ValueError as exc:
-        raise FleetParseError(str(exc), row=rownum) from None
-
-
-def _campaign_from_fields(fields: list[str], rownum: int) -> ComputeCampaign:
-    _require_empty(fields[1:8], FLEET_CSV_COLUMNS[2:9], "campaign", rownum)
-    extra = _parse_extra(fields[8], "campaign", rownum)
-    pue = _opt_float(extra.get("pue", ""), "pue", rownum)
-    try:
-        return ComputeCampaign(
-            id=fields[0],
-            kwh=_opt_float(extra.get("kwh", ""), "kwh", rownum),
-            core_hours=_opt_float(extra.get("core_hours", ""), "core_hours", rownum),
-            watts_per_core=_opt_float(extra.get("watts_per_core", ""), "watts_per_core", rownum),
-            pue=1.0 if pue is None else pue,
-        )
-    except ValueError as exc:
-        raise FleetParseError(str(exc), row=rownum) from None
-
-
-def _external_from_fields(fields: list[str], rownum: int) -> ExternalServiceEntry:
-    _require_empty(fields[1:8], FLEET_CSV_COLUMNS[2:9], "external", rownum)
-    extra = _parse_extra(fields[8], "external", rownum)
-    value = _opt_float(extra.get("kgco2e", ""), "kgco2e", rownum)
-    if value is None:
-        raise FleetParseError("external entry requires extra kgco2e=<value>", row=rownum)
-    try:
-        return ExternalServiceEntry(
-            id=fields[0],
-            declared_kgco2e=value,
-            scope_label=extra.get("scope", ""),
-            note=extra.get("note", ""),
-        )
-    except ValueError as exc:
-        raise FleetParseError(str(exc), row=rownum) from None
-
-
-def _cable_from_fields(fields: list[str], rownum: int) -> CableBulk:
-    if fields[0] != "":
-        raise FleetParseError(f"field id must be empty for kind cable, got {fields[0]!r}", row=rownum)
-    _require_empty(fields[3:8], FLEET_CSV_COLUMNS[4:9], "cable", rownum)
-    if fields[8] != "":
-        raise FleetParseError("field extra must be empty for kind cable", row=rownum)
-    try:
-        return CableBulk(
-            category=fields[1],
-            count_acquired_this_year=_req_int(fields[2], "quantity", rownum),
-        )
+        return cls(*values)
     except ValueError as exc:
         raise FleetParseError(str(exc), row=rownum) from None
 
@@ -392,71 +389,35 @@ def _cable_from_fields(fields: list[str], rownum: int) -> CableBulk:
 def parse_fleet_csv(text: str, reporting_year: int, perimeter_description: str) -> Fleet:
     """Parse the native fleet CSV into a Fleet.
 
-    Rows are dispatched on the 'kind' column: asset, room, campaign,
-    external, or cable. Blank lines and '#' comments are skipped; empty
-    input yields an empty (still valid) fleet.
+    Rows are dispatched on the 'kind' column through FLEET_SCHEMA. Blank
+    lines and '#' comments are skipped; empty input yields an empty (still
+    valid) fleet.
     """
-    assets: list[Asset] = []
-    rooms: list[ServerRoom] = []
-    campaigns: list[ComputeCampaign] = []
-    externals: list[ExternalServiceEntry] = []
-    cables: list[CableBulk] = []
-    seen_ids: dict[str, set[str]] = {"asset": set(), "room": set(), "campaign": set(), "external": set()}
-    header_seen = False
-
-    for rownum, raw in enumerate(text.splitlines(), start=1):
-        if not raw.strip() or raw.lstrip().startswith("#"):
-            continue
-        fields = next(csv.reader([raw]))
-        if not header_seen:
-            if fields != FLEET_CSV_COLUMNS:
-                raise FleetParseError(
-                    f"expected header {','.join(FLEET_CSV_COLUMNS)!r}", row=rownum
-                )
-            header_seen = True
-            continue
+    rows: dict[str, list] = {kind: [] for kind in FLEET_SCHEMA}
+    seen_ids = {kind: set() for kind in ("asset", "room", "campaign", "external")}
+    lines = csv_rows(text)
+    header = next(lines, None)
+    if header is not None and header[1] != FLEET_CSV_COLUMNS:
+        raise FleetParseError(f"expected header {','.join(FLEET_CSV_COLUMNS)!r}", row=header[0])
+    for rownum, fields in lines:
         if len(fields) != len(FLEET_CSV_COLUMNS):
             raise FleetParseError(
                 f"expected {len(FLEET_CSV_COLUMNS)} fields, got {len(fields)}", row=rownum
             )
         kind, rest = fields[0], fields[1:]
-        if kind in seen_ids and rest[0] in seen_ids[kind]:
-            raise FleetParseError(f"duplicate {kind} id: {rest[0]}", row=rownum)
-        if kind == "asset":
-            assets.append(asset_from_csv_fields(rest, rownum))
-        elif kind == "room":
-            rooms.append(_room_from_fields(rest, rownum))
-        elif kind == "campaign":
-            campaigns.append(_campaign_from_fields(rest, rownum))
-        elif kind == "external":
-            externals.append(_external_from_fields(rest, rownum))
-        elif kind == "cable":
-            cables.append(_cable_from_fields(rest, rownum))
-        else:
-            raise FleetParseError(f"unknown kind: {kind!r}", row=rownum)
-        if kind in seen_ids:
-            seen_ids[kind].add(rest[0])
+        ids = seen_ids.get(kind)
+        if ids is not None:
+            if rest[0] in ids:
+                raise FleetParseError(f"duplicate {kind} id: {rest[0]}", row=rownum)
+            ids.add(rest[0])
+        item = parse_fleet_row(kind, rest, rownum)
+        rows[kind].append(item)
 
+    collections = {attr: tuple(rows[kind]) for kind, (_, attr, _) in FLEET_SCHEMA.items()}
     try:
-        return Fleet(
-            perimeter_description=perimeter_description,
-            reporting_year=reporting_year,
-            assets=tuple(assets),
-            rooms=tuple(rooms),
-            campaigns=tuple(campaigns),
-            external_services=tuple(externals),
-            cable_bulks=tuple(cables),
-        )
+        return Fleet(perimeter_description, reporting_year, **collections)
     except ValueError as exc:
         raise FleetParseError(str(exc)) from None
-
-
-def _fmt_opt(value) -> str:
-    return "" if value is None else str(value)
-
-
-def _extra_text(pairs: list[tuple[str, object]]) -> str:
-    return ";".join(f"{k}={v}" for k, v in pairs if v is not None and v != "")
 
 
 def render_fleet_csv(fleet: Fleet) -> str:
@@ -464,50 +425,27 @@ def render_fleet_csv(fleet: Fleet) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(FLEET_CSV_COLUMNS)
-    for a in fleet.assets:
-        writer.writerow(
-            [
-                "asset", a.id, a.category, a.quantity, a.acquisition_year,
-                _fmt_opt(a.disposal_year), a.status, _fmt_opt(a.measured_power_w),
-                _fmt_opt(a.vendor_fab_transport_kgco2e),
-                _extra_text([("hours", a.hour_profile_override)]),
-            ]
-        )
-    for r in fleet.rooms:
-        extra = _extra_text(
-            [
-                ("fluid", r.refrigerant_fluid),
-                ("leak_kg", r.refrigerant_leak_kg_per_year or None),
-                ("ups_overhead", r.ups_overhead_fraction or None),
-                ("room_kwh", r.measured_room_kwh_per_year),
-            ]
-        )
-        writer.writerow(["room", r.id, "", "", "", "", "", "", "", extra])
-    for c in fleet.campaigns:
-        extra = _extra_text(
-            [
-                ("kwh", c.kwh),
-                ("core_hours", c.core_hours),
-                ("watts_per_core", c.watts_per_core),
-                ("pue", None if c.pue == 1.0 else c.pue),
-            ]
-        )
-        writer.writerow(["campaign", c.id, "", "", "", "", "", "", "", extra])
-    for e in fleet.external_services:
-        extra = _extra_text([("kgco2e", e.declared_kgco2e), ("scope", e.scope_label), ("note", e.note)])
-        writer.writerow(["external", e.id, "", "", "", "", "", "", "", extra])
-    for b in fleet.cable_bulks:
-        writer.writerow(["cable", "", b.category, b.count_acquired_this_year, "", "", "", "", "", ""])
+    for kind, (_, attr, fields) in FLEET_SCHEMA.items():
+        for item in getattr(fleet, attr):
+            row = dict.fromkeys(FLEET_CSV_COLUMNS, "")
+            row["kind"] = kind
+            extra = []
+            for f in fields:
+                value = getattr(item, f.attr)
+                text = "" if value == f.default else str(value)
+                if f.key in row:
+                    row[f.key] = text
+                elif text:
+                    extra.append(f"{f.key}={text}")
+            row["extra"] = ";".join(extra)
+            writer.writerow(row.values())
     return buf.getvalue()
 
 
 def parse_mapping_rules(text: str) -> tuple[MappingRule, ...]:
     """Parse mapping-rule rows 'match_field,pattern,target_category'; order matters."""
     rules: list[MappingRule] = []
-    for rownum, raw in enumerate(text.splitlines(), start=1):
-        if not raw.strip() or raw.lstrip().startswith("#"):
-            continue
-        fields = next(csv.reader([raw]))
+    for rownum, fields in csv_rows(text):
         if len(fields) != 3:
             raise FleetParseError(f"expected 3 fields, got {len(fields)}", row=rownum)
         try:
@@ -518,19 +456,28 @@ def parse_mapping_rules(text: str) -> tuple[MappingRule, ...]:
 
 
 _GLPI_REQUIRED = ("name", "type", "model", "purchase_date", "status")
-_ISO_DATE = re.compile(r"^(\d{4})(?:-\d{2}-\d{2})?$")
-_FR_DATE = re.compile(r"^\d{2}[/-]\d{2}[/-](\d{4})$")
+#: ISO 'YYYY-MM-DD' or a bare year, or French 'DD/MM/YYYY' (or with '-').
+_DATE = re.compile(r"^(\d{4})(?:-\d{2}-\d{2})?$|^\d{2}[/-]\d{2}[/-](\d{4})$")
 
 
 def _year_from_date(text: str) -> int | None:
-    text = text.strip()
-    m = _ISO_DATE.match(text)
-    if m:
-        return int(m.group(1))
-    m = _FR_DATE.match(text)
-    if m:
-        return int(m.group(1))
-    return None
+    m = _DATE.match(text.strip())
+    return int(m.group(1) or m.group(2)) if m else None
+
+
+def _glpi_records(text: str):
+    """Yield (row number, record) for each record of a GLPI export."""
+    reader = csv.DictReader(io.StringIO(text))
+    try:
+        # An empty export has no header row, so no column is missing.
+        missing = [c for c in _GLPI_REQUIRED if c not in (reader.fieldnames or _GLPI_REQUIRED)]
+        if missing:
+            raise FleetParseError(f"missing required column(s): {', '.join(missing)}")
+        for rownum, record in enumerate(reader, start=2):
+            yield rownum, {k: (v or "") for k, v in record.items() if k is not None}
+    except csv.Error as exc:
+        # line_num counts the lines read before the one that failed.
+        raise FleetParseError(f"malformed CSV: {exc}", row=reader.line_num + 1) from None
 
 
 def parse_glpi_export(
@@ -543,20 +490,14 @@ def parse_glpi_export(
 
     Every input record lands either in the fleet or in the unmapped list,
     never nowhere. Records are matched against the rules in order; the first
-    match decides the category.
+    match decides the category. An asset takes the record's name as its id;
+    a name already taken gets the first free suffix '#2', '#3', ...
     """
-    reader = csv.DictReader(io.StringIO(text))
-    if reader.fieldnames is None:
-        return Fleet(perimeter_description, reporting_year), ()
-    missing = [c for c in _GLPI_REQUIRED if c not in reader.fieldnames]
-    if missing:
-        raise FleetParseError(f"missing required column(s): {', '.join(missing)}")
-
     assets: list[Asset] = []
     unmapped: list[UnmappedRecord] = []
-    used_ids: dict[str, int] = {}
-    for rownum, record in enumerate(reader, start=2):
-        record = {k: (v or "") for k, v in record.items() if k is not None}
+    used_ids: set[str] = set()
+    next_suffix: dict[str, int] = {}
+    for rownum, record in _glpi_records(text):
         rule = next((r for r in rules if r.matches(record)), None)
         if rule is None:
             unmapped.append(UnmappedRecord(rownum, record, "no matching rule"))
@@ -572,19 +513,16 @@ def parse_glpi_export(
         if status is None:
             logger.warning("GLPI row %d: unknown status %r, assuming in_use", rownum, record["status"])
             status = "in_use"
-        base_id = record["name"].strip() or f"glpi-row-{rownum}"
-        count = used_ids.get(base_id, 0)
-        used_ids[base_id] = count + 1
-        asset_id = base_id if count == 0 else f"{base_id}#{count + 1}"
-        assets.append(
-            Asset(
-                id=asset_id,
-                category=rule.target_category,
-                quantity=1,
-                acquisition_year=year,
-                status=status,
-            )
-        )
+        asset_id = base_id = record["name"].strip() or f"glpi-row-{rownum}"
+        suffix = next_suffix.get(base_id, 2)
+        while asset_id in used_ids:
+            asset_id, suffix = f"{base_id}#{suffix}", suffix + 1
+        next_suffix[base_id] = suffix
+        used_ids.add(asset_id)
+        try:
+            assets.append(Asset(asset_id, rule.target_category, 1, year, status=status))
+        except ValueError as exc:
+            raise FleetParseError(str(exc), row=rownum) from None
     fleet = Fleet(perimeter_description, reporting_year, assets=tuple(assets))
     return fleet, tuple(unmapped)
 

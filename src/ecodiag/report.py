@@ -11,12 +11,13 @@ import dataclasses
 import hashlib
 import io
 import json
+import sys
 from dataclasses import dataclass
 
 from .engine import EmissionLine, EngineConfig, aggregate_uncertainty, compute_fleet
 from .errors import FleetParseError, ScenarioError
 from .factors import GROUPS, SCOPES, FactorDatabase, category
-from .inventory import Asset, Fleet, asset_from_csv_fields
+from .inventory import Asset, Fleet, csv_rows, parse_fleet_row
 
 #: Fixed wording embedded in rendered reports; deliberately timestamp-free so
 #: identical inputs produce identical bytes.
@@ -273,10 +274,7 @@ def parse_actions_csv(text: str) -> tuple[ScenarioAction, ...]:
     only known against a fleet, so that check lives in apply_scenario.
     """
     actions: list[ScenarioAction] = []
-    for rownum, raw in enumerate(text.splitlines(), start=1):
-        if not raw.strip() or raw.lstrip().startswith("#"):
-            continue
-        fields = next(csv.reader([raw]))
+    for rownum, fields in csv_rows(text):
         if fields[0] == "op":
             continue
         op = fields[0]
@@ -293,7 +291,7 @@ def parse_actions_csv(text: str) -> tuple[ScenarioAction, ...]:
                 )
             if op == "add" and fields[1]:
                 raise FleetParseError("add takes no target id", row=rownum)
-            asset = asset_from_csv_fields(fields[2:], rownum)
+            asset = parse_fleet_row("asset", fields[2:], rownum)
             actions.append(
                 ScenarioAction(op, target_asset_id=fields[1] or None, new_asset=asset)
             )
@@ -313,49 +311,65 @@ _SCOPE_LABELS = {
 }
 
 
+#: The report JSON in key order: (key, Report attribute, value type). A tuple
+#: type is an object holding one number per listed name.
+REPORT_JSON_KEYS = (
+    ("reporting_year", "reporting_year", int),
+    ("perimeter", "perimeter_description", str),
+    ("totals_by_scope", "totals_by_scope", SCOPES),
+    ("totals_by_group", "totals_by_group", GROUPS),
+    ("external_total", "external_total_kgco2e", float),
+    ("grand_total_kgco2e", "grand_total_kgco2e", float),
+    ("abs_uncertainty_kgco2e", "abs_uncertainty_kgco2e", float),
+    ("line_count", "line_count", int),
+    ("factor_db_hash", "factor_db_hash", str),
+)
+
+
 def _report_dict(report: Report) -> dict:
-    return {
-        "reporting_year": report.reporting_year,
-        "perimeter": report.perimeter_description,
-        "totals_by_scope": {s: report.totals_by_scope[s] for s in SCOPES},
-        "totals_by_group": {g: report.totals_by_group[g] for g in GROUPS},
-        "external_total": report.external_total_kgco2e,
-        "grand_total_kgco2e": report.grand_total_kgco2e,
-        "abs_uncertainty_kgco2e": report.abs_uncertainty_kgco2e,
-        "line_count": report.line_count,
-        "factor_db_hash": report.factor_db_hash,
-    }
+    out = {}
+    for key, attr, kind in REPORT_JSON_KEYS:
+        value = getattr(report, attr)
+        out[key] = {name: value[name] for name in kind} if isinstance(kind, tuple) else value
+    return out
+
+
+def _json_object(data, key: str, names) -> dict:
+    """Check that data, at key ('' for the document), is an object with every name."""
+    if type(data) is not dict:
+        where = f" key {key}" if key else ""
+        raise ValueError(f"report JSON{where} must be an object, got {json.dumps(data)[:40]}")
+    missing = [f"{key}.{n}" if key else n for n in names if n not in data]
+    if missing:
+        raise ValueError(f"report JSON lacks key(s): {', '.join(missing)}")
+    return data
+
+
+def _json_value(value, key: str, kind: type):
+    # type(), not isinstance(): JSON true and false are not numbers here.
+    if kind is float and type(value) in (int, float) and abs(value) <= sys.float_info.max:
+        return float(value)
+    if kind is float or type(value) is not kind:
+        what = {str: "a string", int: "an integer", float: "a finite number"}[kind]
+        raise ValueError(f"report JSON key {key} must be {what}, got {json.dumps(value)[:40]}")
+    return value
 
 
 def parse_report_json(text: str) -> Report:
-    """Rebuild a Report from its JSON rendering."""
-    data = json.loads(text)
-    missing = [k for k in _report_dict(_EMPTY_REPORT) if k not in data]
-    if missing:
-        raise ValueError(f"report JSON lacks key(s): {', '.join(missing)}")
-    return Report(
-        reporting_year=data["reporting_year"],
-        perimeter_description=data["perimeter"],
-        totals_by_scope={s: float(data["totals_by_scope"][s]) for s in SCOPES},
-        totals_by_group={g: float(data["totals_by_group"][g]) for g in GROUPS},
-        external_total_kgco2e=float(data["external_total"]),
-        grand_total_kgco2e=float(data["grand_total_kgco2e"]),
-        abs_uncertainty_kgco2e=float(data["abs_uncertainty_kgco2e"]),
-        line_count=data["line_count"],
-        factor_db_hash=data["factor_db_hash"],
-    )
-
-
-_EMPTY_REPORT = Report(
-    reporting_year=0,
-    perimeter_description="-",
-    totals_by_scope={s: 0.0 for s in SCOPES},
-    totals_by_group={g: 0.0 for g in GROUPS},
-    external_total_kgco2e=0.0,
-    grand_total_kgco2e=0.0,
-    abs_uncertainty_kgco2e=0.0,
-    line_count=0,
-)
+    """Rebuild a Report from its JSON rendering, checking every key and type."""
+    try:
+        data = json.loads(text)
+    except RecursionError:
+        raise ValueError("report JSON is nested too deeply") from None
+    _json_object(data, "", [key for key, _, _ in REPORT_JSON_KEYS])
+    values = {}
+    for key, attr, kind in REPORT_JSON_KEYS:
+        if isinstance(kind, tuple):
+            group = _json_object(data[key], key, kind)
+            values[attr] = {name: _json_value(group[name], f"{key}.{name}", float) for name in kind}
+        else:
+            values[attr] = _json_value(data[key], key, kind)
+    return Report(**values)
 
 
 def _render_report_markdown(report: Report) -> str:
@@ -531,6 +545,14 @@ def _scenario_dict(res: ScenarioResult) -> dict:
     }
 
 
+#: Per result type: its JSON dict, CSV and markdown renderers.
+_RENDERERS = {
+    Report: (_report_dict, _render_report_csv, _render_report_markdown),
+    YearComparison: (_comparison_dict, _render_comparison_csv, _render_comparison_markdown),
+    ScenarioResult: (_scenario_dict, _render_scenario_csv, _render_scenario_markdown),
+}
+
+
 def render(obj: Report | YearComparison | ScenarioResult, fmt: str) -> str:
     """Render a report, comparison or scenario as json, csv or markdown.
 
@@ -538,22 +560,10 @@ def render(obj: Report | YearComparison | ScenarioResult, fmt: str) -> str:
     """
     if fmt not in ("json", "csv", "markdown"):
         raise ValueError(f"format must be json|csv|markdown, got {fmt!r}")
-    if isinstance(obj, Report):
-        if fmt == "json":
-            return json.dumps(_report_dict(obj), indent=2) + "\n"
-        if fmt == "csv":
-            return _render_report_csv(obj)
-        return _render_report_markdown(obj)
-    if isinstance(obj, YearComparison):
-        if fmt == "json":
-            return json.dumps(_comparison_dict(obj), indent=2) + "\n"
-        if fmt == "csv":
-            return _render_comparison_csv(obj)
-        return _render_comparison_markdown(obj)
-    if isinstance(obj, ScenarioResult):
-        if fmt == "json":
-            return json.dumps(_scenario_dict(obj), indent=2) + "\n"
-        if fmt == "csv":
-            return _render_scenario_csv(obj)
-        return _render_scenario_markdown(obj)
-    raise TypeError(f"cannot render {type(obj).__name__}")
+    try:
+        to_dict, to_csv, to_markdown = _RENDERERS[type(obj)]
+    except KeyError:
+        raise TypeError(f"cannot render {type(obj).__name__}") from None
+    if fmt == "json":
+        return json.dumps(to_dict(obj), indent=2) + "\n"
+    return to_csv(obj) if fmt == "csv" else to_markdown(obj)

@@ -1,6 +1,8 @@
 """Hypothesis strategies for domain objects used across the property tests."""
 from __future__ import annotations
 
+import json
+
 from hypothesis import strategies as st
 
 from ecodiag.factors import (
@@ -153,3 +155,54 @@ def fleets(draw) -> Fleet:
             for cat in cable_cats
         ),
     )
+
+
+# ---------------------------------------------------------------------------
+# Boundary fuzzing: text for the input files, from plain noise to rows that
+# come close to valid ones.
+# ---------------------------------------------------------------------------
+
+_WORDS = (
+    "", " ", "#", '"', ";", "=", "\r", "\x00", "\x01", "\x85", "\u2028", "é",
+    "asset", "room", "campaign", "external", "cable", "kind", "op",
+    "remove", "add", "replace", "pc", "pc#2", "srv-old",
+    "laptop", "server", "cable_cat5", "Laptop Dell", "Mainframe",
+    "in_use", "stored", "en service", "stock",
+    "0", "1", "-1", "2019", "1.5", "nan", "inf", "1e400", "9" * 30, "2018-01-01", "14/05/2017",
+    "hours=continuous", "fluid=R410A", "leak_kg=0.5", "ups_overhead=2", "room_kwh=x",
+    "kwh=5", "pue=0.5", "kgco2e=1", "scope=S2", "note=a=b", "speed=9",
+)
+
+_rows = st.lists(
+    st.lists(st.sampled_from(_WORDS), max_size=11).map(",".join), max_size=5
+).map("\n".join)
+
+
+def boundary_texts(*headers: str) -> st.SearchStrategy[str]:
+    """Any text, or rows of format words under one of the headers or none."""
+    heads = st.sampled_from(("", *(h + "\n" for h in headers)))
+    return st.text(max_size=60) | st.builds(lambda head, body: head + body, heads, _rows)
+
+
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+@st.composite
+def report_json_texts(draw, report: dict) -> str:
+    """Any text, or a valid report JSON with one key dropped or given any value."""
+    if draw(st.booleans()):
+        return draw(st.text(max_size=60))
+    data = json.loads(json.dumps(report))
+    holder = data
+    key = draw(st.sampled_from(sorted(data)))
+    if isinstance(data[key], dict) and draw(st.booleans()):
+        holder, key = data[key], draw(st.sampled_from(sorted(data[key])))
+    if draw(st.booleans()):
+        del holder[key]
+    else:
+        holder[key] = draw(_json_values)
+    return json.dumps(data)

@@ -3,9 +3,23 @@
 import json
 
 import pytest
+from hypothesis import given, settings
 
 from ecodiag import samples
+from ecodiag import aggregate, compute_fleet, config_for, load_factor_db, merge_factors, render
 from ecodiag.cli import main
+from ecodiag.errors import EcodiagError
+from ecodiag.inventory import (
+    FLEET_CSV_COLUMNS,
+    parse_fleet_csv,
+    parse_glpi_export,
+    parse_mapping_rules,
+)
+from ecodiag.report import parse_actions_csv
+from fleet_strategies import boundary_texts, report_json_texts
+
+FLEET_HEADER = ",".join(FLEET_CSV_COLUMNS)
+GLPI_HEADER = "name,type,model,purchase_date,status"
 
 PERIMETER = samples.SAMPLE_PERIMETER
 
@@ -192,6 +206,32 @@ class TestCompare:
         a = self.make_report(workdir, 2018, "a.json")
         assert main(["compare", str(a), str(bad)]) == 1
 
+    @pytest.mark.parametrize(
+        "edit, key",
+        [
+            (lambda d: d["totals_by_scope"].pop("S2"), "totals_by_scope.S2"),
+            (lambda d: d.update(totals_by_group=[1.0, 2.0]), "totals_by_group"),
+            (lambda d: d.update(reporting_year="2019"), "reporting_year"),
+        ],
+    )
+    def test_malformed_report_names_the_key(self, workdir, capsys, edit, key):
+        a = self.make_report(workdir, 2018, "a.json")
+        b = self.make_report(workdir, 2019, "b.json")
+        data = json.loads(b.read_text())
+        edit(data)
+        b.write_text(json.dumps(data), encoding="utf-8")
+        capsys.readouterr()
+        assert main(["compare", str(a), str(b)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("ecodiag: error: ") and key in err
+
+    def test_null_report_exits_one(self, workdir, capsys):
+        a = self.make_report(workdir, 2018, "a.json")
+        (workdir / "null.json").write_text("null", encoding="utf-8")
+        capsys.readouterr()
+        assert main(["compare", str(a), str(workdir / "null.json")]) == 1
+        assert capsys.readouterr().err.startswith("ecodiag: error: report JSON must be an object")
+
 
 class TestScenario:
     def base(self, workdir, actions_name="actions.csv"):
@@ -272,6 +312,93 @@ class TestInit:
             ]
         )
         assert code == 0
+
+
+class TestGridFactorFlag:
+    @pytest.mark.parametrize("command", ["compute", "validate", "scenario"])
+    @pytest.mark.parametrize("value", ["-1", "0", "nan", "inf"])
+    def test_rejected_at_the_command_line(self, workdir, capsys, command, value):
+        (workdir / "actions.csv").write_text("", encoding="utf-8")
+        args = compute_args(workdir, "--grid-factor", value)
+        args[0] = command
+        if command == "scenario":
+            args += ["--actions", str(workdir / "actions.csv")]
+        assert main(args) == 1
+        err = capsys.readouterr().err
+        assert "ecodiag: error: argument --grid-factor: grid factor must be finite and > 0" in err
+        assert "Traceback" not in err
+
+
+@pytest.fixture(scope="module")
+def fuzzdir(tmp_path_factory):
+    path = tmp_path_factory.mktemp("fuzz")
+    (path / "factors.txt").write_text(samples.SAMPLE_FACTOR_FILE, encoding="utf-8")
+    (path / "fleet.csv").write_text(samples.sample_fleet_csv(), encoding="utf-8")
+    (path / "rules.csv").write_text(samples.SAMPLE_MAPPING_RULES, encoding="utf-8")
+    assert main(compute_args(path, "--format", "json", "--out", str(path / "report.json"))) == 0
+    return path
+
+
+def _sample_report() -> dict:
+    fleet = samples.sample_fleet()
+    db = merge_factors(load_factor_db(samples.SAMPLE_FACTOR_FILE))
+    report = aggregate(compute_fleet(fleet, db, config_for(db)), fleet)
+    return json.loads(render(report, "json"))
+
+
+FUZZ = settings(max_examples=20, derandomize=True, database=None, deadline=None)
+SAMPLE_RULES = parse_mapping_rules(samples.SAMPLE_MAPPING_RULES)
+
+
+class TestBoundaryFuzz:
+    """Arbitrary input text ends in exit code 0, 1 or 2, never in an exception."""
+
+    def run(self, fuzzdir, text, args):
+        (fuzzdir / "fuzz.txt").write_text(text, encoding="utf-8")
+        assert main([*args, "--out", str(fuzzdir / "out.txt")]) in (0, 1, 2)
+
+    def inventory_args(self, fuzzdir, *extra):
+        args = compute_args(fuzzdir, *extra)
+        args[args.index("--inventory") + 1] = str(fuzzdir / "fuzz.txt")
+        return args
+
+    @given(text=boundary_texts(FLEET_HEADER))
+    @FUZZ
+    def test_native_inventory(self, fuzzdir, text):
+        self.run(fuzzdir, text, self.inventory_args(fuzzdir))
+
+    @given(text=boundary_texts(GLPI_HEADER))
+    @FUZZ
+    def test_glpi_export(self, fuzzdir, text):
+        self.run(fuzzdir, text, self.inventory_args(fuzzdir, "--glpi", "--rules", str(fuzzdir / "rules.csv")))
+
+    @given(text=boundary_texts("op,target_id"))
+    @FUZZ
+    def test_actions_file(self, fuzzdir, text):
+        args = compute_args(fuzzdir, "--actions", str(fuzzdir / "fuzz.txt"))
+        args[0] = "scenario"
+        self.run(fuzzdir, text, args)
+
+    @given(text=boundary_texts(FLEET_HEADER, GLPI_HEADER))
+    @settings(FUZZ, max_examples=100)
+    def test_parsers_raise_only_ecodiag_errors(self, text):
+        # Called directly, so a bare '\r' reaches the parsers: reading a file
+        # in text mode would have turned it into a line break.
+        for parse in (
+            lambda: parse_fleet_csv(text, 2019, PERIMETER),
+            lambda: parse_glpi_export(text, SAMPLE_RULES, 2019, PERIMETER),
+            lambda: parse_mapping_rules(text),
+            lambda: parse_actions_csv(text),
+        ):
+            try:
+                parse()
+            except EcodiagError:
+                pass
+
+    @given(text=report_json_texts(_sample_report()))
+    @FUZZ
+    def test_report_json(self, fuzzdir, text):
+        self.run(fuzzdir, text, ["compare", str(fuzzdir / "report.json"), str(fuzzdir / "fuzz.txt")])
 
 
 class TestUsage:

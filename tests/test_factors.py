@@ -1,5 +1,7 @@
 """Tests for the factor database: taxonomy, parsing, ranking, merging."""
 
+import unicodedata
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,6 +16,7 @@ from ecodiag.factors import (
     GwpEntry,
     SourceMeta,
     category,
+    check_text_field,
     gwp_value,
     load_factor_db,
     lookup_factor,
@@ -284,3 +287,16 @@ class TestInvariants:
     def test_db_rejects_nonpositive_grid(self):
         with pytest.raises(ValueError, match="grid"):
             make_db(grid=0.0)
+
+    def test_text_check_matches_unicode_categories_on_every_code_point(self):
+        # The rule is Unicode categories Cc, Cs, Zl and Zp. One call on all
+        # accepted code points rules out false alarms; one call per rejected
+        # code point rules out misses.
+        unsafe = ("Cc", "Cs", "Zl", "Zp")
+        rejected = [cp for cp in range(0x110000) if unicodedata.category(chr(cp)) in unsafe]
+        assert len(rejected) == 65 + 2048 + 2
+        everything = "".join(map(chr, range(0x110000)))
+        check_text_field(everything.translate(dict.fromkeys(rejected)), "t")
+        for c in map(chr, rejected):
+            with pytest.raises(ValueError, match="control characters"):
+                check_text_field(f"a{c}b", "t")

@@ -138,6 +138,25 @@ class TestParseFleetCsv:
         fleet = parse("# a comment\nasset,a1,laptop,1,2019,,in_use,,,")
         assert len(fleet.assets) == 1
 
+    def test_empty_cells_mean_schema_defaults(self):
+        fleet = parse("room,sr1,,,,,,,,\ncampaign,hpc,,,,,,,,kwh=5")
+        assert fleet.rooms == (ServerRoom("sr1"),)
+        assert fleet.campaigns == (ComputeCampaign("hpc", kwh=5.0),)
+
+    def test_required_extra_key_named(self):
+        with pytest.raises(FleetParseError, match="field kgco2e is required for kind external") as exc:
+            parse("external,mail,,,,,,,,scope=S3")
+        assert exc.value.row == 2
+
+    def test_bad_number_names_field_and_row(self):
+        with pytest.raises(FleetParseError, match="field leak_kg: not a number: 'lots'") as exc:
+            parse("room,sr1,,,,,,,,leak_kg=lots")
+        assert exc.value.row == 2
+
+    def test_cable_rejects_extra(self):
+        with pytest.raises(FleetParseError, match="field extra must be empty for kind cable"):
+            parse("cable,,cable_cat5,3,,,,,,hours=continuous")
+
 
 class TestRenderRoundTrip:
     @given(fleet=fleets())
@@ -156,6 +175,19 @@ class TestRenderRoundTrip:
         text = sample_fleet_csv()
         fleet = parse_fleet_csv(text, 2019, "x")
         assert render_fleet_csv(fleet) == text
+
+    def test_render_omits_defaults(self):
+        fleet = Fleet(
+            "p", 2019,
+            rooms=(ServerRoom("sr1", ups_overhead_fraction=0.1),),
+            campaigns=(ComputeCampaign("hpc", kwh=2.0),),
+            external_services=(ExternalServiceEntry("mail", 3.0, "S2"),),
+        )
+        assert render_fleet_csv(fleet).splitlines()[1:] == [
+            "room,sr1,,,,,,,,ups_overhead=0.1",
+            "campaign,hpc,,,,,,,,kwh=2.0",
+            "external,mail,,,,,,,,kgco2e=3.0;scope=S2",
+        ]
 
 
 GLPI_HEADER = "name,type,model,purchase_date,status"
@@ -238,6 +270,25 @@ class TestParseGlpi:
     def test_duplicate_names_deduplicated(self):
         fleet, _ = glpi("pc,laptop,L,2018-01-01,used\npc,laptop,L,2019-01-01,used")
         assert [a.id for a in fleet.assets] == ["pc", "pc#2"]
+
+    def test_generated_ids_never_collide(self):
+        fleet, _ = glpi(
+            "pc,laptop,L,2018-01-01,used\n"
+            "pc,laptop,L,2018-01-01,used\n"
+            "pc#2,laptop,L,2018-01-01,used\n"
+            "pc,laptop,L,2018-01-01,used"
+        )
+        assert [a.id for a in fleet.assets] == ["pc", "pc#2", "pc#2#2", "pc#3"]
+
+    def test_invalid_name_is_row_error(self):
+        with pytest.raises(FleetParseError, match="control characters") as exc:
+            glpi("ok,laptop,L,2018-01-01,used\npc\x01,laptop,L,2018-01-01,used")
+        assert exc.value.row == 3
+
+    def test_csv_module_rejection_is_row_error(self):
+        with pytest.raises(FleetParseError, match="malformed CSV") as exc:
+            glpi("ok,laptop,L,2018-01-01,used\npc,lap\rtop,L,2018-01-01,used")
+        assert exc.value.row == 3
 
     def test_missing_column(self):
         with pytest.raises(FleetParseError, match="missing required column"):

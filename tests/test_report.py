@@ -348,6 +348,47 @@ class TestRender:
         with pytest.raises(ValueError, match="lacks key"):
             parse_report_json("{}")
 
+    def report_json(self, **changes) -> str:
+        data = json.loads(render(simple_report(), "json"))
+        data.update(changes)
+        return json.dumps(data)
+
+    def test_parse_report_json_missing_nested_key(self):
+        text = self.report_json(totals_by_scope={"S1": 0.0, "S3": 1.0})
+        with pytest.raises(ValueError, match=r"lacks key\(s\): totals_by_scope\.S2"):
+            parse_report_json(text)
+
+    @pytest.mark.parametrize(
+        "changes, message",
+        [
+            ({"totals_by_group": [1.0]}, "key totals_by_group must be an object"),
+            ({"reporting_year": "2019"}, "key reporting_year must be an integer"),
+            ({"line_count": True}, "key line_count must be an integer"),
+            ({"perimeter": 7}, "key perimeter must be a string"),
+            ({"grand_total_kgco2e": None}, "key grand_total_kgco2e must be a finite number"),
+            ({"external_total": float("inf")}, "key external_total must be a finite number"),
+            ({"external_total": 10**400}, "key external_total must be a finite number"),
+            ({"totals_by_scope": {"S1": 0, "S2": "1", "S3": 0}}, "key totals_by_scope.S2 must be"),
+        ],
+    )
+    def test_parse_report_json_checks_value_types(self, changes, message):
+        with pytest.raises(ValueError, match=message):
+            parse_report_json(self.report_json(**changes))
+
+    @pytest.mark.parametrize("text", ["null", "[]", '"report"', "3"])
+    def test_parse_report_json_needs_an_object(self, text):
+        with pytest.raises(ValueError, match="report JSON must be an object"):
+            parse_report_json(text)
+
+    def test_parse_report_json_too_deep(self):
+        with pytest.raises(ValueError, match="nested too deeply"):
+            parse_report_json("[" * 100_000)
+
+    def test_parse_report_json_accepts_integer_totals(self):
+        report = parse_report_json(self.report_json(grand_total_kgco2e=1000))
+        assert report.grand_total_kgco2e == 1000.0
+        assert isinstance(report.grand_total_kgco2e, float)
+
 
 class TestFactorDbIdentity:
     def test_stable_and_content_sensitive(self):
