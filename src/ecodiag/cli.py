@@ -182,7 +182,7 @@ def cmd_compare(args) -> int:
 
 
 def cmd_scenario(args) -> int:
-    db, _ = _load_db(args)
+    db, db_id = _load_db(args)
     fleet = _load_fleet(args)
     issues = validate_fleet(fleet, db)
     errors = [i for i in issues if i.severity == "error"]
@@ -190,7 +190,9 @@ def cmd_scenario(args) -> int:
         _print_issues(errors, sys.stderr)
         return 2
     actions = parse_actions_csv(Path(args.actions).read_text(encoding="utf-8"))
-    result = evaluate_scenario(fleet, list(actions), db, config_for(db, args.grid_factor))
+    result = evaluate_scenario(
+        fleet, list(actions), db, config_for(db, args.grid_factor), db_id
+    )
     _emit(render(result, args.format), args.out)
     return 0
 

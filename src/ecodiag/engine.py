@@ -17,7 +17,10 @@ import math
 from dataclasses import dataclass
 
 from .factors import (
+    CATEGORIES,
+    GROUPS,
     EmissionFactor,
+    EquipmentCategory,
     FactorDatabase,
     GwpEntry,
     category,
@@ -27,6 +30,14 @@ from .factors import (
 from .inventory import Asset, CableBulk, ComputeCampaign, ExternalServiceEntry, Fleet, ServerRoom
 
 PHASES = ("fabrication_transport", "usage", "end_of_life", "fugitive", "declared")
+
+#: Pseudo-group of declared external entries, kept apart from equipment groups.
+EXTERNAL_GROUP = "external"
+_LINE_GROUPS = frozenset((*GROUPS, EXTERNAL_GROUP))
+
+#: Categories whose assets make up the server-room pool. Assets are not tied
+#: to a specific room; every server_room-group asset belongs to the pool.
+_POOL_CATEGORIES = frozenset(c.id for c in CATEGORIES.values() if c.group == "server_room")
 
 WORK_YEAR_HOURS = 1607.0
 CONTINUOUS_HOURS = 8760.0
@@ -51,7 +62,11 @@ class GridFactor:
 
 @dataclass(frozen=True)
 class EmissionLine:
-    """One atomic result: a subject emitted kgco2e under one scope and phase."""
+    """One atomic result: a subject emitted kgco2e under one scope and phase.
+
+    group is the subject's equipment group, or EXTERNAL_GROUP for a declared
+    external entry; subject ids alone may coincide across kinds.
+    """
 
     subject_id: str
     scope: str
@@ -59,12 +74,15 @@ class EmissionLine:
     kgco2e: float
     abs_uncertainty_kgco2e: float
     factor_source: str
+    group: str
 
     def __post_init__(self):
         if self.scope not in ("S1", "S2", "S3"):
             raise ValueError(f"scope must be S1|S2|S3, got {self.scope!r}")
         if self.phase not in PHASES:
             raise ValueError(f"unknown phase: {self.phase!r}")
+        if self.group not in _LINE_GROUPS:
+            raise ValueError(f"unknown group: {self.group!r}")
         if not math.isfinite(self.kgco2e) or self.kgco2e < 0:
             raise ValueError(f"kgco2e must be finite and >= 0, got {self.kgco2e}")
         if not math.isfinite(self.abs_uncertainty_kgco2e) or self.abs_uncertainty_kgco2e < 0:
@@ -126,6 +144,7 @@ def scope2_usage(asset: Asset, factor: EmissionFactor, config: EngineConfig) -> 
         kgco2e=kgco2e,
         abs_uncertainty_kgco2e=0.0 if measured else kgco2e * factor.rel_uncertainty,
         factor_source=MEASURED_SOURCE if measured else factor.source.name,
+        group=CATEGORIES[asset.category].group,
     )
 
 
@@ -139,10 +158,13 @@ def scope3_fabrication(
     """
     if asset.acquisition_year != reporting_year:
         return None
+    group = CATEGORIES[asset.category].group
     vendor = asset.vendor_fab_transport_kgco2e
     if vendor is not None:
         kgco2e = asset.quantity * vendor
-        return EmissionLine(asset.id, "S3", "fabrication_transport", kgco2e, 0.0, VENDOR_SOURCE)
+        return EmissionLine(
+            asset.id, "S3", "fabrication_transport", kgco2e, 0.0, VENDOR_SOURCE, group
+        )
     kgco2e = asset.quantity * factor.fab_transport_kgco2e
     return EmissionLine(
         asset.id,
@@ -151,6 +173,7 @@ def scope3_fabrication(
         kgco2e,
         kgco2e * factor.rel_uncertainty,
         factor.source.name,
+        group,
     )
 
 
@@ -160,7 +183,13 @@ def scope3_eol(asset: Asset, factor: EmissionFactor, reporting_year: int) -> Emi
         return None
     kgco2e = asset.quantity * factor.eol_kgco2e
     return EmissionLine(
-        asset.id, "S3", "end_of_life", kgco2e, kgco2e * factor.rel_uncertainty, factor.source.name
+        asset.id,
+        "S3",
+        "end_of_life",
+        kgco2e,
+        kgco2e * factor.rel_uncertainty,
+        factor.source.name,
+        CATEGORIES[asset.category].group,
     )
 
 
@@ -176,17 +205,37 @@ def scope1_refrigerant(room: ServerRoom, gwp_table: tuple[GwpEntry, ...]) -> Emi
         kgco2e=room.refrigerant_leak_kg_per_year * gwp,
         abs_uncertainty_kgco2e=0.0,
         factor_source=f"gwp:{room.refrigerant_fluid}",
+        group="server_room",
     )
 
 
-def _room_pool(fleet: Fleet) -> tuple[Asset, ...]:
-    # Assets are not tied to a specific room; every server_room-group asset
-    # belongs to the fleet's room pool.
-    return tuple(a for a in fleet.assets if category(a.category).group == "server_room")
+class _Resolved(dict):
+    """Category id -> (EquipmentCategory, factor), each resolved on first use."""
+
+    def __init__(self, db: FactorDatabase):
+        super().__init__()
+        self.db = db
+
+    def __missing__(self, cat_id: str) -> tuple[EquipmentCategory, EmissionFactor]:
+        pair = self[cat_id] = (category(cat_id), lookup_factor(self.db, cat_id))
+        return pair
 
 
 def _any_room_metered(fleet: Fleet) -> bool:
     return any(r.measured_room_kwh_per_year is not None for r in fleet.rooms)
+
+
+def _pool_usage(fleet: Fleet, resolved: _Resolved, config: EngineConfig) -> tuple[float, float]:
+    """Usage kgco2e and its uncertainty summed over the server-room pool, in asset order."""
+    pool_kgco2e = 0.0
+    pool_uncertainty = 0.0
+    for asset in fleet.assets:
+        if asset.category in _POOL_CATEGORIES:
+            line = scope2_usage(asset, resolved[asset.category][1], config)
+            if line is not None:
+                pool_kgco2e += line.kgco2e
+                pool_uncertainty += line.abs_uncertainty_kgco2e
+    return pool_kgco2e, pool_uncertainty
 
 
 def scope2_room_overheads(
@@ -199,6 +248,17 @@ def scope2_room_overheads(
     suppression). Without metering anywhere, the UPS overhead fraction is
     charged on top of the pool's consumption, inheriting its uncertainty.
     """
+    pool = None
+    if not _any_room_metered(fleet) and room.ups_overhead_fraction != 0:
+        pool = _pool_usage(fleet, _Resolved(db), config)
+    return _room_lines(room, pool, config)
+
+
+def _room_lines(
+    room: ServerRoom, pool: tuple[float, float] | None, config: EngineConfig
+) -> list[EmissionLine]:
+    # pool is the server-room pool's (kgco2e, uncertainty); None charges no
+    # overhead, as when some room is metered.
     if room.measured_room_kwh_per_year is not None:
         return [
             EmissionLine(
@@ -208,17 +268,12 @@ def scope2_room_overheads(
                 kgco2e=room.measured_room_kwh_per_year * config.grid.kgco2e_per_kwh,
                 abs_uncertainty_kgco2e=0.0,
                 factor_source=MEASURED_SOURCE,
+                group="server_room",
             )
         ]
-    if _any_room_metered(fleet) or room.ups_overhead_fraction == 0:
+    if pool is None:
         return []
-    pool_kgco2e = 0.0
-    pool_uncertainty = 0.0
-    for asset in _room_pool(fleet):
-        line = scope2_usage(asset, lookup_factor(db, asset.category), config)
-        if line is not None:
-            pool_kgco2e += line.kgco2e
-            pool_uncertainty += line.abs_uncertainty_kgco2e
+    pool_kgco2e, pool_uncertainty = pool
     overhead = room.ups_overhead_fraction * pool_kgco2e
     if overhead == 0:
         return []
@@ -230,6 +285,7 @@ def scope2_room_overheads(
             kgco2e=overhead,
             abs_uncertainty_kgco2e=room.ups_overhead_fraction * pool_uncertainty,
             factor_source=f"room_overhead:{room.id}",
+            group="server_room",
         )
     ]
 
@@ -249,6 +305,7 @@ def scope2_campaign(campaign: ComputeCampaign, config: EngineConfig) -> Emission
         kgco2e=kwh * config.grid.kgco2e_per_kwh,
         abs_uncertainty_kgco2e=0.0,
         factor_source=DECLARED_SOURCE,
+        group="compute",
     )
 
 
@@ -264,6 +321,7 @@ def scope3_cables(bulk: CableBulk, factor: EmissionFactor) -> EmissionLine | Non
         kgco2e=kgco2e,
         abs_uncertainty_kgco2e=kgco2e * factor.rel_uncertainty,
         factor_source=factor.source.name,
+        group="bulk",
     )
 
 
@@ -276,6 +334,7 @@ def declared_external(entry: ExternalServiceEntry) -> EmissionLine:
         kgco2e=entry.declared_kgco2e,
         abs_uncertainty_kgco2e=0.0,
         factor_source=DECLARED_SOURCE,
+        group=EXTERNAL_GROUP,
     )
 
 
@@ -287,10 +346,10 @@ def compute_fleet(fleet: Fleet, db: FactorDatabase, config: EngineConfig) -> lis
     """
     lines: list[EmissionLine] = []
     metered = _any_room_metered(fleet)
+    resolved = _Resolved(db)
 
     for asset in fleet.assets:
-        cat = category(asset.category)
-        factor = lookup_factor(db, asset.category)
+        cat, factor = resolved[asset.category]
         if "S2" in cat.scope_mask and not (metered and cat.group == "server_room"):
             line = scope2_usage(asset, factor, config)
             if line is not None:
@@ -303,11 +362,14 @@ def compute_fleet(fleet: Fleet, db: FactorDatabase, config: EngineConfig) -> lis
                 if line is not None:
                     lines.append(line)
 
+    pool = None
+    if not metered and any(r.ups_overhead_fraction != 0 for r in fleet.rooms):
+        pool = _pool_usage(fleet, resolved, config)
     for room in fleet.rooms:
         line = scope1_refrigerant(room, db.gwp_table)
         if line is not None:
             lines.append(line)
-        lines.extend(scope2_room_overheads(room, fleet, db, config))
+        lines.extend(_room_lines(room, pool, config))
 
     for campaign in fleet.campaigns:
         lines.append(scope2_campaign(campaign, config))

@@ -9,7 +9,7 @@ import csv
 import io
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .errors import FactorParseError, MissingFactorError, UnknownFluidError
 
@@ -171,9 +171,15 @@ class FactorDatabase:
     factors: tuple[EmissionFactor, ...]
     gwp_table: tuple[GwpEntry, ...]
     default_grid_factor_kgco2e_per_kwh: float = DEFAULT_GRID_FACTOR
+    #: Category -> its first factor row, the one lookup_factor returns.
+    _by_category: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "factors", tuple(self.factors))
+        by_category: dict[str, EmissionFactor] = {}
+        for f in self.factors:
+            by_category.setdefault(f.category, f)
+        object.__setattr__(self, "_by_category", by_category)
         object.__setattr__(self, "gwp_table", tuple(self.gwp_table))
         grid = self.default_grid_factor_kgco2e_per_kwh
         if not math.isfinite(grid) or grid <= 0:
@@ -227,10 +233,10 @@ def merge_factors(db: FactorDatabase) -> FactorDatabase:
 
 def lookup_factor(db: FactorDatabase, cat_id: str) -> EmissionFactor:
     """Return the factor for a category; the database must be merged first."""
-    for f in db.factors:
-        if f.category == cat_id:
-            return f
-    raise MissingFactorError(cat_id)
+    try:
+        return db._by_category[cat_id]
+    except KeyError:
+        raise MissingFactorError(cat_id) from None
 
 
 def gwp_value(gwp_table: tuple[GwpEntry, ...], fluid: str) -> float:

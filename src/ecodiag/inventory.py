@@ -560,11 +560,24 @@ def validate_fleet(
                 )
             )
 
+    year = fleet.reporting_year
     for asset in fleet.assets:
-        age = fleet.reporting_year - asset.acquisition_year
+        age = year - asset.acquisition_year
         if age > age_warning_years:
             issues.append(
                 Issue("warning", asset.id, f"asset age {age} years (replacement candidate)")
+            )
+        # The engine has no partial years: such an asset still counts a full
+        # year of usage.
+        if asset.acquisition_year > year:
+            issues.append(
+                Issue("warning", asset.id, f"acquired in {asset.acquisition_year}, after "
+                      f"reporting year {year}: a full year of usage is still charged")
+            )
+        elif asset.disposal_year is not None and asset.disposal_year < year:
+            issues.append(
+                Issue("warning", asset.id, f"disposed of in {asset.disposal_year}, before "
+                      f"reporting year {year}: a full year of usage is still charged")
             )
         if asset.status == "in_use" and asset.measured_power_w is None:
             try:

@@ -14,9 +14,15 @@ import json
 import sys
 from dataclasses import dataclass
 
-from .engine import EmissionLine, EngineConfig, aggregate_uncertainty, compute_fleet
+from .engine import (
+    EXTERNAL_GROUP,
+    EmissionLine,
+    EngineConfig,
+    aggregate_uncertainty,
+    compute_fleet,
+)
 from .errors import FleetParseError, ScenarioError
-from .factors import GROUPS, SCOPES, FactorDatabase, category
+from .factors import GROUPS, SCOPES, FactorDatabase
 from .inventory import Asset, Fleet, csv_rows, parse_fleet_row
 
 #: Fixed wording embedded in rendered reports; deliberately timestamp-free so
@@ -25,8 +31,6 @@ GENERATED_NOTE = (
     "Figures are order-of-magnitude estimates built from per-category factors; "
     "use them to compare years and options, not as exact measurements."
 )
-
-EXTERNAL_GROUP = "external"
 
 
 @dataclass(frozen=True)
@@ -96,38 +100,21 @@ def factor_db_identity(name: str, text: str) -> str:
     return f"{name}:sha256:{digest}"
 
 
-def _group_of_subject(fleet: Fleet) -> dict[str, str]:
-    mapping: dict[str, str] = {}
-    for bulk in fleet.cable_bulks:
-        mapping[bulk.category] = "bulk"
-    for asset in fleet.assets:
-        mapping[asset.id] = category(asset.category).group
-    for room in fleet.rooms:
-        mapping[room.id] = "server_room"
-    for campaign in fleet.campaigns:
-        mapping[campaign.id] = "compute"
-    for entry in fleet.external_services:
-        mapping[entry.id] = EXTERNAL_GROUP
-    return mapping
-
-
 def aggregate(lines: list[EmissionLine], fleet: Fleet, factor_db_hash: str = "") -> Report:
     """Fold emission lines into per-scope and per-group totals.
 
     Declared external entries land in the pseudo-group 'external', kept apart
     from equipment groups so grand_total = sum(scopes) = sum(groups) + external.
     """
-    group_of = _group_of_subject(fleet)
     by_scope = {s: 0.0 for s in SCOPES}
     by_group = {g: 0.0 for g in GROUPS}
     external = 0.0
     for line in lines:
         by_scope[line.scope] += line.kgco2e
-        group = group_of[line.subject_id]
-        if group == EXTERNAL_GROUP:
+        if line.group == EXTERNAL_GROUP:
             external += line.kgco2e
         else:
-            by_group[group] += line.kgco2e
+            by_group[line.group] += line.kgco2e
     _, uncertainty = aggregate_uncertainty(lines)
     return Report(
         reporting_year=fleet.reporting_year,
@@ -194,29 +181,24 @@ def apply_scenario(fleet: Fleet, actions: list[ScenarioAction]) -> Fleet:
     A replacement's new asset is acquired now: its acquisition year is forced
     to the reporting year so its fabrication is charged to the variant.
     """
-    assets = list(fleet.assets)
-
-    def _index_of(asset_id: str) -> int:
-        for i, a in enumerate(assets):
-            if a.id == asset_id:
-                return i
-        raise ScenarioError(f"unknown target asset id: {asset_id}")
-
+    # Insertion-ordered: kept assets stay in fleet order, new ones are
+    # appended in action order, and a re-added id goes to the end.
+    assets = {a.id: a for a in fleet.assets}
     for action in actions:
+        if action.op != "add" and assets.pop(action.target_asset_id, None) is None:
+            raise ScenarioError(f"unknown target asset id: {action.target_asset_id}")
         if action.op == "remove":
-            del assets[_index_of(action.target_asset_id)]
-        else:
-            new = action.new_asset
-            if action.op == "replace":
-                del assets[_index_of(action.target_asset_id)]
-                try:
-                    new = dataclasses.replace(new, acquisition_year=fleet.reporting_year)
-                except ValueError as exc:
-                    raise ScenarioError(f"replacement asset {new.id}: {exc}") from None
-            if any(a.id == new.id for a in assets):
-                raise ScenarioError(f"added asset id already exists: {new.id}")
-            assets.append(new)
-    return dataclasses.replace(fleet, assets=tuple(assets))
+            continue
+        new = action.new_asset
+        if action.op == "replace":
+            try:
+                new = dataclasses.replace(new, acquisition_year=fleet.reporting_year)
+            except ValueError as exc:
+                raise ScenarioError(f"replacement asset {new.id}: {exc}") from None
+        if new.id in assets:
+            raise ScenarioError(f"added asset id already exists: {new.id}")
+        assets[new.id] = new
+    return dataclasses.replace(fleet, assets=tuple(assets.values()))
 
 
 def evaluate_scenario(
@@ -224,18 +206,20 @@ def evaluate_scenario(
     actions: list[ScenarioAction],
     db: FactorDatabase,
     config: EngineConfig,
+    factor_db_hash: str = "",
 ) -> ScenarioResult:
     """Compare the fleet before and after the actions under identical settings.
 
     Payback answers the replacement dilemma: how many years of electricity
     savings repay the fabrication of the newly added equipment. It is absent
-    when the variant saves no usage emissions.
+    when the variant saves no usage emissions. Both reports carry
+    factor_db_hash, the identity of the factor set.
     """
     variant_fleet = apply_scenario(fleet, actions)
     baseline_lines = compute_fleet(fleet, db, config)
     variant_lines = compute_fleet(variant_fleet, db, config)
-    baseline = aggregate(baseline_lines, fleet)
-    variant = aggregate(variant_lines, variant_fleet)
+    baseline = aggregate(baseline_lines, fleet, factor_db_hash)
+    variant = aggregate(variant_lines, variant_fleet, factor_db_hash)
 
     added_ids = {a.new_asset.id for a in actions if a.new_asset is not None}
     added_fabrication = sum(
@@ -514,6 +498,8 @@ def _render_scenario_markdown(res: ScenarioResult) -> str:
         f"Delta: {res.delta_kgco2e:+.1f} kgCO₂e for the reporting year",
         f"Payback: {payback}",
         f"Verdict: {res.verdict}",
+        "",
+        f"Factor set: {res.baseline.factor_db_hash or 'unspecified'}",
         "",
     ]
     return "\n".join(out)

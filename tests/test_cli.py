@@ -1,6 +1,10 @@
 """End-to-end tests of the command-line interface and its exit-code contract."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -22,6 +26,7 @@ FLEET_HEADER = ",".join(FLEET_CSV_COLUMNS)
 GLPI_HEADER = "name,type,model,purchase_date,status"
 
 PERIMETER = samples.SAMPLE_PERIMETER
+REPO = Path(__file__).resolve().parents[1]
 
 
 @pytest.fixture
@@ -116,6 +121,18 @@ class TestCompute:
         data = json.loads(capsys.readouterr().out)
         assert data["reporting_year"] == 2019
         assert data["factor_db_hash"].startswith("factors.txt:sha256:")
+
+    def test_scenario_reports_name_their_factor_set(self, workdir, capsys):
+        (workdir / "actions.csv").write_text("remove,srv-old\n", encoding="utf-8")
+        args = compute_args(workdir, "--actions", str(workdir / "actions.csv"))
+        args[0] = "scenario"
+        assert main(args + ["--format", "json"]) == 0
+        data = json.loads(capsys.readouterr().out)
+        db_hash = data["baseline"]["factor_db_hash"]
+        assert db_hash.startswith("factors.txt:sha256:")
+        assert data["variant"]["factor_db_hash"] == db_hash
+        assert main(args) == 0
+        assert capsys.readouterr().out.endswith(f"\n\nFactor set: {db_hash}\n")
 
     def test_glpi_inventory(self, workdir, capsys):
         (workdir / "glpi.csv").write_text(
@@ -262,6 +279,33 @@ class TestScenario:
         (workdir / "actions.csv").write_text("upgrade,srv-old\n", encoding="utf-8")
         assert main(self.base(workdir)) == 1
         assert "unknown op" in capsys.readouterr().err
+
+
+def run_script(name: str, *args: str) -> subprocess.CompletedProcess:
+    """Run a script of scripts/ in a fresh interpreter against src/."""
+    paths = [str(REPO / "src"), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p),
+               PYTHONIOENCODING="utf-8")
+    return subprocess.run(
+        [sys.executable, str(REPO / "scripts" / name), *args],
+        capture_output=True, encoding="utf-8", env=env, timeout=120,
+    )
+
+
+class TestScripts:
+    def test_sample_assessment(self):
+        proc = run_script("run_sample_assessment.py")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.startswith("# Annual IT fleet CO₂e assessment (2019)\n")
+        assert "\nFactor set: bundled-sample:sha256:" in proc.stdout
+
+    def test_replacement_payback_sweep(self):
+        proc = run_script("replacement_payback_sweep.py")
+        assert proc.returncode == 0, proc.stderr
+        lines = proc.stdout.splitlines()
+        assert lines[0] == "old server: 350 W around the clock, replacement fabrication 1100 kgCO2e"
+        assert lines[1].split() == ["new", "W", "savings", "kgCO2e/yr", "payback", "years"]
+        assert [l.split()[0] for l in lines[2:]] == [str(w) for w in range(100, 350, 25)]
 
 
 class TestFactorsCommand:

@@ -23,7 +23,7 @@ from ecodiag.engine import (
     usage_hours,
 )
 from ecodiag.errors import UnknownFluidError
-from ecodiag.factors import FactorDatabase, GwpEntry
+from ecodiag.factors import FactorDatabase, GwpEntry, lookup_factor
 from ecodiag.inventory import (
     Asset,
     CableBulk,
@@ -198,6 +198,42 @@ class TestRoomOverheads:
         )
         assert scope2_room_overheads(fleet.rooms[0], fleet, make_db(make_factor()), config) == []
 
+    def test_unmetered_rooms_each_charge_a_fraction_of_one_pool(self, config):
+        fleet = Fleet(
+            "p", 2019,
+            assets=(
+                asset("server", id="s1", quantity=3),
+                asset("laptop", id="pc", measured_power_w=90.0),
+                asset("network_switch", id="sw", quantity=2, measured_power_w=40.0),
+                asset("server", id="s2", measured_power_w=250.0),
+            ),
+            rooms=(
+                ServerRoom("r1", ups_overhead_fraction=0.05),
+                ServerRoom("r2", ups_overhead_fraction=0.1),
+                ServerRoom("r3", ups_overhead_fraction=0.25),
+            ),
+        )
+        db = make_db(make_factor("server", power=300.0, unc=0.2), make_factor("network_switch"),
+                     make_factor())
+        pool = [scope2_usage(a, lookup_factor(db, a.category), config)
+                for a in fleet.assets if a.category != "laptop"]
+        pool_kgco2e = sum(l.kgco2e for l in pool)
+        pool_uncertainty = sum(l.abs_uncertainty_kgco2e for l in pool)
+        lines = compute_fleet(fleet, db, config)
+        for room in fleet.rooms:
+            (line,) = [l for l in lines if l.subject_id == room.id]
+            assert line.kgco2e == room.ups_overhead_fraction * pool_kgco2e
+            assert line.abs_uncertainty_kgco2e == room.ups_overhead_fraction * pool_uncertainty
+            assert scope2_room_overheads(room, fleet, db, config) == [line]
+        expected = oracle_totals(fleet, db, config)
+        total, uncertainty = aggregate_uncertainty(lines)
+        assert total == pytest.approx(expected["total"], rel=REL)
+        assert uncertainty == pytest.approx(expected["uncertainty"], rel=REL)
+        for s in ("S1", "S2", "S3"):
+            assert sum(l.kgco2e for l in lines if l.scope == s) == pytest.approx(
+                expected[s], rel=REL
+            )
+
 
 class TestScope2Campaign:
     def test_direct_kwh(self, config):
@@ -332,7 +368,7 @@ class TestComputeFleet:
 
 class TestAggregateUncertainty:
     def line(self, kg, unc, source, subject="a"):
-        return EmissionLine(subject, "S2", "usage", kg, unc, source)
+        return EmissionLine(subject, "S2", "usage", kg, unc, source, "office")
 
     def test_same_source_adds_linearly(self):
         total, unc = aggregate_uncertainty(

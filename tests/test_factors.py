@@ -226,6 +226,11 @@ class TestLookup:
         with pytest.raises(MissingFactorError, match="missing factor: tablet"):
             lookup_factor(make_db(make_factor("laptop")), "tablet")
 
+    def test_unmerged_database_returns_first_row(self):
+        first, second = make_factor(fab=100.0), make_factor(fab=200.0)
+        db = make_db(make_factor("desktop"), first, second)
+        assert lookup_factor(db, "laptop") is first
+
     def test_lookup_after_merge_returns_winner(self):
         strong = make_factor(fab=100.0, source=make_source(name="s", peer=True))
         weak = make_factor(fab=200.0, source=make_source(name="w", neutral=False))

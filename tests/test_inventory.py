@@ -321,6 +321,24 @@ class TestValidateFleet:
         db = make_db(make_factor("server"))
         assert validate_fleet(fleet, db, age_warning_years=20) == []
 
+    def test_asset_outside_the_reporting_year_warned(self):
+        fleet = Fleet(
+            "p", 2019,
+            assets=(
+                Asset("gone", "laptop", 1, 2012, disposal_year=2018),
+                Asset("kept", "laptop", 1, 2012, disposal_year=2019),
+                Asset("early", "laptop", 1, 2020),
+                Asset("now", "laptop", 1, 2019),
+            ),
+        )
+        issues = validate_fleet(fleet, make_db(make_factor()))
+        assert [(i.severity, i.subject_id, i.message) for i in issues] == [
+            ("warning", "gone",
+             "disposed of in 2018, before reporting year 2019: a full year of usage is still charged"),
+            ("warning", "early",
+             "acquired in 2020, after reporting year 2019: a full year of usage is still charged"),
+        ]
+
     def test_unknown_fluid(self):
         fleet = Fleet(
             "p", 2019,

@@ -11,7 +11,7 @@ from conftest import make_db, make_factor
 from ecodiag.engine import EmissionLine, EngineConfig, GridFactor, compute_fleet
 from ecodiag.errors import FleetParseError, ScenarioError
 from ecodiag.factors import GROUPS
-from ecodiag.inventory import Asset, ExternalServiceEntry, Fleet
+from ecodiag.inventory import Asset, CableBulk, ExternalServiceEntry, Fleet
 from ecodiag.report import (
     GENERATED_NOTE,
     Report,
@@ -26,7 +26,7 @@ from ecodiag.report import (
     render,
 )
 from fleet_strategies import fleets
-from randgen import random_db, random_fleet
+from randgen import random_asset, random_db, random_fleet
 
 REL = 1e-9
 
@@ -75,11 +75,36 @@ class TestAggregate:
 
     def test_external_kept_out_of_groups(self):
         fleet = Fleet("p", 2019, external_services=(ExternalServiceEntry("x", 42.0, "S3"),))
-        line = EmissionLine("x", "S3", "declared", 42.0, 0.0, "declared")
+        line = EmissionLine("x", "S3", "declared", 42.0, 0.0, "declared", "external")
         report = aggregate([line], fleet)
         assert report.external_total_kgco2e == 42.0
         assert sum(report.totals_by_group.values()) == 0.0
         assert report.grand_total_kgco2e == 42.0
+
+    def test_asset_sharing_an_external_id_stays_in_its_group(self, config):
+        fleet = Fleet(
+            "p", 2019,
+            assets=(Asset("x", "laptop", 1, 2019, measured_power_w=100.0),),
+            external_services=(ExternalServiceEntry("x", 42.0, "S3"),),
+        )
+        report = aggregate(compute_fleet(fleet, make_db(make_factor()), config), fleet)
+        assert report.external_total_kgco2e == 42.0
+        assert report.totals_by_group["office"] == pytest.approx(
+            300.0 + 100.0 * 1607 / 1000 * 0.119, rel=REL
+        )
+
+    def test_asset_named_like_a_cable_category_leaves_cables_in_bulk(self, config):
+        fleet = Fleet(
+            "p", 2019,
+            assets=(Asset("cable_cat5", "laptop", 1, 2010, measured_power_w=100.0),),
+            cable_bulks=(CableBulk("cable_cat5", 10),),
+        )
+        db = make_db(make_factor(), make_factor("cable_cat5", fab=2.0))
+        report = aggregate(compute_fleet(fleet, db, config), fleet)
+        assert report.totals_by_group["bulk"] == 20.0
+        assert report.totals_by_group["office"] == pytest.approx(
+            100.0 * 1607 / 1000 * 0.119, rel=REL
+        )
 
     @given(fleet=fleets())
     @settings(max_examples=40, deadline=None)
@@ -202,6 +227,37 @@ class TestApplyScenario:
         with pytest.raises(ScenarioError, match="already exists: pc"):
             apply_scenario(base_fleet(), [ScenarioAction("add", new_asset=new)])
 
+    def test_variant_order_for_mixed_actions(self):
+        # Kept assets stay in fleet order; new ones follow in action order.
+        fleet = Fleet("p", 2019, assets=tuple(Asset(f"a{i}", "laptop", 1, 2016) for i in range(5)))
+        actions = [
+            ScenarioAction("add", new_asset=Asset("n1", "laptop", 1, 2019)),
+            ScenarioAction("remove", "a1"),
+            ScenarioAction("replace", "a3", Asset("r3", "desktop", 1, 2019)),
+            ScenarioAction("add", new_asset=Asset("n2", "screen", 2, 2019)),
+            ScenarioAction("replace", "a0", Asset("r0", "laptop", 1, 2019)),
+        ]
+        variant = apply_scenario(fleet, actions)
+        assert [a.id for a in variant.assets] == ["a2", "a4", "n1", "r3", "n2", "r0"]
+
+    def test_replace_with_the_target_id(self):
+        new = Asset("srv-old", "server", 1, 2016, measured_power_w=200.0)
+        fleet = apply_scenario(base_fleet(), [ScenarioAction("replace", "srv-old", new)])
+        assert [a.id for a in fleet.assets] == ["pc", "srv-old"]
+        assert fleet.assets[1] == dataclasses.replace(new, acquisition_year=2019)
+
+    def test_add_of_an_id_removed_earlier(self):
+        again = Asset("srv-old", "server", 1, 2019, measured_power_w=100.0)
+        fleet = apply_scenario(
+            base_fleet(),
+            [ScenarioAction("remove", "srv-old"), ScenarioAction("add", new_asset=again)],
+        )
+        assert fleet.assets == (base_fleet().assets[1], again)
+
+    def test_second_remove_of_the_same_id(self):
+        with pytest.raises(ScenarioError, match="unknown target asset id: pc"):
+            apply_scenario(base_fleet(), [ScenarioAction("remove", "pc")] * 2)
+
     def test_action_shape_validated(self):
         with pytest.raises(ValueError, match="requires target"):
             ScenarioAction("remove")
@@ -238,6 +294,31 @@ class TestEvaluateScenario:
             base_fleet(), [ScenarioAction("remove", "srv-old")], SERVER_DB, config
         )
         assert result.payback_years == 0.0
+
+    def test_variant_equals_a_full_recompute_on_random_fleets(self):
+        rng = random.Random(23)
+        for _ in range(40):
+            db = random_db(rng)
+            config = EngineConfig(grid=GridFactor(db.default_grid_factor_kgco2e_per_kwh))
+            fleet = random_fleet(rng, max_entries=30)
+            targets = [a.id for a in fleet.assets]
+            rng.shuffle(targets)
+            actions = []
+            for k, target in enumerate(targets[: rng.randint(0, len(targets))]):
+                if rng.random() < 0.5:
+                    actions.append(ScenarioAction("remove", target))
+                else:
+                    new = random_asset(rng, 1000 + k, fleet.reporting_year)
+                    # A replacement is acquired this year, so it cannot be disposed before.
+                    new = dataclasses.replace(new, disposal_year=None)
+                    actions.append(ScenarioAction("replace", target, new))
+            for k in range(rng.randint(0, 3)):
+                new = random_asset(rng, 2000 + k, fleet.reporting_year)
+                actions.insert(rng.randint(0, len(actions)), ScenarioAction("add", new_asset=new))
+            result = evaluate_scenario(fleet, actions, db, config)
+            variant = apply_scenario(fleet, actions)
+            assert result.variant == aggregate(compute_fleet(variant, db, config), variant)
+            assert result.baseline == aggregate(compute_fleet(fleet, db, config), fleet)
 
 
 class TestParseActionsCsv:
