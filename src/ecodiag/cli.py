@@ -126,18 +126,15 @@ def _load_fleet(args) -> Fleet:
             raise FleetParseError("--glpi requires --rules <mapping rules path>")
         rules = parse_mapping_rules(Path(args.rules).read_text(encoding="utf-8"))
         fleet, unmapped = parse_glpi_export(text, rules, args.year, args.perimeter)
-        for record in unmapped:
-            print(
-                f"warning: GLPI row {record.row_number} not imported ({record.reason})",
-                file=sys.stderr,
-            )
+        sys.stderr.write("".join(
+            f"warning: GLPI row {r.row_number} not imported ({r.reason})\n" for r in unmapped
+        ))
         return fleet
     return parse_fleet_csv(text, args.year, args.perimeter)
 
 
 def _print_issues(issues: list[Issue], stream) -> None:
-    for issue in issues:
-        print(f"{issue.severity}: {issue.subject_id}: {issue.message}", file=stream)
+    stream.write("".join(f"{i.severity}: {i.subject_id}: {i.message}\n" for i in issues))
 
 
 def _emit(text: str, out_path: str | None) -> None:

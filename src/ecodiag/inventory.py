@@ -12,6 +12,7 @@ import io
 import logging
 import math
 import re
+from collections.abc import Callable
 from dataclasses import MISSING, dataclass, field
 from typing import NamedTuple
 
@@ -216,6 +217,9 @@ class MappingRule:
     match_field: str
     pattern: str
     target_category: str
+    #: Test of a lowered field value: a glob over the whole value when the
+    #: lowered pattern holds '*', '?' or '[', else a substring check.
+    _test: Callable[[str], object] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.match_field not in ("type", "model", "name"):
@@ -224,13 +228,16 @@ class MappingRule:
             raise ValueError("pattern must be non-empty")
         if self.target_category not in ASSET_CATEGORIES:
             raise ValueError(f"unknown or non-asset category: {self.target_category}")
-
-    def matches(self, record: dict[str, str]) -> bool:
-        value = (record.get(self.match_field) or "").lower()
         pattern = self.pattern.lower()
         if any(ch in pattern for ch in "*?["):
-            return fnmatch.fnmatchcase(value, pattern)
-        return pattern in value
+            test = re.compile(fnmatch.translate(pattern)).match
+        else:
+            def test(value: str) -> bool:
+                return pattern in value
+        object.__setattr__(self, "_test", test)
+
+    def matches(self, record: dict[str, str]) -> bool:
+        return bool(self._test((record.get(self.match_field) or "").lower()))
 
 
 @dataclass(frozen=True)
@@ -465,19 +472,23 @@ def _year_from_date(text: str) -> int | None:
     return int(m.group(1) or m.group(2)) if m else None
 
 
-def _glpi_records(text: str):
-    """Yield (row number, record) for each record of a GLPI export."""
-    reader = csv.DictReader(io.StringIO(text))
+def _glpi_rows(text: str):
+    """Yield the header row, then each record's cells, skipping blank lines
+    as csv.DictReader does."""
+    reader = csv.reader(io.StringIO(text))
+    # A csv.Error is reported one past DictReader's line_num: the reader's
+    # line count after the last record, or after a blank line just past it.
+    line_num, after_row = 0, True
     try:
-        # An empty export has no header row, so no column is missing.
-        missing = [c for c in _GLPI_REQUIRED if c not in (reader.fieldnames or _GLPI_REQUIRED)]
-        if missing:
-            raise FleetParseError(f"missing required column(s): {', '.join(missing)}")
-        for rownum, record in enumerate(reader, start=2):
-            yield rownum, {k: (v or "") for k, v in record.items() if k is not None}
+        for row in reader:
+            keep = bool(row) or line_num == 0  # a record, or the header even if blank
+            if keep or after_row:
+                line_num = reader.line_num
+            after_row = keep
+            if keep:
+                yield row
     except csv.Error as exc:
-        # line_num counts the lines read before the one that failed.
-        raise FleetParseError(f"malformed CSV: {exc}", row=reader.line_num + 1) from None
+        raise FleetParseError(f"malformed CSV: {exc}", row=line_num + 1) from None
 
 
 def parse_glpi_export(
@@ -497,23 +508,35 @@ def parse_glpi_export(
     unmapped: list[UnmappedRecord] = []
     used_ids: set[str] = set()
     next_suffix: dict[str, int] = {}
-    for rownum, record in _glpi_records(text):
-        rule = next((r for r in rules if r.matches(record)), None)
-        if rule is None:
-            unmapped.append(UnmappedRecord(rownum, record, "no matching rule"))
+    rows = _glpi_rows(text)
+    # An empty export has no header row, so no column is missing.
+    header = next(rows, _GLPI_REQUIRED)
+    column = {name: i for i, name in enumerate(header)}  # a repeated name: its last column
+    missing = [c for c in _GLPI_REQUIRED if c not in column]
+    if missing:
+        raise FleetParseError(f"missing required column(s): {', '.join(missing)}")
+    i_name, i_type, i_model, i_date, i_status = (column[c] for c in _GLPI_REQUIRED)
+    for rownum, row in enumerate(rows, start=2):
+        if len(row) < len(header):  # a short row reads "" past its end
+            row += [""] * (len(header) - len(row))
+        name = row[i_name]
+        lowered = {"type": row[i_type].lower(), "model": row[i_model].lower(), "name": name.lower()}
+        for rule in rules:
+            if rule._test(lowered[rule.match_field]):
+                break
+        else:
+            unmapped.append(UnmappedRecord(rownum, dict(zip(header, row)), "no matching rule"))
             continue
-        year = _year_from_date(record["purchase_date"])
+        year = _year_from_date(row[i_date])
         if year is None:
-            unmapped.append(
-                UnmappedRecord(rownum, record, f"unparsable purchase_date: {record['purchase_date']!r}")
-            )
+            reason = f"unparsable purchase_date: {row[i_date]!r}"
+            unmapped.append(UnmappedRecord(rownum, dict(zip(header, row)), reason))
             continue
-        status_text = record["status"].strip().lower()
-        status = GLPI_STATUS_ALIASES.get(status_text)
+        status = GLPI_STATUS_ALIASES.get(row[i_status].strip().lower())
         if status is None:
-            logger.warning("GLPI row %d: unknown status %r, assuming in_use", rownum, record["status"])
+            logger.warning("GLPI row %d: unknown status %r, assuming in_use", rownum, row[i_status])
             status = "in_use"
-        asset_id = base_id = record["name"].strip() or f"glpi-row-{rownum}"
+        asset_id = base_id = name.strip() or f"glpi-row-{rownum}"
         suffix = next_suffix.get(base_id, 2)
         while asset_id in used_ids:
             asset_id, suffix = f"{base_id}#{suffix}", suffix + 1

@@ -222,10 +222,11 @@ def evaluate_scenario(
     variant = aggregate(variant_lines, variant_fleet, factor_db_hash)
 
     added_ids = {a.new_asset.id for a in actions if a.new_asset is not None}
+    # A cable bulk's subject is its category, which an asset id may equal.
     added_fabrication = sum(
         l.kgco2e
         for l in variant_lines
-        if l.phase == "fabrication_transport" and l.subject_id in added_ids
+        if l.phase == "fabrication_transport" and l.group != "bulk" and l.subject_id in added_ids
     )
     savings = baseline.totals_by_scope["S2"] - variant.totals_by_scope["S2"]
     payback = added_fabrication / savings if savings > 0 else None

@@ -148,6 +148,32 @@ class TestCompute:
         assert "not imported" in captured.err
         assert "Annual IT fleet" in captured.out
 
+    def test_glpi_stderr_in_order(self, workdir):
+        # Logged status warnings come while parsing, before the rows not
+        # imported, and validation issues come last.
+        (workdir / "glpi.csv").write_text(
+            f"{GLPI_HEADER}\n"
+            "pc-1,Laptop Dell,L5400,2019-03-01,en service\n"
+            "mf-1,Mainframe,Z,2019-03-01,en service\n"
+            "pc-2,Laptop,L,2018-01-01,cassé\n"
+            "pc-3,Laptop,L,2005-01-01,used\n"
+            "pc-4,Laptop,L,someday,used\n"
+            "pc-5,Laptop,L,2006-01-01,perdu\n",
+            encoding="utf-8",
+        )
+        args = compute_args(workdir, "--glpi", "--rules", str(workdir / "rules.csv"))
+        args[args.index("--inventory") + 1] = str(workdir / "glpi.csv")
+        proc = run_python("-m", "ecodiag", *args)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr == (
+            "WARNING: GLPI row 4: unknown status 'cassé', assuming in_use\n"
+            "WARNING: GLPI row 7: unknown status 'perdu', assuming in_use\n"
+            "warning: GLPI row 3 not imported (no matching rule)\n"
+            "warning: GLPI row 6 not imported (unparsable purchase_date: 'someday')\n"
+            "warning: pc-3: asset age 14 years (replacement candidate)\n"
+            "warning: pc-5: asset age 13 years (replacement candidate)\n"
+        )
+
     def test_glpi_without_rules_exits_one(self, workdir, capsys):
         args = compute_args(workdir, "--glpi")
         assert main(args) == 1
@@ -281,15 +307,19 @@ class TestScenario:
         assert "unknown op" in capsys.readouterr().err
 
 
-def run_script(name: str, *args: str) -> subprocess.CompletedProcess:
-    """Run a script of scripts/ in a fresh interpreter against src/."""
+def run_python(*args: str) -> subprocess.CompletedProcess:
+    """Run a fresh interpreter against src/."""
     paths = [str(REPO / "src"), os.environ.get("PYTHONPATH", "")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p),
                PYTHONIOENCODING="utf-8")
     return subprocess.run(
-        [sys.executable, str(REPO / "scripts" / name), *args],
-        capture_output=True, encoding="utf-8", env=env, timeout=120,
+        [sys.executable, *args], capture_output=True, encoding="utf-8", env=env, timeout=120,
     )
+
+
+def run_script(name: str, *args: str) -> subprocess.CompletedProcess:
+    """Run a script of scripts/ in a fresh interpreter against src/."""
+    return run_python(str(REPO / "scripts" / name), *args)
 
 
 class TestScripts:

@@ -1,12 +1,17 @@
 """Tests for fleet parsing, rendering, GLPI import and validation."""
 
+import csv
+import fnmatch
+import io
 import random
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import make_db, make_factor
 from ecodiag.errors import FleetParseError
+from ecodiag.factors import ASSET_CATEGORIES
 from ecodiag.inventory import (
     Asset,
     CableBulk,
@@ -297,6 +302,113 @@ class TestParseGlpi:
     def test_empty_export(self):
         fleet, unmapped = parse_glpi_export("", RULES, 2019, "Lab X")
         assert fleet.assets == () and unmapped == ()
+
+    def test_header_only_export(self):
+        fleet, unmapped = glpi("")
+        assert fleet.assets == () and unmapped == ()
+
+    def test_blank_first_line_is_missing_columns(self):
+        with pytest.raises(FleetParseError, match="missing required column"):
+            parse_glpi_export(f"\n{GLPI_HEADER}\npc,laptop,L,2018-01-01,used\n", RULES, 2019, "Lab X")
+
+    def test_blank_lines_take_no_row_number(self):
+        _, unmapped = glpi("\nmf1,Mainframe,Z,2019-01-01,used\n\n\nmf2,Mainframe,Z,2019-01-01,used\n")
+        assert [u.row_number for u in unmapped] == [2, 3]
+
+    def test_quoted_field_spanning_lines_is_one_row(self):
+        _, unmapped = glpi('mf1,"Main\nframe",Z,2019-01-01,used\nmf2,Mainframe,Z,2019-01-01,used')
+        assert [(u.row_number, u.record["type"]) for u in unmapped] == [
+            (2, "Main\nframe"), (3, "Mainframe"),
+        ]
+
+    def test_short_row_pads_the_record(self):
+        _, (u,) = glpi("mf1,Mainframe")
+        assert u.record == {
+            "name": "mf1", "type": "Mainframe", "model": "", "purchase_date": "", "status": "",
+        }
+
+    def test_cells_past_the_header_dropped(self):
+        fleet, (u,) = glpi("pc,laptop,L,2018-01-01,used,x\nmf1,Mainframe,Z,2019-01-01,used,x,y")
+        assert [a.id for a in fleet.assets] == ["pc"]
+        assert u.record == {
+            "name": "mf1", "type": "Mainframe", "model": "Z", "purchase_date": "2019-01-01",
+            "status": "used",
+        }
+
+    def test_duplicated_header_last_column_wins(self):
+        text = (
+            f"{GLPI_HEADER},type\n"
+            "pc,Mainframe,L,2018-01-01,used,laptop\n"
+            "mf,laptop,L,2018-01-01,used,Mainframe\n"
+            "short,laptop,L,2018-01-01,used\n"
+        )
+        fleet, unmapped = parse_glpi_export(text, RULES, 2019, "Lab X")
+        assert [a.id for a in fleet.assets] == ["pc"]
+        assert [(u.row_number, u.record["type"]) for u in unmapped] == [(3, "Mainframe"), (4, "")]
+
+    def test_csv_module_rejection_row_counts_as_csv_dictreader(self):
+        # The row reported is one past the line count after the last record,
+        # or after the first blank line past it: a quoted line break counts.
+        for body, row in (
+            ('ok,"lap\ntop",L,2018-01-01,used\npc,lap\rtop,L,2018-01-01,used', 4),
+            ("ok,laptop,L,2018-01-01,used\n\npc,lap\rtop,L,2018-01-01,used", 4),
+            ("ok,laptop,L,2018-01-01,used\n\n\n\npc,lap\rtop,L,2018-01-01,used", 4),
+            ("\n\nok,laptop,L,2018-01-01,used\npc,lap\rtop,L,2018-01-01,used", 5),
+        ):
+            with pytest.raises(FleetParseError, match="malformed CSV") as exc:
+                glpi(body)
+            assert exc.value.row == row
+        with pytest.raises(FleetParseError, match="malformed CSV") as exc:
+            parse_glpi_export("name,ty\rpe\n", RULES, 2019, "Lab X")
+        assert exc.value.row == 1
+
+
+def seed_first_match(rules, record):
+    """First-match rule selection as first implemented, kept verbatim as the reference."""
+    def matches(self, record):
+        value = (record.get(self.match_field) or "").lower()
+        pattern = self.pattern.lower()
+        if any(ch in pattern for ch in "*?["):
+            return fnmatch.fnmatchcase(value, pattern)
+        return pattern in value
+    return next((r for r in rules if matches(r, record)), None)
+
+
+# Mixed case, the glob characters (an unbalanced '[' included) and letters
+# whose lower case differs in length or form.
+MATCH_TEXT = st.text(alphabet="aAbB-. *?[]!İıiIßẞΣσς", max_size=6)
+TARGETS = sorted(ASSET_CATEGORIES)
+
+
+@st.composite
+def rules_and_records(draw):
+    fields = ("type", "model", "name")
+    rules = tuple(
+        MappingRule(draw(st.sampled_from(fields)), draw(MATCH_TEXT.filter(bool)), target)
+        for target in TARGETS[: draw(st.integers(0, 6))]
+    )
+    records = draw(st.lists(st.fixed_dictionaries({f: MATCH_TEXT for f in fields}), max_size=8))
+    return rules, records
+
+
+class TestGlpiMatching:
+    @given(rules_and_records())
+    @settings(max_examples=300, derandomize=True, database=None, deadline=None)
+    def test_import_matches_the_first_matching_rule(self, drawn):
+        rules, records = drawn
+        expected = [seed_first_match(rules, record) for record in records]
+        assert [next((r for r in rules if r.matches(rec)), None) for rec in records] == expected
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(GLPI_HEADER.split(","))
+        writer.writerows([r["name"], r["type"], r["model"], "2018-01-01", "used"] for r in records)
+        fleet, unmapped = parse_glpi_export(buf.getvalue(), rules, 2019, "Lab X")
+        assert [a.category for a in fleet.assets] == [
+            r.target_category for r in expected if r is not None
+        ]
+        assert [(u.row_number, u.record["type"]) for u in unmapped] == [
+            (i + 2, rec["type"]) for i, (rec, r) in enumerate(zip(records, expected)) if r is None
+        ]
 
 
 class TestValidateFleet:

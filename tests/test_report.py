@@ -295,6 +295,24 @@ class TestEvaluateScenario:
         )
         assert result.payback_years == 0.0
 
+    def test_cable_bulk_sharing_the_added_id_is_not_added_fabrication(self, config):
+        fleet = Fleet(
+            "p", 2019,
+            assets=(Asset("pc", "laptop", 1, 2015, measured_power_w=200.0),),
+            cable_bulks=(CableBulk("cable_cat5", 100),),
+        )
+        db = make_db(make_factor(), make_factor("cable_cat5", fab=2.0))
+        paybacks = [
+            evaluate_scenario(
+                fleet,
+                [ScenarioAction("replace", "pc", Asset(new_id, "laptop", 1, 2019, measured_power_w=20.0))],
+                db, config,
+            ).payback_years
+            for new_id in ("pc2", "cable_cat5")
+        ]
+        assert paybacks[0] == pytest.approx(300.0 / (180.0 * 1607 / 1000 * 0.119), rel=REL)
+        assert paybacks[1] == paybacks[0]
+
     def test_variant_equals_a_full_recompute_on_random_fleets(self):
         rng = random.Random(23)
         for _ in range(40):
