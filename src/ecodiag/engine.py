@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 from .factors import (
     CATEGORIES,
-    GROUPS,
+    DEFAULT_GRID_FACTOR,
     EmissionFactor,
     EquipmentCategory,
     FactorDatabase,
@@ -29,11 +29,8 @@ from .factors import (
 )
 from .inventory import Asset, CableBulk, ComputeCampaign, ExternalServiceEntry, Fleet, ServerRoom
 
-PHASES = ("fabrication_transport", "usage", "end_of_life", "fugitive", "declared")
-
 #: Pseudo-group of declared external entries, kept apart from equipment groups.
 EXTERNAL_GROUP = "external"
-_LINE_GROUPS = frozenset((*GROUPS, EXTERNAL_GROUP))
 
 #: Categories whose assets make up the server-room pool. Assets are not tied
 #: to a specific room; every server_room-group asset belongs to the pool.
@@ -53,7 +50,6 @@ class GridFactor:
     """Carbon intensity of purchased electricity, kgCO2e per kWh."""
 
     kgco2e_per_kwh: float
-    source_note: str = ""
 
     def __post_init__(self):
         if not math.isfinite(self.kgco2e_per_kwh) or self.kgco2e_per_kwh <= 0:
@@ -64,8 +60,9 @@ class GridFactor:
 class EmissionLine:
     """One atomic result: a subject emitted kgco2e under one scope and phase.
 
-    group is the subject's equipment group, or EXTERNAL_GROUP for a declared
-    external entry; subject ids alone may coincide across kinds.
+    A plain record built from checked inputs; report.aggregate checks the
+    totals. group is the subject's equipment group, or EXTERNAL_GROUP for a
+    declared external entry; subject ids alone may coincide across kinds.
     """
 
     subject_id: str
@@ -76,24 +73,12 @@ class EmissionLine:
     factor_source: str
     group: str
 
-    def __post_init__(self):
-        if self.scope not in ("S1", "S2", "S3"):
-            raise ValueError(f"scope must be S1|S2|S3, got {self.scope!r}")
-        if self.phase not in PHASES:
-            raise ValueError(f"unknown phase: {self.phase!r}")
-        if self.group not in _LINE_GROUPS:
-            raise ValueError(f"unknown group: {self.group!r}")
-        if not math.isfinite(self.kgco2e) or self.kgco2e < 0:
-            raise ValueError(f"kgco2e must be finite and >= 0, got {self.kgco2e}")
-        if not math.isfinite(self.abs_uncertainty_kgco2e) or self.abs_uncertainty_kgco2e < 0:
-            raise ValueError("abs_uncertainty_kgco2e must be finite and >= 0")
-
 
 @dataclass(frozen=True)
 class EngineConfig:
     """Computation constants: grid intensity and the two yearly hour profiles."""
 
-    grid: GridFactor = GridFactor(0.119, "configured default")
+    grid: GridFactor = GridFactor(DEFAULT_GRID_FACTOR)
     work_year_hours: float = WORK_YEAR_HOURS
     continuous_hours: float = CONTINUOUS_HOURS
 
@@ -107,10 +92,8 @@ class EngineConfig:
 def config_for(db: FactorDatabase, grid_override: float | None = None) -> EngineConfig:
     """Build a config from a database's grid factor, optionally overridden."""
     if grid_override is not None:
-        return EngineConfig(grid=GridFactor(grid_override, "command-line override"))
-    return EngineConfig(
-        grid=GridFactor(db.default_grid_factor_kgco2e_per_kwh, "factor file")
-    )
+        return EngineConfig(grid=GridFactor(grid_override))
+    return EngineConfig(grid=GridFactor(db.default_grid_factor_kgco2e_per_kwh))
 
 
 def usage_hours(asset: Asset, config: EngineConfig) -> float:

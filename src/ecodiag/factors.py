@@ -294,7 +294,10 @@ def load_factor_db(text: str) -> FactorDatabase:
         if section is None:
             raise FactorParseError("data before any section header", line=lineno)
 
-        fields = next(csv.reader([raw]))
+        try:
+            fields = next(csv.reader([raw]))
+        except csv.Error as exc:
+            raise FactorParseError(f"malformed CSV: {exc}", line=lineno) from None
         if section == "factors":
             if len(fields) != len(_FACTOR_COLUMNS):
                 raise FactorParseError(

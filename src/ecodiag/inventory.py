@@ -30,6 +30,9 @@ logger = logging.getLogger(__name__)
 
 STATUSES = ("in_use", "stored")
 HOUR_PROFILES = ("work_year", "continuous")
+#: Largest count a float holds with every integer up to it exact; the engine
+#: multiplies counts as floats.
+MAX_COUNT = 2**53
 
 #: GLPI status text normalized to the two inventory statuses. Unknown labels
 #: fall back to in_use so electricity is over- rather than under-counted.
@@ -70,6 +73,8 @@ class Asset:
             raise ValueError(f"unknown or non-asset category: {self.category}")
         if self.quantity < 1:
             raise ValueError(f"quantity must be >= 1, got {self.quantity}")
+        if self.quantity > MAX_COUNT:
+            raise ValueError("quantity must be at most 2**53")
         if self.disposal_year is not None and self.disposal_year < self.acquisition_year:
             raise ValueError(
                 f"disposal_year {self.disposal_year} earlier than "
@@ -172,8 +177,8 @@ class CableBulk:
     def __post_init__(self):
         if self.category not in CABLE_CATEGORIES:
             raise ValueError(f"not a cable category: {self.category}")
-        if self.count_acquired_this_year < 0:
-            raise ValueError("cable count must be >= 0")
+        if not 0 <= self.count_acquired_this_year <= MAX_COUNT:
+            raise ValueError("cable count must be >= 0 and at most 2**53")
 
 
 @dataclass(frozen=True)
@@ -473,22 +478,16 @@ def _year_from_date(text: str) -> int | None:
 
 
 def _glpi_rows(text: str):
-    """Yield the header row, then each record's cells, skipping blank lines
-    as csv.DictReader does."""
-    reader = csv.reader(io.StringIO(text))
-    # A csv.Error is reported one past DictReader's line_num: the reader's
-    # line count after the last record, or after a blank line just past it.
-    line_num, after_row = 0, True
+    """Yield the header row (the first, even if blank), then each record's
+    cells, skipping blank lines; a csv.Error names the row being read."""
+    rownum = 1
     try:
-        for row in reader:
-            keep = bool(row) or line_num == 0  # a record, or the header even if blank
-            if keep or after_row:
-                line_num = reader.line_num
-            after_row = keep
-            if keep:
+        for row in csv.reader(io.StringIO(text)):
+            if row or rownum == 1:
                 yield row
+                rownum += 1
     except csv.Error as exc:
-        raise FleetParseError(f"malformed CSV: {exc}", row=line_num + 1) from None
+        raise FleetParseError(f"malformed CSV: {exc}", row=rownum) from None
 
 
 def parse_glpi_export(

@@ -11,6 +11,7 @@ import dataclasses
 import hashlib
 import io
 import json
+import math
 import sys
 from dataclasses import dataclass
 
@@ -46,7 +47,6 @@ class Report:
     abs_uncertainty_kgco2e: float
     line_count: int
     factor_db_hash: str = ""
-    generated_note: str = GENERATED_NOTE
 
 
 @dataclass(frozen=True)
@@ -73,9 +73,11 @@ class ScenarioAction:
 
     def __post_init__(self):
         if self.op not in ("remove", "add", "replace"):
-            raise ValueError(f"op must be remove|add|replace, got {self.op!r}")
+            raise ValueError(f"unknown op {self.op!r} (expected remove|add|replace)")
         if self.op in ("remove", "replace") and not self.target_asset_id:
             raise ValueError(f"{self.op} requires target_asset_id")
+        if self.op == "add" and self.target_asset_id:
+            raise ValueError("add takes no target id")
         if self.op in ("add", "replace") and self.new_asset is None:
             raise ValueError(f"{self.op} requires new_asset")
         if self.op == "remove" and self.new_asset is not None:
@@ -105,6 +107,8 @@ def aggregate(lines: list[EmissionLine], fleet: Fleet, factor_db_hash: str = "")
 
     Declared external entries land in the pseudo-group 'external', kept apart
     from equipment groups so grand_total = sum(scopes) = sum(groups) + external.
+    The one check on computed values: a grand total or uncertainty that is
+    not finite raises ValueError, naming the first non-finite line if any.
     """
     by_scope = {s: 0.0 for s in SCOPES}
     by_group = {g: 0.0 for g in GROUPS}
@@ -116,13 +120,19 @@ def aggregate(lines: list[EmissionLine], fleet: Fleet, factor_db_hash: str = "")
         else:
             by_group[line.group] += line.kgco2e
     _, uncertainty = aggregate_uncertainty(lines)
+    grand_total = sum(by_scope.values())
+    if not (math.isfinite(grand_total) and math.isfinite(uncertainty)):
+        # A line's uncertainty never exceeds its kgco2e (rel_uncertainty <= 1).
+        bad = next((l.subject_id for l in lines if not math.isfinite(l.kgco2e)), None)
+        cause = "the sum of the emission lines" if bad is None else f"the emission line of {bad}"
+        raise ValueError(f"report totals are not finite: {cause} overflows")
     return Report(
         reporting_year=fleet.reporting_year,
         perimeter_description=fleet.perimeter_description,
         totals_by_scope=by_scope,
         totals_by_group=by_group,
         external_total_kgco2e=external,
-        grand_total_kgco2e=sum(by_scope.values()),
+        grand_total_kgco2e=grand_total,
         abs_uncertainty_kgco2e=uncertainty,
         line_count=len(lines),
         factor_db_hash=factor_db_hash,
@@ -255,33 +265,28 @@ def parse_actions_csv(text: str) -> tuple[ScenarioAction, ...]:
     The asset fields reuse the fleet-CSV asset column order (id, category,
     quantity, acquisition_year, disposal_year, status, measured_power_w,
     vendor_fab_kgco2e, extra). remove rows may stop after the target id.
-    Structural problems raise FleetParseError; whether a target exists is
-    only known against a fleet, so that check lives in apply_scenario.
+    Structural problems, and the shape rules ScenarioAction enforces, raise
+    FleetParseError with the row number; whether a target exists is only
+    known against a fleet, so that check lives in apply_scenario.
     """
     actions: list[ScenarioAction] = []
     for rownum, fields in csv_rows(text):
         if fields[0] == "op":
             continue
-        op = fields[0]
-        if op == "remove":
-            if len(fields) < 2 or not fields[1]:
-                raise FleetParseError("remove requires a target id", row=rownum)
-            if any(f != "" for f in fields[2:]):
-                raise FleetParseError("remove takes no asset fields", row=rownum)
-            actions.append(ScenarioAction("remove", target_asset_id=fields[1]))
-        elif op in ("add", "replace"):
+        op, asset = fields[0], None
+        target = fields[1] if len(fields) > 1 else None
+        if op in ("add", "replace"):
             if len(fields) != 11:
                 raise FleetParseError(
                     f"{op} requires 11 fields (op, target_id, 9 asset fields)", row=rownum
                 )
-            if op == "add" and fields[1]:
-                raise FleetParseError("add takes no target id", row=rownum)
             asset = parse_fleet_row("asset", fields[2:], rownum)
-            actions.append(
-                ScenarioAction(op, target_asset_id=fields[1] or None, new_asset=asset)
-            )
-        else:
-            raise FleetParseError(f"unknown op {op!r}", row=rownum)
+        elif op == "remove" and any(f != "" for f in fields[2:]):
+            raise FleetParseError("remove takes no asset fields", row=rownum)
+        try:
+            actions.append(ScenarioAction(op, target or None, asset))
+        except ValueError as exc:
+            raise FleetParseError(str(exc), row=rownum) from None
     return tuple(actions)
 
 
@@ -378,7 +383,7 @@ def _render_report_markdown(report: Report) -> str:
         f"± {report.abs_uncertainty_kgco2e:.1f} kgCO₂e** "
         f"({report.line_count} emission lines)",
         "",
-        report.generated_note,
+        GENERATED_NOTE,
         "",
         f"Factor set: {report.factor_db_hash or 'unspecified'}",
         "",

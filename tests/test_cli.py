@@ -75,6 +75,24 @@ class TestCompute:
         assert main(compute_args(workdir)) == 1
         assert "line 2" in capsys.readouterr().err
 
+    def test_oversized_factor_field_exits_one(self, workdir, capsys):
+        # Past the csv module's field size limit (131,072 characters).
+        text = "[factors]\nlaptop," + "9" * 131073 + "\n"
+        (workdir / "factors.txt").write_text(text, encoding="utf-8")
+        assert main(["factors", "--factors", str(workdir / "factors.txt")]) == 1
+        assert "ecodiag: error: line 2: malformed CSV" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "row", ["asset,big,laptop,{n},2019,,in_use,,,", "cable,,cable_hdmi,{n},,,,,,"]
+    )
+    def test_count_beyond_float_precision_exits_one(self, workdir, capsys, row):
+        fleet = workdir / "fleet.csv"
+        rows = fleet.read_text(encoding="utf-8").splitlines()
+        fleet.write_text("\n".join([*rows, row.format(n="9" * 401)]) + "\n", encoding="utf-8")
+        assert main(compute_args(workdir)) == 1
+        err = capsys.readouterr().err
+        assert f"ecodiag: error: row {len(rows) + 1}: " in err and "at most 2**53" in err
+
     def test_byte_identical_output_files(self, workdir):
         out1, out2 = workdir / "r1.md", workdir / "r2.md"
         assert main(compute_args(workdir, "--out", str(out1))) == 0
@@ -307,6 +325,32 @@ class TestScenario:
         assert "unknown op" in capsys.readouterr().err
 
 
+class TestTotalsOverflow:
+    """A report whose totals are not finite exits 1 and prints no report."""
+
+    @pytest.mark.parametrize("rows, cause", [
+        # Two finite lines of 1e308 kgCO2e whose sum overflows.
+        (["asset,big-1,server,1,2019,,stored,,1e308,", "asset,big-2,server,1,2019,,stored,,1e308,"],
+         "the sum of the emission lines overflows"),
+        # One line of 2 x 1e308 kgCO2e.
+        (["asset,big-1,server,2,2019,,stored,,1e308,"], "the emission line of big-1 overflows"),
+    ])
+    @pytest.mark.parametrize("command", ["compute", "scenario"])
+    def test_exits_one_with_nothing_on_stdout(self, workdir, capsys, rows, cause, command):
+        fleet = workdir / "fleet.csv"
+        fleet.write_text(fleet.read_text(encoding="utf-8") + "\n".join(rows) + "\n", encoding="utf-8")
+        (workdir / "actions.csv").write_text("remove,srv-old\n", encoding="utf-8")
+        args = compute_args(workdir, "--format", "json")
+        args[0] = command
+        if command == "scenario":
+            args += ["--actions", str(workdir / "actions.csv")]
+        assert main(args) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert f"ecodiag: error: report totals are not finite: {cause}" in err
+        assert "Infinity" not in err
+
+
 def run_python(*args: str) -> subprocess.CompletedProcess:
     """Run a fresh interpreter against src/."""
     paths = [str(REPO / "src"), os.environ.get("PYTHONPATH", "")]
@@ -453,7 +497,12 @@ class TestBoundaryFuzz:
         args[0] = "scenario"
         self.run(fuzzdir, text, args)
 
-    @given(text=boundary_texts(FLEET_HEADER, GLPI_HEADER))
+    @given(text=boundary_texts("[factors]", "[gwp]", "[grid]"))
+    @FUZZ
+    def test_factor_file(self, fuzzdir, text):
+        self.run(fuzzdir, text, ["factors", "--factors", str(fuzzdir / "fuzz.txt")])
+
+    @given(text=boundary_texts(FLEET_HEADER, GLPI_HEADER, "[factors]"))
     @settings(FUZZ, max_examples=100)
     def test_parsers_raise_only_ecodiag_errors(self, text):
         # Called directly, so a bare '\r' reaches the parsers: reading a file
@@ -463,6 +512,7 @@ class TestBoundaryFuzz:
             lambda: parse_glpi_export(text, SAMPLE_RULES, 2019, PERIMETER),
             lambda: parse_mapping_rules(text),
             lambda: parse_actions_csv(text),
+            lambda: load_factor_db(text),
         ):
             try:
                 parse()

@@ -346,18 +346,18 @@ class TestParseGlpi:
         assert [a.id for a in fleet.assets] == ["pc"]
         assert [(u.row_number, u.record["type"]) for u in unmapped] == [(3, "Mainframe"), (4, "")]
 
-    def test_csv_module_rejection_row_counts_as_csv_dictreader(self):
-        # The row reported is one past the line count after the last record,
-        # or after the first blank line past it: a quoted line break counts.
-        for body, row in (
-            ('ok,"lap\ntop",L,2018-01-01,used\npc,lap\rtop,L,2018-01-01,used', 4),
-            ("ok,laptop,L,2018-01-01,used\n\npc,lap\rtop,L,2018-01-01,used", 4),
-            ("ok,laptop,L,2018-01-01,used\n\n\n\npc,lap\rtop,L,2018-01-01,used", 4),
-            ("\n\nok,laptop,L,2018-01-01,used\npc,lap\rtop,L,2018-01-01,used", 5),
+    def test_csv_module_rejection_names_the_record_row(self):
+        # The row reported is the number of the record being read, as in
+        # every other GLPI message: quoted line breaks and blank lines add nothing.
+        for body in (
+            'ok,"lap\ntop",L,2018-01-01,used\npc,lap\rtop,L,2018-01-01,used',
+            "ok,laptop,L,2018-01-01,used\n\npc,lap\rtop,L,2018-01-01,used",
+            "ok,laptop,L,2018-01-01,used\n\n\n\npc,lap\rtop,L,2018-01-01,used",
+            "\n\nok,laptop,L,2018-01-01,used\npc,lap\rtop,L,2018-01-01,used",
         ):
             with pytest.raises(FleetParseError, match="malformed CSV") as exc:
                 glpi(body)
-            assert exc.value.row == row
+            assert exc.value.row == 3
         with pytest.raises(FleetParseError, match="malformed CSV") as exc:
             parse_glpi_export("name,ty\rpe\n", RULES, 2019, "Lab X")
         assert exc.value.row == 1

@@ -81,6 +81,12 @@ class TestAggregate:
         assert sum(report.totals_by_group.values()) == 0.0
         assert report.grand_total_kgco2e == 42.0
 
+    def test_uncertainty_overflow_rejected(self):
+        # Both values are finite; the squared uncertainty is not.
+        line = EmissionLine("x", "S3", "declared", 1e200, 1e200, "declared", "external")
+        with pytest.raises(ValueError, match="sum of the emission lines overflows"):
+            aggregate([line], Fleet("p", 2019))
+
     def test_asset_sharing_an_external_id_stays_in_its_group(self, config):
         fleet = Fleet(
             "p", 2019,
@@ -263,6 +269,10 @@ class TestApplyScenario:
             ScenarioAction("remove")
         with pytest.raises(ValueError, match="requires new_asset"):
             ScenarioAction("add")
+
+    def test_add_action_takes_no_target(self):
+        with pytest.raises(ValueError, match="add takes no target id"):
+            ScenarioAction("add", "x", Asset("pc2", "laptop", 5, 2019))
 
 
 class TestEvaluateScenario:
