@@ -15,6 +15,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import attrgetter
+from typing import NamedTuple
 
 from .factors import (
     CATEGORIES,
@@ -56,13 +58,14 @@ class GridFactor:
             raise ValueError(f"grid factor must be finite and > 0, got {self.kgco2e_per_kwh}")
 
 
-@dataclass(frozen=True)
-class EmissionLine:
+class EmissionLine(NamedTuple):
     """One atomic result: a subject emitted kgco2e under one scope and phase.
 
-    A plain record built from checked inputs; report.aggregate checks the
-    totals. group is the subject's equipment group, or EXTERNAL_GROUP for a
-    declared external entry; subject ids alone may coincide across kinds.
+    An immutable plain record built from checked inputs; report.aggregate
+    checks the totals. Being a tuple, it compares equal to a plain tuple of
+    its fields in this order. group is the subject's equipment group, or
+    EXTERNAL_GROUP for a declared external entry; subject ids alone may
+    coincide across kinds.
     """
 
     subject_id: str
@@ -96,43 +99,42 @@ def config_for(db: FactorDatabase, grid_override: float | None = None) -> Engine
     return EngineConfig(grid=GridFactor(db.default_grid_factor_kgco2e_per_kwh))
 
 
-def usage_hours(asset: Asset, config: EngineConfig) -> float:
-    """Yearly powered-on hours for one asset; stored equipment runs zero."""
+def usage_hours(asset: Asset, config: EngineConfig, cat: EquipmentCategory | None = None) -> float:
+    """Yearly powered-on hours for one asset; stored equipment runs zero.
+    cat, here and below, is the asset's category when the caller has it."""
     if asset.status == "stored":
         return 0.0
-    profile = asset.hour_profile_override or category(asset.category).hour_profile_default
+    profile = asset.hour_profile_override or (cat or category(asset.category)).hour_profile_default
     return config.work_year_hours if profile == "work_year" else config.continuous_hours
 
 
-def _usage_kwh(asset: Asset, factor: EmissionFactor, config: EngineConfig) -> float:
-    power = asset.measured_power_w if asset.measured_power_w is not None else factor.typical_power_w
-    return asset.quantity * power * usage_hours(asset, config) / 1000.0
-
-
-def scope2_usage(asset: Asset, factor: EmissionFactor, config: EngineConfig) -> EmissionLine | None:
+def scope2_usage(
+    asset: Asset, factor: EmissionFactor, config: EngineConfig, cat: EquipmentCategory | None = None
+) -> EmissionLine | None:
     """Electricity consumption line for one asset, None when it draws nothing.
 
     Measured power is trusted as-is (zero uncertainty); the factor's typical
     power carries the factor's relative uncertainty.
     """
-    kwh = _usage_kwh(asset, factor, config)
+    measured = asset.measured_power_w is not None
+    power = asset.measured_power_w if measured else factor.typical_power_w
+    kwh = asset.quantity * power * usage_hours(asset, config, cat) / 1000.0
     if kwh == 0:
         return None
     kgco2e = kwh * config.grid.kgco2e_per_kwh
-    measured = asset.measured_power_w is not None
     return EmissionLine(
-        subject_id=asset.id,
-        scope="S2",
-        phase="usage",
-        kgco2e=kgco2e,
-        abs_uncertainty_kgco2e=0.0 if measured else kgco2e * factor.rel_uncertainty,
-        factor_source=MEASURED_SOURCE if measured else factor.source.name,
-        group=CATEGORIES[asset.category].group,
+        asset.id,
+        "S2",
+        "usage",
+        kgco2e,
+        0.0 if measured else kgco2e * factor.rel_uncertainty,
+        MEASURED_SOURCE if measured else factor.source.name,
+        (cat or CATEGORIES[asset.category]).group,
     )
 
 
 def scope3_fabrication(
-    asset: Asset, factor: EmissionFactor, reporting_year: int
+    asset: Asset, factor: EmissionFactor, reporting_year: int, cat: EquipmentCategory | None = None
 ) -> EmissionLine | None:
     """Fabrication and transport line, only in the acquisition year.
 
@@ -141,7 +143,7 @@ def scope3_fabrication(
     """
     if asset.acquisition_year != reporting_year:
         return None
-    group = CATEGORIES[asset.category].group
+    group = (cat or CATEGORIES[asset.category]).group
     vendor = asset.vendor_fab_transport_kgco2e
     if vendor is not None:
         kgco2e = asset.quantity * vendor
@@ -160,9 +162,11 @@ def scope3_fabrication(
     )
 
 
-def scope3_eol(asset: Asset, factor: EmissionFactor, reporting_year: int) -> EmissionLine | None:
+def scope3_eol(
+    asset: Asset, factor: EmissionFactor, reporting_year: int, cat: EquipmentCategory | None = None
+) -> EmissionLine | None:
     """End-of-life treatment line, only in the disposal year."""
-    if asset.disposal_year is None or asset.disposal_year != reporting_year:
+    if asset.disposal_year != reporting_year:
         return None
     kgco2e = asset.quantity * factor.eol_kgco2e
     return EmissionLine(
@@ -172,7 +176,7 @@ def scope3_eol(asset: Asset, factor: EmissionFactor, reporting_year: int) -> Emi
         kgco2e,
         kgco2e * factor.rel_uncertainty,
         factor.source.name,
-        CATEGORIES[asset.category].group,
+        (cat or CATEGORIES[asset.category]).group,
     )
 
 
@@ -192,32 +196,19 @@ def scope1_refrigerant(room: ServerRoom, gwp_table: tuple[GwpEntry, ...]) -> Emi
     )
 
 
-class _Resolved(dict):
-    """Category id -> (EquipmentCategory, factor), each resolved on first use."""
-
-    def __init__(self, db: FactorDatabase):
-        super().__init__()
-        self.db = db
-
-    def __missing__(self, cat_id: str) -> tuple[EquipmentCategory, EmissionFactor]:
-        pair = self[cat_id] = (category(cat_id), lookup_factor(self.db, cat_id))
-        return pair
-
-
 def _any_room_metered(fleet: Fleet) -> bool:
     return any(r.measured_room_kwh_per_year is not None for r in fleet.rooms)
 
 
-def _pool_usage(fleet: Fleet, resolved: _Resolved, config: EngineConfig) -> tuple[float, float]:
-    """Usage kgco2e and its uncertainty summed over the server-room pool, in asset order."""
+def _pool_total(usage_lines) -> tuple[float, float]:
+    """Usage kgco2e and its uncertainty summed over the server-room pool's
+    usage lines (None where an asset draws nothing), in asset order."""
     pool_kgco2e = 0.0
     pool_uncertainty = 0.0
-    for asset in fleet.assets:
-        if asset.category in _POOL_CATEGORIES:
-            line = scope2_usage(asset, resolved[asset.category][1], config)
-            if line is not None:
-                pool_kgco2e += line.kgco2e
-                pool_uncertainty += line.abs_uncertainty_kgco2e
+    for line in usage_lines:
+        if line is not None:
+            pool_kgco2e += line.kgco2e
+            pool_uncertainty += line.abs_uncertainty_kgco2e
     return pool_kgco2e, pool_uncertainty
 
 
@@ -233,7 +224,8 @@ def scope2_room_overheads(
     """
     pool = None
     if not _any_room_metered(fleet) and room.ups_overhead_fraction != 0:
-        pool = _pool_usage(fleet, _Resolved(db), config)
+        pool = _pool_total(scope2_usage(a, lookup_factor(db, a.category), config)
+                           for a in fleet.assets if a.category in _POOL_CATEGORIES)
     return _room_lines(room, pool, config)
 
 
@@ -329,25 +321,34 @@ def compute_fleet(fleet: Fleet, db: FactorDatabase, config: EngineConfig) -> lis
     """
     lines: list[EmissionLine] = []
     metered = _any_room_metered(fleet)
-    resolved = _Resolved(db)
-
+    year = fleet.reporting_year
+    plans = {}  # category id -> (category, factor, own usage line?, S3 lines?, in the pool?)
+    for cat_id in dict.fromkeys(a.category for a in fleet.assets):
+        cat, in_pool = category(cat_id), cat_id in _POOL_CATEGORIES
+        usage = "S2" in cat.scope_mask and not (metered and in_pool)
+        plans[cat_id] = cat, lookup_factor(db, cat_id), usage, "S3" in cat.scope_mask, in_pool
+    pool_lines: list[EmissionLine | None] = []
     for asset in fleet.assets:
-        cat, factor = resolved[asset.category]
-        if "S2" in cat.scope_mask and not (metered and cat.group == "server_room"):
-            line = scope2_usage(asset, factor, config)
+        cat, factor, usage, lifecycle, in_pool = plans[asset.category]
+        if usage:
+            line = scope2_usage(asset, factor, config, cat)
             if line is not None:
                 lines.append(line)
-        if "S3" in cat.scope_mask:
-            for line in (
-                scope3_fabrication(asset, factor, fleet.reporting_year),
-                scope3_eol(asset, factor, fleet.reporting_year),
-            ):
-                if line is not None:
-                    lines.append(line)
+            if in_pool:
+                pool_lines.append(line)
+        if lifecycle:
+            line = scope3_fabrication(asset, factor, year, cat)
+            if line is not None:
+                lines.append(line)
+            line = scope3_eol(asset, factor, year, cat)
+            if line is not None:
+                lines.append(line)
 
+    # Every pool category has S2 in its scope, so without a room meter
+    # pool_lines holds each pool asset's usage line, in fleet order.
     pool = None
     if not metered and any(r.ups_overhead_fraction != 0 for r in fleet.rooms):
-        pool = _pool_usage(fleet, resolved, config)
+        pool = _pool_total(pool_lines)
     for room in fleet.rooms:
         line = scope1_refrigerant(room, db.gwp_table)
         if line is not None:
@@ -365,7 +366,7 @@ def compute_fleet(fleet: Fleet, db: FactorDatabase, config: EngineConfig) -> lis
     for entry in fleet.external_services:
         lines.append(declared_external(entry))
 
-    lines.sort(key=lambda l: (l.subject_id, l.scope, l.phase))
+    lines.sort(key=attrgetter("subject_id", "scope", "phase"))
     return lines
 
 

@@ -15,7 +15,6 @@ from .errors import FactorParseError, MissingFactorError, UnknownFluidError
 
 GROUPS = ("office", "telephony", "server_room", "shared", "compute", "bulk")
 SCOPES = ("S1", "S2", "S3")
-PROFILES = ("work_year", "continuous", "none")
 SOURCE_KINDS = ("public_base", "vendor_fiche", "peer_reviewed", "internal_measure")
 
 #: Grid carbon intensity used when a factor file carries no [grid] section

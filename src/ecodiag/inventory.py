@@ -51,7 +51,7 @@ def _check_optional_nonneg(value: float | None, name: str) -> None:
         raise ValueError(f"{name} must be finite and >= 0, got {value}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Asset:
     """One inventory line: a quantity of identical devices of one category."""
 
@@ -323,10 +323,16 @@ FLEET_SCHEMA = {
 
 
 def csv_rows(text: str):
-    """Yield (line number, fields) for every line that is not blank or a '#' comment."""
+    """Yield (line number, fields) for every line that is not blank or a '#' comment.
+    A line without '"' or NUL, within the csv field size limit, is split on
+    commas: csv.reader makes the same of it."""
+    limit = csv.field_size_limit()
     for rownum, raw in enumerate(text.splitlines(), start=1):
         head = raw.lstrip()
         if not head or head[0] == "#":
+            continue
+        if '"' not in raw and "\0" not in raw and len(raw) <= limit:
+            yield rownum, raw.split(",")
             continue
         try:
             yield rownum, next(csv.reader([raw]))
@@ -561,11 +567,15 @@ def validate_fleet(
     gwp_fluids = {g.fluid for g in db.gwp_table}
 
     used = sorted({a.category for a in fleet.assets} | {b.category for b in fleet.cable_bulks})
+    zero_power = set()  # categories whose usage rests on a zero typical power
     for cat_id in used:
         try:
-            lookup_factor(db, cat_id)
+            factor = lookup_factor(db, cat_id)
         except MissingFactorError:
             issues.append(Issue("error", cat_id, f"missing factor: {cat_id}"))
+            continue
+        if factor.typical_power_w == 0 and "S2" in category(cat_id).scope_mask:
+            zero_power.add(cat_id)
 
     for room in fleet.rooms:
         if room.refrigerant_leak_kg_per_year > 0 and room.refrigerant_fluid not in gwp_fluids:
@@ -601,17 +611,8 @@ def validate_fleet(
                 Issue("warning", asset.id, f"disposed of in {asset.disposal_year}, before "
                       f"reporting year {year}: a full year of usage is still charged")
             )
-        if asset.status == "in_use" and asset.measured_power_w is None:
-            try:
-                factor = lookup_factor(db, asset.category)
-            except MissingFactorError:
-                continue
-            if factor.typical_power_w == 0 and "S2" in category(asset.category).scope_mask:
-                issues.append(
-                    Issue(
-                        "warning",
-                        asset.id,
-                        "zero-power factor and no measured power: no usage emissions",
-                    )
-                )
+        if (asset.status == "in_use" and asset.measured_power_w is None
+                and asset.category in zero_power):
+            issues.append(Issue("warning", asset.id,
+                                "zero-power factor and no measured power: no usage emissions"))
     return issues

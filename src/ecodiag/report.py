@@ -164,8 +164,10 @@ def compare_years(reports: list[Report]) -> YearComparison:
 
     grand = tuple(r.grand_total_kgco2e for r in ordered)
     deltas = tuple(b - a for a, b in zip(grand, grand[1:]))
+    # No percentage from a zero base, nor from one so small that it overflows.
     pcts = tuple(
-        None if a == 0 else (b - a) / a * 100.0 for a, b in zip(grand, grand[1:])
+        p if a and math.isfinite(p := (b - a) / a * 100.0) else None
+        for a, b in zip(grand, grand[1:])
     )
     return YearComparison(
         years=years,

@@ -286,6 +286,26 @@ class TestCompare:
         err = capsys.readouterr().err
         assert err.startswith("ecodiag: error: ") and key in err
 
+    def test_tiny_earlier_total_gives_a_null_pct(self, workdir, capsys):
+        # A laptop at 1e-310 W totals about 1.9e-311 kg; the next year's 100 W
+        # one makes a percentage change that overflows.
+        reports = []
+        for year, power in ((2018, "1e-310"), (2019, "100")):
+            fleet = workdir / f"fleet{year}.csv"
+            fleet.write_text(f"{FLEET_HEADER}\nasset,pc,laptop,1,2015,,in_use,{power},,\n",
+                             encoding="utf-8")
+            reports.append(str(workdir / f"{year}.json"))
+            args = compute_args(workdir, "--format", "json", "--out", reports[-1])
+            args[args.index("--inventory") + 1] = str(fleet)
+            args[args.index("--year") + 1] = str(year)
+            assert main(args) == 0
+        capsys.readouterr()
+        assert main(["compare", *reports, "--format", "json"]) == 0
+        out = capsys.readouterr().out
+        (delta,) = json.loads(out)["deltas"]
+        assert 0 < json.loads(out)["grand_totals"][0] < 1e-300
+        assert delta["delta_pct"] is None and "Infinity" not in out
+
     def test_null_report_exits_one(self, workdir, capsys):
         a = self.make_report(workdir, 2018, "a.json")
         (workdir / "null.json").write_text("null", encoding="utf-8")

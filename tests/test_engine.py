@@ -1,11 +1,13 @@
 """Tests for the emission engine: hour profiles, per-scope rules, composition."""
 
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 
 from conftest import make_db, make_factor
+from ecodiag import engine
 from ecodiag.engine import (
     EmissionLine,
     EngineConfig,
@@ -235,6 +237,22 @@ class TestRoomOverheads:
             )
 
 
+    def test_overhead_line_equals_the_room_overheads_on_random_fleets(self, config):
+        # compute_fleet sums the pool from the usage lines of its own asset
+        # pass; scope2_room_overheads sums it on its own. Both must agree to
+        # the last bit.
+        rng = random.Random(5)
+        overheads = 0
+        for _ in range(300):
+            db, fleet = random_db(rng), random_fleet(rng)
+            lines = compute_fleet(fleet, db, config)
+            for room in fleet.rooms:
+                expected = scope2_room_overheads(room, fleet, db, config)
+                assert [l for l in lines if l.subject_id == room.id and l.scope == "S2"] == expected
+                overheads += any(l.factor_source.startswith("room_overhead:") for l in expected)
+        assert overheads > 20
+
+
 class TestScope2Campaign:
     def test_direct_kwh(self, config):
         line = scope2_campaign(ComputeCampaign("c", kwh=1500.0), config)
@@ -364,6 +382,56 @@ class TestComputeFleet:
         s2_base = sum(l.kgco2e for l in compute_fleet(fleet, db, base) if l.scope == "S2")
         s2_doubled = sum(l.kgco2e for l in compute_fleet(fleet, db, doubled) if l.scope == "S2")
         assert s2_doubled == 2 * s2_base
+
+
+    def test_sorted_by_subject_scope_phase_on_random_fleets(self, config):
+        rng = random.Random(23)
+        for _ in range(100):
+            db, fleet = random_db(rng), random_fleet(rng)
+            keys = [(l.subject_id, l.scope, l.phase) for l in compute_fleet(fleet, db, config)]
+            assert keys == sorted(keys)
+
+    def test_usage_evaluated_at_most_once_per_asset(self, config, monkeypatch):
+        calls = Counter()
+        real = engine.scope2_usage
+
+        def counting(asset, *args):
+            calls[asset.id] += 1
+            return real(asset, *args)
+
+        monkeypatch.setattr(engine, "scope2_usage", counting)
+        # Two unmetered rooms with a UPS overhead: the pool is charged twice.
+        fleet = Fleet(
+            "p", 2019,
+            assets=(asset("server", id="s1"), asset(id="pc"), asset("router", id="r")),
+            rooms=(ServerRoom("sr1", ups_overhead_fraction=0.1),
+                   ServerRoom("sr2", ups_overhead_fraction=0.2)),
+        )
+        db = make_db(make_factor("server"), make_factor(), make_factor("router"))
+        compute_fleet(fleet, db, config)
+        assert calls == {"s1": 1, "pc": 1, "r": 1}
+        rng = random.Random(3)
+        for _ in range(100):
+            db, fleet = random_db(rng), random_fleet(rng)
+            calls.clear()
+            compute_fleet(fleet, db, config)
+            assert max(calls.values(), default=1) == 1
+
+
+class TestEmissionLine:
+    def test_immutable(self):
+        line = EmissionLine("a", "S2", "usage", 1.0, 0.1, "base", "office")
+        with pytest.raises(AttributeError):
+            line.kgco2e = 2.0
+        assert line.kgco2e == 1.0
+
+    def test_equal_to_the_tuple_of_its_fields(self):
+        line = EmissionLine("a", "S2", "usage", 1.0, 0.1, "base", "office")
+        assert line == ("a", "S2", "usage", 1.0, 0.1, "base", "office")
+        assert line == EmissionLine(
+            subject_id="a", scope="S2", phase="usage", kgco2e=1.0,
+            abs_uncertainty_kgco2e=0.1, factor_source="base", group="office",
+        )
 
 
 class TestAggregateUncertainty:

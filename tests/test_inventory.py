@@ -1,12 +1,13 @@
 """Tests for fleet parsing, rendering, GLPI import and validation."""
 
 import csv
+import dataclasses
 import fnmatch
 import io
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import make_db, make_factor
@@ -20,6 +21,7 @@ from ecodiag.inventory import (
     Fleet,
     MappingRule,
     ServerRoom,
+    csv_rows,
     parse_fleet_csv,
     parse_glpi_export,
     parse_mapping_rules,
@@ -161,6 +163,50 @@ class TestParseFleetCsv:
     def test_cable_rejects_extra(self):
         with pytest.raises(FleetParseError, match="field extra must be empty for kind cable"):
             parse("cable,,cable_cat5,3,,,,,,hours=continuous")
+
+
+_FIELD_LIMIT = csv.field_size_limit()
+#: The characters of the boundary words in fleet_strategies that csv treats
+#: apart, line breaks, and fields at and just past csv's field size limit.
+_CSV_PIECES = (
+    '"', "\x00", "\x85", " ", ";", "=", ",", "a", "#", "\r", "\n", "\u2028",
+    "x" * _FIELD_LIMIT, "y" * (_FIELD_LIMIT + 1),
+)
+
+
+class TestCsvRows:
+    @staticmethod
+    def rows(lines):
+        """(row, fields) pairs, then (row, None) for a FleetParseError."""
+        out = []
+        try:
+            out.extend(lines)
+        except FleetParseError as exc:
+            out.append((exc.row, None))
+        return out
+
+    @staticmethod
+    def one_reader_per_line(text):
+        for rownum, raw in enumerate(text.splitlines(), start=1):
+            head = raw.lstrip()
+            if not head or head[0] == "#":
+                continue
+            try:
+                yield rownum, next(csv.reader([raw]))
+            except csv.Error:
+                raise FleetParseError("malformed CSV", row=rownum) from None
+
+    @given(st.lists(st.sampled_from(_CSV_PIECES), max_size=10).map("".join))
+    @example("a,b" + "y" * _FIELD_LIMIT)
+    @example("x" * _FIELD_LIMIT + ",")
+    @example('a,"b,c",d\n x ,\x00,"')
+    @settings(max_examples=300, deadline=None)
+    def test_same_fields_or_error_row_as_csv_reader(self, text):
+        assert self.rows(csv_rows(text)) == self.rows(self.one_reader_per_line(text))
+
+    def test_error_keeps_its_message(self):
+        with pytest.raises(FleetParseError, match="row 2: malformed CSV: field larger than"):
+            list(csv_rows("a,b\n" + "y" * (_FIELD_LIMIT + 1)))
 
 
 class TestRenderRoundTrip:
@@ -504,6 +550,26 @@ class TestDomainInvariants:
     def test_bulk_category_not_an_asset(self):
         with pytest.raises(ValueError, match="non-asset"):
             Asset("a", "cable_cat5", 1, 2019)
+
+    def test_asset_is_frozen(self):
+        asset = Asset("a", "laptop", 1, 2019)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            asset.quantity = 2
+        assert asset.quantity == 1
+
+    def test_replace_still_checks_the_years(self):
+        asset = Asset("a", "laptop", 1, 2015, disposal_year=2018)
+        assert dataclasses.replace(asset, acquisition_year=2016).acquisition_year == 2016
+        with pytest.raises(ValueError, match="earlier than acquisition_year 2019"):
+            dataclasses.replace(asset, acquisition_year=2019)
+
+    def test_asset_equality_and_hash(self):
+        a, b = Asset("a", "laptop", 2, 2019), Asset("a", "laptop", 2, 2019)
+        assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+        assert a != dataclasses.replace(a, quantity=3)
+        assert [f.name for f in dataclasses.fields(Asset)][:4] == [
+            "id", "category", "quantity", "acquisition_year"
+        ]
 
     def test_room_leak_requires_fluid(self):
         with pytest.raises(ValueError, match="refrigerant_fluid required"):

@@ -155,6 +155,16 @@ class TestCompareYears:
         assert cmp.deltas_pct == (None,)
         assert "n/a" in render(cmp, "markdown")
 
+    def test_tiny_previous_total_has_no_pct(self):
+        # 19 / 1.9e-311 overflows: no finite percentage, as from a zero base.
+        cmp = compare_years([simple_report(2018, 1.9e-311), simple_report(2019, 19.0)])
+        assert cmp.deltas_pct == (None,)
+        for fmt in ("markdown", "csv"):
+            text = render(cmp, fmt)
+            assert "n/a" in text and "inf" not in text
+        (delta,) = json.loads(render(cmp, "json"))["deltas"]
+        assert delta["delta_pct"] is None
+
     def test_unsorted_input_sorted_by_year(self):
         cmp = compare_years([simple_report(2020, 800.0), simple_report(2018, 1000.0)])
         assert cmp.years == (2018, 2020)
