@@ -22,10 +22,8 @@ from .factors import (
     CATEGORIES,
     DEFAULT_GRID_FACTOR,
     EmissionFactor,
-    EquipmentCategory,
     FactorDatabase,
     GwpEntry,
-    category,
     gwp_value,
     lookup_factor,
 )
@@ -99,18 +97,15 @@ def config_for(db: FactorDatabase, grid_override: float | None = None) -> Engine
     return EngineConfig(grid=GridFactor(db.default_grid_factor_kgco2e_per_kwh))
 
 
-def usage_hours(asset: Asset, config: EngineConfig, cat: EquipmentCategory | None = None) -> float:
-    """Yearly powered-on hours for one asset; stored equipment runs zero.
-    cat, here and below, is the asset's category when the caller has it."""
+def usage_hours(asset: Asset, config: EngineConfig) -> float:
+    """Yearly powered-on hours for one asset; stored equipment runs zero."""
     if asset.status == "stored":
         return 0.0
-    profile = asset.hour_profile_override or (cat or category(asset.category)).hour_profile_default
+    profile = asset.hour_profile_override or CATEGORIES[asset.category].hour_profile_default
     return config.work_year_hours if profile == "work_year" else config.continuous_hours
 
 
-def scope2_usage(
-    asset: Asset, factor: EmissionFactor, config: EngineConfig, cat: EquipmentCategory | None = None
-) -> EmissionLine | None:
+def scope2_usage(asset: Asset, factor: EmissionFactor, config: EngineConfig) -> EmissionLine | None:
     """Electricity consumption line for one asset, None when it draws nothing.
 
     Measured power is trusted as-is (zero uncertainty); the factor's typical
@@ -118,7 +113,7 @@ def scope2_usage(
     """
     measured = asset.measured_power_w is not None
     power = asset.measured_power_w if measured else factor.typical_power_w
-    kwh = asset.quantity * power * usage_hours(asset, config, cat) / 1000.0
+    kwh = asset.quantity * power * usage_hours(asset, config) / 1000.0
     if kwh == 0:
         return None
     kgco2e = kwh * config.grid.kgco2e_per_kwh
@@ -129,12 +124,12 @@ def scope2_usage(
         kgco2e,
         0.0 if measured else kgco2e * factor.rel_uncertainty,
         MEASURED_SOURCE if measured else factor.source.name,
-        (cat or CATEGORIES[asset.category]).group,
+        CATEGORIES[asset.category].group,
     )
 
 
 def scope3_fabrication(
-    asset: Asset, factor: EmissionFactor, reporting_year: int, cat: EquipmentCategory | None = None
+    asset: Asset, factor: EmissionFactor, reporting_year: int
 ) -> EmissionLine | None:
     """Fabrication and transport line, only in the acquisition year.
 
@@ -143,7 +138,7 @@ def scope3_fabrication(
     """
     if asset.acquisition_year != reporting_year:
         return None
-    group = (cat or CATEGORIES[asset.category]).group
+    group = CATEGORIES[asset.category].group
     vendor = asset.vendor_fab_transport_kgco2e
     if vendor is not None:
         kgco2e = asset.quantity * vendor
@@ -162,9 +157,7 @@ def scope3_fabrication(
     )
 
 
-def scope3_eol(
-    asset: Asset, factor: EmissionFactor, reporting_year: int, cat: EquipmentCategory | None = None
-) -> EmissionLine | None:
+def scope3_eol(asset: Asset, factor: EmissionFactor, reporting_year: int) -> EmissionLine | None:
     """End-of-life treatment line, only in the disposal year."""
     if asset.disposal_year != reporting_year:
         return None
@@ -176,7 +169,7 @@ def scope3_eol(
         kgco2e,
         kgco2e * factor.rel_uncertainty,
         factor.source.name,
-        (cat or CATEGORIES[asset.category]).group,
+        CATEGORIES[asset.category].group,
     )
 
 
@@ -202,13 +195,12 @@ def _any_room_metered(fleet: Fleet) -> bool:
 
 def _pool_total(usage_lines) -> tuple[float, float]:
     """Usage kgco2e and its uncertainty summed over the server-room pool's
-    usage lines (None where an asset draws nothing), in asset order."""
+    usage lines, in asset order."""
     pool_kgco2e = 0.0
     pool_uncertainty = 0.0
     for line in usage_lines:
-        if line is not None:
-            pool_kgco2e += line.kgco2e
-            pool_uncertainty += line.abs_uncertainty_kgco2e
+        pool_kgco2e += line.kgco2e
+        pool_uncertainty += line.abs_uncertainty_kgco2e
     return pool_kgco2e, pool_uncertainty
 
 
@@ -224,8 +216,9 @@ def scope2_room_overheads(
     """
     pool = None
     if not _any_room_metered(fleet) and room.ups_overhead_fraction != 0:
-        pool = _pool_total(scope2_usage(a, lookup_factor(db, a.category), config)
-                           for a in fleet.assets if a.category in _POOL_CATEGORIES)
+        usage = (scope2_usage(a, lookup_factor(db, a.category), config)
+                 for a in fleet.assets if a.category in _POOL_CATEGORIES)
+        pool = _pool_total(line for line in usage if line is not None)
     return _room_lines(room, pool, config)
 
 
@@ -322,30 +315,30 @@ def compute_fleet(fleet: Fleet, db: FactorDatabase, config: EngineConfig) -> lis
     lines: list[EmissionLine] = []
     metered = _any_room_metered(fleet)
     year = fleet.reporting_year
-    plans = {}  # category id -> (category, factor, own usage line?, S3 lines?, in the pool?)
+    plans = {}  # category id -> (factor, own usage line?, S3 lines?, in the pool?)
     for cat_id in dict.fromkeys(a.category for a in fleet.assets):
-        cat, in_pool = category(cat_id), cat_id in _POOL_CATEGORIES
-        usage = "S2" in cat.scope_mask and not (metered and in_pool)
-        plans[cat_id] = cat, lookup_factor(db, cat_id), usage, "S3" in cat.scope_mask, in_pool
-    pool_lines: list[EmissionLine | None] = []
+        scope_mask, in_pool = CATEGORIES[cat_id].scope_mask, cat_id in _POOL_CATEGORIES
+        usage = "S2" in scope_mask and not (metered and in_pool)
+        plans[cat_id] = lookup_factor(db, cat_id), usage, "S3" in scope_mask, in_pool
+    pool_lines: list[EmissionLine] = []
     for asset in fleet.assets:
-        cat, factor, usage, lifecycle, in_pool = plans[asset.category]
+        factor, usage, lifecycle, in_pool = plans[asset.category]
         if usage:
-            line = scope2_usage(asset, factor, config, cat)
+            line = scope2_usage(asset, factor, config)
             if line is not None:
                 lines.append(line)
-            if in_pool:
-                pool_lines.append(line)
+                if in_pool:
+                    pool_lines.append(line)
         if lifecycle:
-            line = scope3_fabrication(asset, factor, year, cat)
+            line = scope3_fabrication(asset, factor, year)
             if line is not None:
                 lines.append(line)
-            line = scope3_eol(asset, factor, year, cat)
+            line = scope3_eol(asset, factor, year)
             if line is not None:
                 lines.append(line)
 
     # Every pool category has S2 in its scope, so without a room meter
-    # pool_lines holds each pool asset's usage line, in fleet order.
+    # pool_lines holds each pool asset's non-None usage line, in fleet order.
     pool = None
     if not metered and any(r.ups_overhead_fraction != 0 for r in fleet.rooms):
         pool = _pool_total(pool_lines)
