@@ -6,6 +6,7 @@ failures, 2 for validation failures. No command ever mutates an input file.
 from __future__ import annotations
 
 import argparse
+import gc
 import logging
 import os
 import sys
@@ -111,20 +112,25 @@ def _fail(message: str) -> None:
     print(f"ecodiag: error: {message}", file=sys.stderr)
 
 
+def _read_input(path: str) -> str:
+    """Text of an input file; a leading UTF-8 byte-order mark is dropped."""
+    return Path(path).read_text(encoding="utf-8-sig")
+
+
 def _load_db(args) -> tuple[FactorDatabase, str]:
     path = args.factors or os.environ.get(FACTORS_ENV_VAR)
     if not path:
         raise FactorParseError(f"no factor file given (--factors or ${FACTORS_ENV_VAR})")
-    text = Path(path).read_text(encoding="utf-8")
+    text = _read_input(path)
     return merge_factors(load_factor_db(text)), factor_db_identity(Path(path).name, text)
 
 
 def _load_fleet(args) -> Fleet:
-    text = Path(args.inventory).read_text(encoding="utf-8")
+    text = _read_input(args.inventory)
     if args.glpi:
         if not args.rules:
             raise FleetParseError("--glpi requires --rules <mapping rules path>")
-        rules = parse_mapping_rules(Path(args.rules).read_text(encoding="utf-8"))
+        rules = parse_mapping_rules(_read_input(args.rules))
         fleet, unmapped = parse_glpi_export(text, rules, args.year, args.perimeter)
         sys.stderr.write("".join(
             f"warning: GLPI row {r.row_number} not imported ({r.reason})\n" for r in unmapped
@@ -170,7 +176,7 @@ def cmd_compare(args) -> int:
     if len(args.reports) < 2:
         _fail("compare needs at least two report files")
         return 1
-    reports = [parse_report_json(Path(p).read_text(encoding="utf-8")) for p in args.reports]
+    reports = [parse_report_json(_read_input(p)) for p in args.reports]
     comparison = compare_years(reports)
     for warning in comparison.warnings:
         print(f"warning: {warning}", file=sys.stderr)
@@ -186,7 +192,7 @@ def cmd_scenario(args) -> int:
     if errors:
         _print_issues(errors, sys.stderr)
         return 2
-    actions = parse_actions_csv(Path(args.actions).read_text(encoding="utf-8"))
+    actions = parse_actions_csv(_read_input(args.actions))
     result = evaluate_scenario(
         fleet, list(actions), db, config_for(db, args.grid_factor), db_id
     )
@@ -242,6 +248,11 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     logging.basicConfig(stream=sys.stderr, level=logging.WARNING, format="%(levelname)s: %(message)s")
+    # The records hold no reference cycles, so reference counting frees them
+    # and the cyclic collector's passes would find nothing; the caller's
+    # collector state comes back on every exit.
+    gc_was_enabled = gc.isenabled()
+    gc.disable()
     try:
         return args.func(args)
     except ScenarioError as exc:
@@ -250,6 +261,9 @@ def main(argv=None) -> int:
     except (EcodiagError, OSError, ValueError) as exc:
         _fail(str(exc))
         return 1
+    finally:
+        if gc_was_enabled:
+            gc.enable()
 
 
 if __name__ == "__main__":

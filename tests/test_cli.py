@@ -1,5 +1,7 @@
 """End-to-end tests of the command-line interface and its exit-code contract."""
 
+import codecs
+import gc
 import json
 import os
 import subprocess
@@ -9,15 +11,18 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings
 
-from ecodiag import samples
+from ecodiag import cli, samples
 from ecodiag import aggregate, compute_fleet, config_for, load_factor_db, merge_factors, render
 from ecodiag.cli import main
 from ecodiag.errors import EcodiagError
 from ecodiag.inventory import (
     FLEET_CSV_COLUMNS,
+    Asset,
+    Fleet,
     parse_fleet_csv,
     parse_glpi_export,
     parse_mapping_rules,
+    render_fleet_csv,
 )
 from ecodiag.report import parse_actions_csv
 from fleet_strategies import boundary_texts, report_json_texts
@@ -555,3 +560,141 @@ class TestUsage:
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0
         assert "compute" in capsys.readouterr().out
+
+
+class TestCollector:
+    """Each command runs with the cyclic garbage collector off, and main
+    gives back the collector state it found on every exit path."""
+
+    @pytest.fixture(params=[True, False], ids=["enabled", "disabled"])
+    def entry_state(self, request):
+        was_enabled = gc.isenabled()
+        (gc.enable if request.param else gc.disable)()
+        yield request.param
+        (gc.enable if was_enabled else gc.disable)()
+
+    @staticmethod
+    def spy_on_compute(monkeypatch, seen, fail=False):
+        original = cli.cmd_compute
+
+        def spy(args):
+            seen.append(gc.isenabled())
+            if fail:
+                raise RuntimeError("boom")
+            return original(args)
+
+        monkeypatch.setattr(cli, "cmd_compute", spy)
+
+    @pytest.mark.parametrize("case, code", [
+        ("ok", 0), ("missing inventory", 1), ("missing factor", 2), ("usage error", 1),
+    ])
+    def test_off_while_a_command_runs(self, workdir, monkeypatch, capsys, entry_state, case, code):
+        args = compute_args(workdir)
+        if case == "missing inventory":
+            args[args.index("--inventory") + 1] = str(workdir / "ghost.csv")
+        elif case == "missing factor":
+            text = (workdir / "factors.txt").read_text(encoding="utf-8")
+            kept = [l for l in text.splitlines() if not l.startswith("laptop,")]
+            (workdir / "factors.txt").write_text("\n".join(kept) + "\n", encoding="utf-8")
+        elif case == "usage error":
+            args.remove("--year")
+        seen = []
+        self.spy_on_compute(monkeypatch, seen)
+        assert main(args) == code
+        assert seen == ([] if case == "usage error" else [False])
+        assert gc.isenabled() is entry_state
+
+    def test_restored_when_a_command_raises(self, workdir, monkeypatch, entry_state):
+        seen = []
+        self.spy_on_compute(monkeypatch, seen, fail=True)
+        with pytest.raises(RuntimeError, match="boom"):
+            main(compute_args(workdir))
+        assert seen == [False]
+        assert gc.isenabled() is entry_state
+
+    def test_no_collection_during_a_compute(self, workdir, monkeypatch, capsys):
+        fleet = Fleet(PERIMETER, 2019, assets=tuple(
+            Asset(f"pc-{i}", "laptop", 1, 2015 + i % 5) for i in range(2000)
+        ))
+        (workdir / "fleet.csv").write_text(render_fleet_csv(fleet), encoding="utf-8")
+        starts = []
+
+        def on_gc(phase, info):
+            if phase == "start":
+                starts.append(info["generation"])
+
+        original = cli.cmd_compute
+
+        def counted(args):
+            gc.callbacks.append(on_gc)
+            try:
+                return original(args)
+            finally:
+                gc.callbacks.remove(on_gc)
+
+        monkeypatch.setattr(cli, "cmd_compute", counted)
+        was_enabled = gc.isenabled()
+        gc.enable()
+        try:
+            assert main(compute_args(workdir)) == 0
+        finally:
+            if not was_enabled:
+                gc.disable()
+        assert starts == []
+
+
+class TestByteOrderMark:
+    """An input that starts with a UTF-8 byte-order mark, as Excel's "CSV
+    UTF-8" writes it, reads the same as the file without one."""
+
+    INPUTS = ("fleet.csv", "glpi.csv", "rules.csv", "factors.txt", "actions.csv", "2018.json")
+
+    @pytest.fixture
+    def inputs(self, workdir):
+        (workdir / "glpi.csv").write_text(
+            f"{GLPI_HEADER}\n"
+            "pc-1,Laptop Dell,L5400,2019-03-01,en service\n"
+            "mf-1,Mainframe,Z,2019-03-01,en service\n",
+            encoding="utf-8",
+        )
+        (workdir / "actions.csv").write_text(
+            "replace,srv-old,srv-2019,server,14,2019,,in_use,180,,\n", encoding="utf-8"
+        )
+        for year in (2018, 2019):
+            path = workdir / f"{year}.json"
+            assert main(compute_args(workdir, "--format", "json", "--out", str(path))) == 0
+            data = json.loads(path.read_text(encoding="utf-8"))
+            data["reporting_year"] = year
+            path.write_text(json.dumps(data, indent=2) + "\n", encoding="utf-8")
+        return workdir
+
+    @staticmethod
+    def args_for(name, workdir, src):
+        """The command that reads input `name` from directory src, and every
+        other input from workdir."""
+        def path(n):
+            return str((src if n == name else workdir) / n)
+
+        common = ["--year", "2019", "--perimeter", PERIMETER, "--factors", path("factors.txt")]
+        if name in ("glpi.csv", "rules.csv"):
+            return ["compute", "--inventory", path("glpi.csv"), "--glpi",
+                    "--rules", path("rules.csv"), *common]
+        if name == "actions.csv":
+            return ["scenario", "--inventory", path("fleet.csv"),
+                    "--actions", path("actions.csv"), *common]
+        if name == "2018.json":
+            return ["compare", path("2018.json"), path("2019.json")]
+        return ["compute", "--inventory", path("fleet.csv"), *common]
+
+    @pytest.mark.parametrize("name", INPUTS)
+    def test_same_output_as_without_the_mark(self, inputs, capsys, name):
+        bom = inputs / "bom"
+        bom.mkdir()
+        (bom / name).write_bytes(codecs.BOM_UTF8 + (inputs / name).read_bytes())
+        capsys.readouterr()
+        runs = []
+        for src in (inputs, bom):
+            code = main(self.args_for(name, inputs, src))
+            runs.append((code, *capsys.readouterr()))
+        assert runs[0][0] == 0
+        assert runs[1] == runs[0]
