@@ -5,15 +5,19 @@ import dataclasses
 import fnmatch
 import io
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import make_db, make_factor
+from ecodiag import inventory
 from ecodiag.errors import FleetParseError
 from ecodiag.factors import ASSET_CATEGORIES
 from ecodiag.inventory import (
+    FLEET_CSV_COLUMNS,
+    FLEET_SCHEMA,
     Asset,
     CableBulk,
     ComputeCampaign,
@@ -23,14 +27,15 @@ from ecodiag.inventory import (
     ServerRoom,
     csv_rows,
     parse_fleet_csv,
+    parse_fleet_row,
     parse_glpi_export,
     parse_mapping_rules,
     render_fleet_csv,
     validate_fleet,
 )
 from ecodiag.samples import sample_fleet, sample_fleet_csv
-from fleet_strategies import fleets
-from randgen import random_db, random_fleet
+from fleet_strategies import _WORDS, boundary_texts, fleets
+from randgen import random_asset, random_db, random_fleet
 
 HEADER = (
     "kind,id,category,quantity,acquisition_year,disposal_year,status,"
@@ -239,6 +244,144 @@ class TestRenderRoundTrip:
             "campaign,hpc,,,,,,,,kwh=2.0",
             "external,mail,,,,,,,,kgco2e=3.0;scope=S2",
         ]
+
+
+def row_walk_parse(text: str, reporting_year: int, perimeter_description: str) -> Fleet:
+    """parse_fleet_csv as it was before block conversion, kept verbatim as the reference."""
+    rows: dict[str, list] = {kind: [] for kind in FLEET_SCHEMA}
+    seen_ids = {kind: set() for kind in ("asset", "room", "campaign", "external")}
+    lines = csv_rows(text)
+    header = next(lines, None)
+    if header is not None and header[1] != FLEET_CSV_COLUMNS:
+        raise FleetParseError(f"expected header {','.join(FLEET_CSV_COLUMNS)!r}", row=header[0])
+    for rownum, fields in lines:
+        if len(fields) != len(FLEET_CSV_COLUMNS):
+            raise FleetParseError(
+                f"expected {len(FLEET_CSV_COLUMNS)} fields, got {len(fields)}", row=rownum
+            )
+        kind, rest = fields[0], fields[1:]
+        ids = seen_ids.get(kind)
+        if ids is not None:
+            if rest[0] in ids:
+                raise FleetParseError(f"duplicate {kind} id: {rest[0]}", row=rownum)
+            ids.add(rest[0])
+        item = parse_fleet_row(kind, rest, rownum)
+        rows[kind].append(item)
+
+    collections = {attr: tuple(rows[kind]) for kind, (_, attr, _) in FLEET_SCHEMA.items()}
+    try:
+        return Fleet(perimeter_description, reporting_year, **collections)
+    except ValueError as exc:
+        raise FleetParseError(str(exc)) from None
+
+
+def outcome(parse, text: str):
+    """The fleet parsed, or the type, text and row of the FleetParseError raised."""
+    try:
+        return parse(text, 2019, "Lab X")
+    except FleetParseError as exc:
+        return type(exc), str(exc), exc.row
+
+
+@st.composite
+def fleet_texts_with_one_word(draw):
+    """A rendered random fleet with one cell replaced by a boundary word."""
+    fleet = random_fleet(random.Random(draw(st.integers(0, 2**32))), max_entries=12)
+    lines = render_fleet_csv(fleet).splitlines()
+    i = draw(st.integers(0, len(lines) - 1))
+    cells = lines[i].split(",")
+    cells[draw(st.integers(0, len(cells) - 1))] = draw(st.sampled_from(_WORDS))
+    lines[i] = ",".join(cells)
+    return "\n".join(lines)
+
+
+def asset_rows(n: int) -> list[str]:
+    return [f"asset,a{i},laptop,1,2015,,in_use,,," for i in range(n)]
+
+
+def body(*rows: str) -> str:
+    return "\n".join([HEADER, *rows])
+
+
+_BAD_DATE = "asset,d,laptop,1,2018-01-01,,in_use,,,"
+
+
+class TestBlockParse:
+    """parse_fleet_csv converts blocks of rows a column at a time; it must
+    agree with the one-row-at-a-time walk on every fleet and every error."""
+
+    @staticmethod
+    def check_against_row_walk(text):
+        expected = outcome(row_walk_parse, text)
+        for size in (1, 2, 3, inventory._BLOCK_ROWS):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(inventory, "_BLOCK_ROWS", size)
+                assert outcome(parse_fleet_csv, text) == expected
+
+    @given(boundary_texts(HEADER))
+    @settings(max_examples=300, derandomize=True, database=None, deadline=None)
+    def test_boundary_texts_agree_with_row_walk(self, text):
+        self.check_against_row_walk(text)
+
+    @given(fleet_texts_with_one_word())
+    @settings(max_examples=300, derandomize=True, database=None, deadline=None)
+    def test_fleets_with_one_bad_word_agree_with_row_walk(self, text):
+        self.check_against_row_walk(text)
+
+    @pytest.mark.parametrize("text,row,message", [
+        pytest.param(
+            body("asset,a0,laptop,1,2015,,in_use,,,", "asset,a1,laptop,x,2015,,in_use,,,",
+                 "asset,a2,laptop,1,2015,,in_use,,,", "gadget,g1,,,,,,,,"),
+            3, "field quantity: not an integer: 'x'",
+            id="bad-number-before-unknown-kind"),
+        pytest.param(
+            body(*asset_rows(1100), "asset,a5,laptop,1,2015,,in_use,,,"),
+            1102, "duplicate asset id: a5",
+            id="duplicate-of-an-earlier-block"),
+        pytest.param(
+            body(_BAD_DATE, '"a"b'),
+            2, "field acquisition_year: not an integer: '2018-01-01'",
+            id="bad-date-before-short-quoted-line"),
+        pytest.param(
+            body(_BAD_DATE, '"' + "y" * (_FIELD_LIMIT + 1) + '"'),
+            2, "field acquisition_year: not an integer: '2018-01-01'",
+            id="bad-date-before-malformed-csv"),
+        pytest.param(
+            body(*asset_rows(1030), "asset,a1030,laptop,0,2015,,in_use,,,"),
+            1032, "quantity must be >= 1, got 0",
+            id="bad-row-in-last-partial-block"),
+        pytest.param(
+            body(*asset_rows(2), "room,sr1,,3,,,,,,", "asset,a2,laptop,1,2015,,in_use,,,"),
+            4, "field quantity must be empty for kind room, got '3'",
+            id="room-with-quantity-among-assets"),
+        pytest.param(
+            body(*asset_rows(1998), "asset,w,laptop,1,2015,,in_use,,,hours=weekly",
+                 *asset_rows(3000)[1999:]),
+            2000, "hour_profile_override must be one of ('work_year', 'continuous')",
+            id="bad-hours-on-row-2000-of-3000"),
+    ])
+    def test_first_bad_row_in_file_order(self, text, row, message):
+        expected = (FleetParseError, f"row {row}: {message}", row)
+        assert outcome(row_walk_parse, text) == expected
+        assert outcome(parse_fleet_csv, text) == expected
+
+    def test_peak_memory_stays_near_the_row_walk(self):
+        rng = random.Random(5)
+        fleet = Fleet("p", 2020, assets=tuple(random_asset(rng, i, 2020) for i in range(10_000)))
+        text = render_fleet_csv(fleet)
+
+        def traced(parse):
+            """The fleet parsed, kept past tracing so its release is not traced, and the peak."""
+            tracemalloc.start()
+            try:
+                return parse(text, 2020, "p"), tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        parsed, peak = traced(parse_fleet_csv)
+        assert parsed == fleet
+        del parsed
+        assert peak <= 1.1 * traced(row_walk_parse)[1]
 
 
 GLPI_HEADER = "name,type,model,purchase_date,status"
