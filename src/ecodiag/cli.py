@@ -13,9 +13,9 @@ import sys
 from pathlib import Path
 
 from . import samples
-from .engine import GridFactor, compute_fleet, config_for
+from .engine import compute_fleet, config_for
 from .errors import EcodiagError, FactorParseError, FleetParseError, ScenarioError
-from .factors import FactorDatabase, load_factor_db, merge_factors, reliability_rank
+from .factors import FactorDatabase, GridFactor, load_factor_db, merge_factors, reliability_rank
 from .inventory import (
     Fleet,
     Issue,
@@ -114,7 +114,11 @@ def _fail(message: str) -> None:
 
 def _read_input(path: str) -> str:
     """Text of an input file; a leading UTF-8 byte-order mark is dropped."""
-    return Path(path).read_text(encoding="utf-8-sig")
+    try:
+        return Path(path).read_text(encoding="utf-8-sig")
+    except UnicodeDecodeError as exc:
+        line = exc.object[: exc.start].count(b"\n") + 1
+        raise EcodiagError(f"{path}: line {line}: not UTF-8 ({exc.reason})") from None
 
 
 def _load_db(args) -> tuple[FactorDatabase, str]:

@@ -23,6 +23,7 @@ from .factors import (
     DEFAULT_GRID_FACTOR,
     EmissionFactor,
     FactorDatabase,
+    GridFactor,
     GwpEntry,
     gwp_value,
     lookup_factor,
@@ -43,17 +44,6 @@ CONTINUOUS_HOURS = 8760.0
 MEASURED_SOURCE = "measured"
 DECLARED_SOURCE = "declared"
 VENDOR_SOURCE = "vendor_fiche"
-
-
-@dataclass(frozen=True)
-class GridFactor:
-    """Carbon intensity of purchased electricity, kgCO2e per kWh."""
-
-    kgco2e_per_kwh: float
-
-    def __post_init__(self):
-        if not math.isfinite(self.kgco2e_per_kwh) or self.kgco2e_per_kwh <= 0:
-            raise ValueError(f"grid factor must be finite and > 0, got {self.kgco2e_per_kwh}")
 
 
 class EmissionLine(NamedTuple):

@@ -10,8 +10,9 @@ import io
 import math
 import re
 from dataclasses import dataclass, field
+from operator import attrgetter
 
-from .errors import FactorParseError, MissingFactorError, UnknownFluidError
+from .errors import FactorParseError, FleetParseError, MissingFactorError, UnknownFluidError
 
 GROUPS = ("office", "telephony", "server_room", "shared", "compute", "bulk")
 SCOPES = ("S1", "S2", "S3")
@@ -159,8 +160,22 @@ class GwpEntry:
         if not self.fluid:
             raise ValueError("fluid token must be non-empty")
         check_text_field(self.fluid, "fluid token")
+        # The factor file would read its row as a comment and drop the fluid.
+        if self.fluid.lstrip().startswith("#"):
+            raise ValueError(f"fluid token must not start with '#': {self.fluid!r}")
         if not math.isfinite(self.gwp_kgco2e_per_kg) or self.gwp_kgco2e_per_kg <= 0:
             raise ValueError(f"gwp must be finite and > 0, got {self.gwp_kgco2e_per_kg}")
+
+
+@dataclass(frozen=True)
+class GridFactor:
+    """Carbon intensity of purchased electricity, kgCO2e per kWh."""
+
+    kgco2e_per_kwh: float
+
+    def __post_init__(self):
+        if not math.isfinite(self.kgco2e_per_kwh) or self.kgco2e_per_kwh <= 0:
+            raise ValueError(f"grid factor must be finite and > 0, got {self.kgco2e_per_kwh}")
 
 
 @dataclass(frozen=True)
@@ -180,9 +195,7 @@ class FactorDatabase:
             by_category.setdefault(f.category, f)
         object.__setattr__(self, "_by_category", by_category)
         object.__setattr__(self, "gwp_table", tuple(self.gwp_table))
-        grid = self.default_grid_factor_kgco2e_per_kwh
-        if not math.isfinite(grid) or grid <= 0:
-            raise ValueError(f"grid factor must be finite and > 0, got {grid}")
+        GridFactor(self.default_grid_factor_kgco2e_per_kwh)
         seen = set()
         for entry in self.gwp_table:
             if entry.fluid in seen:
@@ -245,140 +258,113 @@ def gwp_value(gwp_table: tuple[GwpEntry, ...], fluid: str) -> float:
     raise UnknownFluidError(fluid)
 
 
-_FACTOR_COLUMNS = (
-    "category,fab_transport_kgco2e,eol_kgco2e,typical_power_w,rel_uncertainty,"
-    "source_name,source_year,source_kind,commissioner_neutral,peer_reviewed"
-).split(",")
+def csv_rows(text: str, error: type[FactorParseError | FleetParseError] = FleetParseError):
+    """Yield (line number, fields) for every line that is not blank or a '#' comment;
+    a malformed line raises error(message, line number).
+    A line without '"' or NUL, within the csv field size limit, is split on
+    commas: csv.reader makes the same of it."""
+    limit = csv.field_size_limit()
+    for rownum, raw in enumerate(text.splitlines(), start=1):
+        head = raw.lstrip()
+        if not head or head[0] == "#":
+            continue
+        if '"' not in raw and "\0" not in raw and len(raw) <= limit:
+            yield rownum, raw.split(",")
+            continue
+        try:
+            yield rownum, next(csv.reader([raw]))
+        except csv.Error as exc:
+            raise error(f"malformed CSV: {exc}", rownum) from None
+
+
 _GRID_KEY = "grid_factor_kgco2e_per_kwh"
+#: Converters of the cells that hold one of a few words; like int and float,
+#: they raise on any other text.
+_bool = {"true": True, "false": False}.__getitem__
+_grid_key = {_GRID_KEY: _GRID_KEY}.__getitem__
+#: What each converter that can fail accepts, for error messages.
+EXPECTED = {float: "a number", int: "an integer", _bool: "true or false", _grid_key: _GRID_KEY}
 
 
-def _parse_bool(text: str, lineno: int) -> bool:
-    if text == "true":
-        return True
-    if text == "false":
-        return False
-    raise FactorParseError(f"expected true|false, got {text!r}", line=lineno)
-
-
-def _parse_num(text: str, field: str, lineno: int) -> float:
-    try:
-        return float(text)
-    except ValueError:
-        raise FactorParseError(f"field {field}: not a number: {text!r}", line=lineno) from None
+#: The single definition of the factor file, read by load_factor_db and
+#: render_factor_file: per section, in render order, (its columns as (name,
+#: converter), the object one converted row builds, the cells that object
+#: renders back to, and what the first cell names if it may appear only once).
+_SECTIONS = {
+    "factors": (
+        (("category", str), ("fab_transport_kgco2e", float), ("eol_kgco2e", float),
+         ("typical_power_w", float), ("rel_uncertainty", float), ("source_name", str),
+         ("source_year", int), ("source_kind", str), ("commissioner_neutral", _bool),
+         ("peer_reviewed", _bool)),
+        lambda *cells: EmissionFactor(*cells[:5], SourceMeta(*cells[5:])),
+        lambda f: (
+            f.category, f.fab_transport_kgco2e, f.eol_kgco2e, f.typical_power_w, f.rel_uncertainty,
+            f.source.name, f.source.year, f.source.kind,
+            str(f.source.commissioner_neutral).lower(), str(f.source.peer_reviewed).lower(),
+        ),
+        None,
+    ),
+    "gwp": (
+        (("fluid", str), ("gwp", float)),
+        GwpEntry,
+        attrgetter("fluid", "gwp_kgco2e_per_kg"),
+        "GWP fluid",
+    ),
+    "grid": (
+        (("key", _grid_key), (_GRID_KEY, float)),
+        lambda _key, value: GridFactor(value).kgco2e_per_kwh,
+        lambda grid: (_GRID_KEY, grid),
+        "grid factor row",
+    ),
+}
 
 
 def load_factor_db(text: str) -> FactorDatabase:
     """Parse a factor file.
 
     The format is line-oriented UTF-8: '#' comments, blank lines ignored, and
-    three sections introduced by '[factors]', '[gwp]' and '[grid]' headers.
-    A missing [grid] section falls back to DEFAULT_GRID_FACTOR.
+    three sections introduced by the one-cell rows '[factors]', '[gwp]' and
+    '[grid]'; _SECTIONS defines the rows of each. A missing [grid] section
+    falls back to DEFAULT_GRID_FACTOR.
     """
-    factors: list[EmissionFactor] = []
-    gwps: list[GwpEntry] = []
-    seen_fluids: set[str] = set()
-    grid: float | None = None
-    section = None
-
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        stripped = raw.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        if stripped.startswith("[") and stripped.endswith("]"):
-            name = stripped[1:-1]
-            if name not in ("factors", "gwp", "grid"):
-                raise FactorParseError(f"unknown section [{name}]", line=lineno)
-            section = name
-            continue
-        if section is None:
-            raise FactorParseError("data before any section header", line=lineno)
-
+    items: dict[str, list] = {name: [] for name in _SECTIONS}
+    seen: set[tuple[str, str]] = set()
+    name = None
+    for lineno, fields in csv_rows(text, FactorParseError):
+        head = fields[0].strip()
         try:
-            fields = next(csv.reader([raw]))
-        except csv.Error as exc:
-            raise FactorParseError(f"malformed CSV: {exc}", line=lineno) from None
-        if section == "factors":
-            if len(fields) != len(_FACTOR_COLUMNS):
-                raise FactorParseError(
-                    f"expected {len(_FACTOR_COLUMNS)} fields, got {len(fields)}",
-                    line=lineno,
-                )
-            cat_id = fields[0]
-            if cat_id not in CATEGORIES:
-                raise FactorParseError(f"unknown category: {cat_id}", line=lineno)
-            try:
-                year = int(fields[6])
-            except ValueError:
-                raise FactorParseError(
-                    f"field source_year: not an integer: {fields[6]!r}", line=lineno
-                ) from None
-            try:
-                source = SourceMeta(
-                    name=fields[5],
-                    year=year,
-                    kind=fields[7],
-                    commissioner_neutral=_parse_bool(fields[8], lineno),
-                    peer_reviewed=_parse_bool(fields[9], lineno),
-                )
-                factors.append(
-                    EmissionFactor(
-                        category=cat_id,
-                        fab_transport_kgco2e=_parse_num(fields[1], _FACTOR_COLUMNS[1], lineno),
-                        eol_kgco2e=_parse_num(fields[2], _FACTOR_COLUMNS[2], lineno),
-                        typical_power_w=_parse_num(fields[3], _FACTOR_COLUMNS[3], lineno),
-                        rel_uncertainty=_parse_num(fields[4], _FACTOR_COLUMNS[4], lineno),
-                        source=source,
-                    )
-                )
-            except ValueError as exc:
-                raise FactorParseError(str(exc), line=lineno) from None
-        elif section == "gwp":
-            if len(fields) != 2:
-                raise FactorParseError(f"expected 2 fields, got {len(fields)}", line=lineno)
-            if fields[0] in seen_fluids:
-                raise FactorParseError(f"duplicate GWP fluid: {fields[0]}", line=lineno)
-            seen_fluids.add(fields[0])
-            try:
-                gwps.append(GwpEntry(fields[0], _parse_num(fields[1], "gwp", lineno)))
-            except ValueError as exc:
-                raise FactorParseError(str(exc), line=lineno) from None
-        else:
-            if len(fields) != 2 or fields[0] != _GRID_KEY:
-                raise FactorParseError(f"expected '{_GRID_KEY},<value>'", line=lineno)
-            if grid is not None:
-                raise FactorParseError("duplicate grid factor row", line=lineno)
-            grid = _parse_num(fields[1], _GRID_KEY, lineno)
-            if not math.isfinite(grid) or grid <= 0:
-                raise FactorParseError(f"grid factor must be > 0, got {fields[1]}", line=lineno)
-
-    return FactorDatabase(
-        tuple(factors), tuple(gwps), grid if grid is not None else DEFAULT_GRID_FACTOR
-    )
+            if len(fields) == 1 and head.startswith("[") and head.endswith("]"):
+                name = head[1:-1]
+                if name not in _SECTIONS:
+                    raise ValueError(f"unknown section [{name}]")
+                continue
+            if name is None:
+                raise ValueError("data before any section header")
+            columns, build, _, unique = _SECTIONS[name]
+            if unique and (name, fields[0]) in seen:
+                raise ValueError(f"duplicate {unique}: {fields[0]}")
+            seen.add((name, fields[0]))
+            if len(fields) != len(columns):
+                raise ValueError(f"expected {len(columns)} fields, got {len(fields)}")
+            values = []
+            for (column, convert), cell in zip(columns, fields):
+                try:
+                    values.append(convert(cell))
+                except (KeyError, ValueError):
+                    raise ValueError(f"field {column}: not {EXPECTED[convert]}: {cell!r}") from None
+            items[name].append(build(*values))
+        except ValueError as exc:
+            raise FactorParseError(str(exc), line=lineno) from None
+    return FactorDatabase(tuple(items["factors"]), tuple(items["gwp"]), *items["grid"])
 
 
 def render_factor_file(db: FactorDatabase) -> str:
-    """Serialize a database back to factor-file text (inverse of load on merged data)."""
+    """Serialize a database back to factor-file text; load_factor_db reads it back equal."""
+    grid = (db.default_grid_factor_kgco2e_per_kwh,)
+    items = {"factors": db.factors, "gwp": db.gwp_table, "grid": grid}
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    buf.write("[factors]\n")
-    for f in db.factors:
-        writer.writerow(
-            [
-                f.category,
-                f.fab_transport_kgco2e,
-                f.eol_kgco2e,
-                f.typical_power_w,
-                f.rel_uncertainty,
-                f.source.name,
-                f.source.year,
-                f.source.kind,
-                "true" if f.source.commissioner_neutral else "false",
-                "true" if f.source.peer_reviewed else "false",
-            ]
-        )
-    buf.write("[gwp]\n")
-    for entry in db.gwp_table:
-        writer.writerow([entry.fluid, entry.gwp_kgco2e_per_kg])
-    buf.write("[grid]\n")
-    writer.writerow([_GRID_KEY, db.default_grid_factor_kgco2e_per_kwh])
+    for name, (_, _, cells, _) in _SECTIONS.items():
+        buf.write(f"[{name}]\n")
+        writer.writerows(map(cells, items[name]))
     return buf.getvalue()

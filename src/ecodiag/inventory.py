@@ -21,9 +21,11 @@ from .errors import FleetParseError, MissingFactorError
 from .factors import (
     ASSET_CATEGORIES,
     CABLE_CATEGORIES,
+    EXPECTED,
     FactorDatabase,
     category,
     check_text_field,
+    csv_rows,
     lookup_factor,
 )
 
@@ -323,24 +325,6 @@ FLEET_SCHEMA = {
 }
 
 
-def csv_rows(text: str):
-    """Yield (line number, fields) for every line that is not blank or a '#' comment.
-    A line without '"' or NUL, within the csv field size limit, is split on
-    commas: csv.reader makes the same of it."""
-    limit = csv.field_size_limit()
-    for rownum, raw in enumerate(text.splitlines(), start=1):
-        head = raw.lstrip()
-        if not head or head[0] == "#":
-            continue
-        if '"' not in raw and "\0" not in raw and len(raw) <= limit:
-            yield rownum, raw.split(",")
-            continue
-        try:
-            yield rownum, next(csv.reader([raw]))
-        except csv.Error as exc:
-            raise FleetParseError(f"malformed CSV: {exc}", row=rownum) from None
-
-
 def _compile(cls: type, fields: tuple[FleetField, ...]):
     """Per-row form of one kind: its class, its extra keys, its empty columns,
     and per field (index of its text in the columns then the extra values,
@@ -396,7 +380,7 @@ def parse_fleet_row(kind: str, fields: list[str], rownum: int = 0):
             values.append(convert(text))  # str() keeps an empty text; int() and float() reject it
         except ValueError:
             if text:
-                what = "an integer" if convert is int else "a number"
+                what = EXPECTED[convert]
                 raise FleetParseError(f"field {f.key}: not {what}: {text!r}", row=rownum) from None
             raise FleetParseError(f"field {f.key} is required for kind {kind}", row=rownum) from None
     try:

@@ -23,8 +23,8 @@ from .engine import (
     compute_fleet,
 )
 from .errors import FleetParseError, ScenarioError
-from .factors import GROUPS, SCOPES, FactorDatabase
-from .inventory import Asset, Fleet, csv_rows, parse_fleet_row
+from .factors import GROUPS, SCOPES, FactorDatabase, csv_rows
+from .inventory import Asset, Fleet, parse_fleet_row
 
 #: Fixed wording embedded in rendered reports; deliberately timestamp-free so
 #: identical inputs produce identical bytes.

@@ -698,3 +698,20 @@ class TestByteOrderMark:
             runs.append((code, *capsys.readouterr()))
         assert runs[0][0] == 0
         assert runs[1] == runs[0]
+
+
+class TestNotUtf8:
+    """A byte that is not UTF-8, such as an 'é' from a Latin-1 export, is
+    reported with the file and its line."""
+
+    @pytest.mark.parametrize("name", ["fleet.csv", "factors.txt"])
+    def test_names_file_and_line(self, workdir, capsys, name):
+        path = workdir / name
+        lines = path.read_text(encoding="utf-8").splitlines()
+        lines[2] = "# café"
+        data = "\r\n".join(lines).encode("latin-1")
+        path.write_bytes(codecs.BOM_UTF8 + data if name == "fleet.csv" else data)
+        assert main(compute_args(workdir)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"ecodiag: error: {path}: line 3: not UTF-8")
+        assert "Traceback" not in err

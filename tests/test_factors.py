@@ -1,9 +1,10 @@
 """Tests for the factor database: taxonomy, parsing, ranking, merging."""
 
+import csv
 import unicodedata
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import make_db, make_factor, make_source
@@ -26,8 +27,10 @@ from ecodiag.factors import (
 )
 from ecodiag.samples import SAMPLE_FACTOR_FILE
 from fleet_strategies import factor_databases, source_metas
+from seed_factor_loader import seed_load_factor_db
 
 LAPTOP_ROW = "laptop,156.0,2.5,30,0.30,sample-base,2019,public_base,true,false"
+GRID_ROW = "grid_factor_kgco2e_per_kwh,0.1"
 
 
 class TestTaxonomy:
@@ -159,6 +162,33 @@ class TestLoadFactorDb:
         with pytest.raises(FactorParseError):
             load_factor_db(f"[factors]\n{bad}\n")
 
+    @pytest.mark.parametrize(
+        "text, line, match",
+        [
+            (f"[grid]\n{GRID_ROW}\n\n{GRID_ROW}\n", 4, "duplicate grid"),
+            ("[grid]\ngrid,0.2\n", 2, "grid_factor_kgco2e_per_kwh"),
+            ("[gwp]\nR32,675,1\n", 2, "expected 2 fields, got 3"),
+            (f"[factors]\n{LAPTOP_ROW.replace('2019', '2019.5')}\n", 2,
+             "field source_year: not an integer: '2019.5'"),
+            ("[gwp]\nR\x0032,675\n", 2, "control characters"),
+            ("[factors]\n[a,b]\n", 2, None),
+        ],
+    )
+    def test_error_names_its_line(self, text, line, match):
+        with pytest.raises(FactorParseError, match=match) as exc:
+            load_factor_db(text)
+        assert exc.value.line == line
+
+    def test_fluid_starting_with_hash_rejected_with_line(self):
+        with pytest.raises(FactorParseError, match="must not start with '#'") as exc:
+            load_factor_db('[gwp]\nR410A,2088\n"#R32",675\n')
+        assert exc.value.line == 3
+
+    def test_quoted_header_is_a_header(self):
+        # A header is a one-cell row, recognised after CSV unquoting.
+        db = load_factor_db('"[gwp]"\nR32,675\n')
+        assert db.gwp_table == (GwpEntry("R32", 675.0),)
+
 
 class TestReliabilityRank:
     def test_peer_reviewed_and_neutral(self):
@@ -247,13 +277,101 @@ class TestLookup:
 class TestRoundTrip:
     @given(db=factor_databases())
     @settings(max_examples=80)
-    def test_load_render_identity_on_merged(self, db):
-        merged = merge_factors(db)
-        assert load_factor_db(render_factor_file(merged)) == merged
+    def test_load_render_identity(self, db):
+        assert load_factor_db(render_factor_file(db)) == db
 
     def test_sample_file_round_trips(self):
         db = merge_factors(load_factor_db(SAMPLE_FACTOR_FILE))
         assert load_factor_db(render_factor_file(db)) == db
+
+    @given(fluid=st.text(alphabet="#R32 \xa0\"[],", min_size=1, max_size=5))
+    @settings(max_examples=200, derandomize=True, database=None)
+    def test_every_accepted_fluid_round_trips(self, fluid):
+        # A fluid starting with '#' would be written as a comment line and
+        # vanish on reload; GwpEntry refuses it, so every fluid it accepts survives.
+        try:
+            entry = GwpEntry(fluid, 675.0)
+        except ValueError:
+            return
+        db = make_db(gwps=(entry, GwpEntry("R410A", 2088.0)))
+        assert load_factor_db(render_factor_file(db)) == db
+
+
+#: Lines, cells and rows of factor files: valid rows and near misses of each rule.
+_LINES = (
+    "[factors]", "[gwp]", "[grid]", " [gwp] ", "[power]", "[a,b]", "[factors",
+    "# comment", "  # indented", "", "   ", '"unterminated', "a\x00b",
+)
+_CELLS = (
+    "", "x", "nan", "inf", "-1", "0", "1.5", "2019", "2019.5", "1980", " 7 ", "1_0",
+    "true", "false", "yes", "laptop", "mainframe", "vendor_fiche", "blog",
+    "R32", " R32", "#R32", '"#R32"', '"q,uoted"', "grid_factor_kgco2e_per_kwh",
+)
+_ROWS = {
+    "[factors]": LAPTOP_ROW.split(","),
+    "[gwp]": ["R410A", "2088"],
+    "[grid]": GRID_ROW.split(","),
+}
+
+
+def _quoted_header(line: str) -> bool:
+    """A line that is a header only once its CSV quotes are removed."""
+    try:
+        cells = next(csv.reader([line]), [])
+    except csv.Error:
+        return False
+    head = cells[0].strip() if len(cells) == 1 else ""
+    bare = line.strip()
+    return head[:1] == "[" and head[-1:] == "]" and not (bare[:1] == "[" and bare[-1:] == "]")
+
+
+@st.composite
+def factor_rows(draw, header: str) -> str:
+    """A row of the section, one in four with a cell replaced, added or dropped."""
+    cells = list(_ROWS[header])
+    if header == "[gwp]":
+        cells[0] = draw(st.sampled_from(("R410A", "R32", "R404A", "R134a", "R407C")))
+    change = draw(st.integers(0, 11))
+    if change in (0, 1):
+        cells[draw(st.integers(0, len(cells) - 1))] = draw(st.sampled_from(_CELLS))
+    elif change == 2:
+        cells = cells[:-1] if draw(st.booleans()) else cells + [draw(st.sampled_from(_CELLS))]
+    return ",".join(cells)
+
+
+@st.composite
+def factor_texts(draw):
+    """Sections of rows, with a near-miss line one time in six."""
+    lines = []
+    for _ in range(draw(st.integers(1, 4))):
+        header = draw(st.sampled_from(tuple(_ROWS)))
+        for i in range(draw(st.integers(1, 4))):
+            near_miss = draw(st.integers(0, 5)) == 0
+            if near_miss:
+                lines.append(draw(st.sampled_from(_LINES)))
+            else:
+                lines.append(draw(factor_rows(header)) if i else header)
+    assume(not any(map(_quoted_header, lines)))
+    return draw(st.sampled_from(("\n", "\r\n"))).join(lines)
+
+
+def _outcome(load, text):
+    try:
+        return load(text)
+    except FactorParseError as exc:
+        return exc
+
+
+class TestAgainstSeedLoader:
+    @given(factor_texts())
+    @settings(max_examples=500, derandomize=True, database=None, deadline=None)
+    def test_same_database_or_same_error_line(self, text):
+        seed, table = _outcome(seed_load_factor_db, text), _outcome(load_factor_db, text)
+        assert type(table) is type(seed)
+        if isinstance(seed, FactorParseError):
+            assert table.line == seed.line
+        else:
+            assert table == seed
 
 
 class TestSampleFile:
@@ -288,6 +406,11 @@ class TestInvariants:
     def test_db_rejects_duplicate_fluid(self):
         with pytest.raises(ValueError, match="duplicate GWP fluid"):
             make_db(gwps=(GwpEntry("R32", 675.0), GwpEntry("R32", 600.0)))
+
+    @pytest.mark.parametrize("fluid", ["#R32", " #R32", "#"])
+    def test_rejects_fluid_starting_with_hash(self, fluid):
+        with pytest.raises(ValueError, match="must not start with '#'"):
+            GwpEntry(fluid, 675.0)
 
     def test_db_rejects_nonpositive_grid(self):
         with pytest.raises(ValueError, match="grid"):
