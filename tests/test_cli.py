@@ -350,6 +350,39 @@ class TestScenario:
         assert "unknown op" in capsys.readouterr().err
 
 
+GOLDEN = REPO / "tests" / "golden"
+
+
+class TestGoldenOutputs:
+    """Every result type in every format, rendered from the demo inputs
+    through the CLI, matches its committed golden file byte for byte."""
+
+    def run(self, workdir, args, ext):
+        out = workdir / f"out.{ext}"
+        assert main([*args, "--format", {"md": "markdown"}.get(ext, ext), "--out", str(out)]) == 0
+        return out.read_bytes()
+
+    @pytest.mark.parametrize("ext", ["json", "csv", "md"])
+    def test_report(self, workdir, ext):
+        out = self.run(workdir, compute_args(workdir), ext)
+        assert out == (GOLDEN / f"report_2019.{ext}").read_bytes()
+
+    @pytest.mark.parametrize("ext", ["json", "csv", "md"])
+    def test_comparison(self, workdir, ext):
+        later = workdir / "report_2020.json"
+        args = compute_args(workdir, "--format", "json", "--out", str(later))
+        args[args.index("2019")] = "2020"
+        assert main(args) == 0
+        out = self.run(workdir, ["compare", str(GOLDEN / "report_2019.json"), str(later)], ext)
+        assert out == (GOLDEN / f"comparison_2019_2020.{ext}").read_bytes()
+
+    @pytest.mark.parametrize("ext", ["json", "csv", "md"])
+    def test_scenario(self, workdir, ext):
+        args = compute_args(workdir, "--actions", str(GOLDEN / "actions_2019.csv"))
+        args[0] = "scenario"
+        assert self.run(workdir, args, ext) == (GOLDEN / f"scenario_2019.{ext}").read_bytes()
+
+
 class TestTotalsOverflow:
     """A report whose totals are not finite exits 1 and prints no report."""
 

@@ -6,9 +6,10 @@ import random
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import make_db, make_factor
-from ecodiag.engine import EmissionLine, EngineConfig, GridFactor, compute_fleet
+from ecodiag.engine import EmissionLine, EngineConfig, GridFactor, compute_fleet, config_for
 from ecodiag.errors import FleetParseError, ScenarioError
 from ecodiag.factors import GROUPS
 from ecodiag.inventory import Asset, CableBulk, ExternalServiceEntry, Fleet
@@ -16,6 +17,7 @@ from ecodiag.report import (
     GENERATED_NOTE,
     Report,
     ScenarioAction,
+    ScenarioResult,
     aggregate,
     apply_scenario,
     compare_years,
@@ -27,6 +29,7 @@ from ecodiag.report import (
 )
 from fleet_strategies import fleets
 from randgen import random_asset, random_db, random_fleet
+from seed_renderers import seed_render
 
 REL = 1e-9
 
@@ -507,6 +510,71 @@ class TestRender:
         report = parse_report_json(self.report_json(grand_total_kgco2e=1000))
         assert report.grand_total_kgco2e == 1000.0
         assert isinstance(report.grand_total_kgco2e, float)
+
+
+class TestAgainstSeedRenderers:
+    """render writes every CSV and markdown byte that the first, hand-written
+    renderers (tests/seed_renderers.py) wrote."""
+
+    PERIMETERS = ("randomized test perimeter", "Lab | B, 2nd floor", "labo été\n")
+    # Edge values the rounding and sign formats must agree on.
+    VALUES = (0.0, -0.0, 0.05, 0.15, 0.25, -2.45, 123456.789, 1e-300, 1e300)
+
+    def random_report(self, rng: random.Random) -> Report:
+        if rng.random() < 0.2:  # totals of any value, zero included
+            scopes = {s: rng.choice(self.VALUES) for s in ("S1", "S2", "S3")}
+            return Report(
+                reporting_year=2019,
+                perimeter_description=rng.choice(self.PERIMETERS),
+                totals_by_scope=scopes,
+                totals_by_group={g: rng.choice(self.VALUES) for g in GROUPS},
+                external_total_kgco2e=rng.choice(self.VALUES),
+                grand_total_kgco2e=rng.choice((0.0, sum(scopes.values()))),
+                abs_uncertainty_kgco2e=rng.choice(self.VALUES),
+                line_count=rng.randint(0, 9),
+                factor_db_hash=rng.choice(("", "f.txt:sha256:0123456789ab")),
+            )
+        db = random_db(rng)
+        fleet = random_fleet(rng, max_entries=rng.choice((0, 5, 30)))
+        fleet = dataclasses.replace(fleet, perimeter_description=rng.choice(self.PERIMETERS))
+        hash_ = rng.choice(("", "a.txt:sha256:0123456789ab", "b.txt:sha256:ba9876543210"))
+        return aggregate(compute_fleet(fleet, db, config_for(db)), fleet, hash_)
+
+    def assert_same(self, obj):
+        for fmt in ("csv", "markdown"):
+            assert render(obj, fmt) == seed_render(obj, fmt)
+
+    @settings(max_examples=60, derandomize=True, database=None, deadline=None)
+    @given(st.integers(0, 2**32 - 1))
+    def test_same_bytes(self, seed):
+        rng = random.Random(seed)
+        reports = [self.random_report(rng) for _ in range(rng.randint(3, 5))]
+        years = rng.sample(range(2000, 2040), len(reports))
+        reports = [dataclasses.replace(r, reporting_year=y) for r, y in zip(reports, years)]
+        for report in reports:
+            self.assert_same(report)
+        self.assert_same(compare_years(reports))
+        baseline, variant = reports[:2]
+        payback = rng.choice((None, 0.0, 0.005, rng.uniform(0.0, 50.0), 1e300))
+        delta = variant.grand_total_kgco2e - baseline.grand_total_kgco2e
+        self.assert_same(ScenarioResult(baseline, variant, delta, payback, "verdict"))
+
+    def test_scenarios_on_random_fleets(self):
+        rng = random.Random(29)
+        for _ in range(40):
+            db = random_db(rng)
+            fleet = random_fleet(rng, max_entries=20)
+            actions = [ScenarioAction("remove", a.id) for a in fleet.assets if rng.random() < 0.3]
+            new = dataclasses.replace(random_asset(rng, 1000, fleet.reporting_year), disposal_year=None)
+            actions.append(ScenarioAction("add", new_asset=new))
+            self.assert_same(evaluate_scenario(fleet, actions, db, config_for(db), "f:sha256:0"))
+
+    def test_no_percentage_and_no_payback(self):
+        zero = simple_report(2018, 0.0)
+        cmp = compare_years([zero, simple_report(2019, 5.0), simple_report(2020, 4.0, "Lab Y")])
+        assert cmp.deltas_pct[0] is None and cmp.warnings
+        self.assert_same(cmp)
+        self.assert_same(ScenarioResult(zero, zero, 0.0, None, "no actions"))
 
 
 class TestFactorDbIdentity:
