@@ -6,10 +6,8 @@ be re-read and compared without drift.
 """
 from __future__ import annotations
 
-import csv
 import dataclasses
 import hashlib
-import io
 import json
 import math
 import sys
@@ -364,22 +362,38 @@ def parse_report_json(text: str) -> Report:
     return Report(**values)
 
 
+def _csv_table(header, rows) -> str:
+    # Every cell is a number or a fixed name, so none needs CSV quoting.
+    return "".join(",".join(map(str, cells)) + "\n" for cells in (header, *rows))
+
+
+def _md_table(header, align: str, rows) -> list[str]:
+    """Markdown table lines; align holds one 'l' or 'r' per column."""
+    head, *body = ["| " + " | ".join(cells) + " |" for cells in (header, *rows)]
+    return [head, "|" + "".join("---:|" if a == "r" else "---|" for a in align), *body]
+
+
+def _report_rows(report: Report) -> list[tuple]:
+    """(scope, group, markdown label, kgco2e) per subtotal: scopes, groups, external."""
+    return [
+        *((s, "", _SCOPE_LABELS[s], report.totals_by_scope[s]) for s in SCOPES),
+        *(("", g, g, report.totals_by_group[g]) for g in GROUPS),
+        ("", EXTERNAL_GROUP, "external (declared)", report.external_total_kgco2e),
+    ]
+
+
 def _render_report_markdown(report: Report) -> str:
-    out = [
+    rows = _report_rows(report)
+    scopes = [(label, f"{kg:.1f}") for scope, _, label, kg in rows if scope]
+    groups = [(label, f"{kg:.1f}") for scope, _, label, kg in rows if not scope]
+    return "\n".join([
         f"# Annual IT fleet CO₂e assessment ({report.reporting_year})",
         "",
         f"**Perimeter:** {report.perimeter_description}",
         "",
-        "| Scope | kgCO₂e |",
-        "|---|---:|",
-    ]
-    for s in SCOPES:
-        out.append(f"| {_SCOPE_LABELS[s]} | {report.totals_by_scope[s]:.1f} |")
-    out += ["", "| Equipment group | kgCO₂e |", "|---|---:|"]
-    for g in GROUPS:
-        out.append(f"| {g} | {report.totals_by_group[g]:.1f} |")
-    out.append(f"| external (declared) | {report.external_total_kgco2e:.1f} |")
-    out += [
+        *_md_table(("Scope", "kgCO₂e"), "lr", scopes),
+        "",
+        *_md_table(("Equipment group", "kgCO₂e"), "lr", groups),
         "",
         f"**Grand total: {report.grand_total_kgco2e:.1f} "
         f"± {report.abs_uncertainty_kgco2e:.1f} kgCO₂e** "
@@ -389,35 +403,30 @@ def _render_report_markdown(report: Report) -> str:
         "",
         f"Factor set: {report.factor_db_hash or 'unspecified'}",
         "",
-    ]
-    return "\n".join(out)
+    ])
 
 
 def _render_report_csv(report: Report) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["year", "scope", "group", "kgco2e", "uncertainty"])
-    for s in SCOPES:
-        writer.writerow([report.reporting_year, s, "", f"{report.totals_by_scope[s]:.1f}", ""])
-    for g in GROUPS:
-        writer.writerow([report.reporting_year, "", g, f"{report.totals_by_group[g]:.1f}", ""])
-    writer.writerow(
-        [report.reporting_year, "", EXTERNAL_GROUP, f"{report.external_total_kgco2e:.1f}", ""]
+    year = report.reporting_year
+    rows = [(year, scope, group, f"{kg:.1f}", "") for scope, group, _, kg in _report_rows(report)]
+    rows.append(
+        (year, "", "", f"{report.grand_total_kgco2e:.1f}", f"{report.abs_uncertainty_kgco2e:.1f}")
     )
-    writer.writerow(
-        [
-            report.reporting_year,
-            "",
-            "",
-            f"{report.grand_total_kgco2e:.1f}",
-            f"{report.abs_uncertainty_kgco2e:.1f}",
-        ]
-    )
-    return buf.getvalue()
+    return _csv_table(("year", "scope", "group", "kgco2e", "uncertainty"), rows)
 
 
-def _pct_text(pct: float | None) -> str:
-    return "n/a" if pct is None else f"{pct:+.1f}%"
+def _comparison_rows(cmp: YearComparison, delta_spec: str) -> list[list[str]]:
+    """Per year: the year, its scope and grand totals, then its delta (formatted
+    with delta_spec) and delta % from the year before, both empty the first year."""
+    deltas = [("", "")] + [
+        (format(d, delta_spec), "n/a" if p is None else f"{p:+.1f}%")
+        for d, p in zip(cmp.deltas_kgco2e, cmp.deltas_pct)
+    ]
+    return [
+        [str(year), *(f"{cmp.totals_by_scope[s][i]:.1f}" for s in SCOPES),
+         f"{cmp.grand_totals[i]:.1f}", *deltas[i]]
+        for i, year in enumerate(cmp.years)
+    ]
 
 
 def _render_comparison_markdown(cmp: YearComparison) -> str:
@@ -426,43 +435,19 @@ def _render_comparison_markdown(cmp: YearComparison) -> str:
         "",
         f"**Perimeter:** {cmp.perimeter_description}",
         "",
-        "| Year | S1 | S2 | S3 | Total | Delta | Delta % |",
-        "|---:|---:|---:|---:|---:|---:|---:|",
+        *_md_table(
+            ("Year", *SCOPES, "Total", "Delta", "Delta %"), "r" * 7, _comparison_rows(cmp, "+.1f")
+        ),
+        "",
     ]
-    for i, year in enumerate(cmp.years):
-        delta = "" if i == 0 else f"{cmp.deltas_kgco2e[i - 1]:+.1f}"
-        pct = "" if i == 0 else _pct_text(cmp.deltas_pct[i - 1])
-        cells = [
-            str(year),
-            *(f"{cmp.totals_by_scope[s][i]:.1f}" for s in SCOPES),
-            f"{cmp.grand_totals[i]:.1f}",
-            delta,
-            pct,
-        ]
-        out.append("| " + " | ".join(cells) + " |")
-    out.append("")
-    for w in cmp.warnings:
-        out.append(f"Warning: {w}")
     if cmp.warnings:
-        out.append("")
+        out += [*(f"Warning: {w}" for w in cmp.warnings), ""]
     return "\n".join(out)
 
 
 def _render_comparison_csv(cmp: YearComparison) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["year", "S1", "S2", "S3", "grand_total", "delta_kgco2e", "delta_pct"])
-    for i, year in enumerate(cmp.years):
-        writer.writerow(
-            [
-                year,
-                *(f"{cmp.totals_by_scope[s][i]:.1f}" for s in SCOPES),
-                f"{cmp.grand_totals[i]:.1f}",
-                "" if i == 0 else f"{cmp.deltas_kgco2e[i - 1]:.1f}",
-                "" if i == 0 else _pct_text(cmp.deltas_pct[i - 1]),
-            ]
-        )
-    return buf.getvalue()
+    header = ("year", *SCOPES, "grand_total", "delta_kgco2e", "delta_pct")
+    return _csv_table(header, _comparison_rows(cmp, ".1f"))
 
 
 def _comparison_dict(cmp: YearComparison) -> dict:
@@ -484,24 +469,24 @@ def _comparison_dict(cmp: YearComparison) -> dict:
     }
 
 
+def _scenario_rows(res: ScenarioResult) -> list[tuple]:
+    """(metric name, markdown label, baseline, variant) per total: scopes, then grand total."""
+    sides = (res.baseline, res.variant)
+    return [
+        *((s, _SCOPE_LABELS[s], *(r.totals_by_scope[s] for r in sides)) for s in SCOPES),
+        ("grand_total", "Grand total (kgCO₂e)", *(r.grand_total_kgco2e for r in sides)),
+    ]
+
+
 def _render_scenario_markdown(res: ScenarioResult) -> str:
     payback = "n/a" if res.payback_years is None else f"{res.payback_years:.2f} years"
-    out = [
+    rows = [(label, f"{b:.1f}", f"{v:.1f}") for _, label, b, v in _scenario_rows(res)]
+    return "\n".join([
         f"# Replacement scenario ({res.baseline.reporting_year})",
         "",
         f"**Perimeter:** {res.baseline.perimeter_description}",
         "",
-        "| Metric | Baseline | Variant |",
-        "|---|---:|---:|",
-    ]
-    for s in SCOPES:
-        out.append(
-            f"| {_SCOPE_LABELS[s]} | {res.baseline.totals_by_scope[s]:.1f} "
-            f"| {res.variant.totals_by_scope[s]:.1f} |"
-        )
-    out += [
-        f"| Grand total (kgCO₂e) | {res.baseline.grand_total_kgco2e:.1f} "
-        f"| {res.variant.grand_total_kgco2e:.1f} |",
+        *_md_table(("Metric", "Baseline", "Variant"), "lrr", rows),
         "",
         f"Delta: {res.delta_kgco2e:+.1f} kgCO₂e for the reporting year",
         f"Payback: {payback}",
@@ -509,24 +494,19 @@ def _render_scenario_markdown(res: ScenarioResult) -> str:
         "",
         f"Factor set: {res.baseline.factor_db_hash or 'unspecified'}",
         "",
-    ]
-    return "\n".join(out)
+    ])
 
 
 def _render_scenario_csv(res: ScenarioResult) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["metric", "value"])
-    writer.writerow(["baseline_grand_total_kgco2e", f"{res.baseline.grand_total_kgco2e:.1f}"])
-    writer.writerow(["variant_grand_total_kgco2e", f"{res.variant.grand_total_kgco2e:.1f}"])
-    for s in SCOPES:
-        writer.writerow([f"baseline_{s}_kgco2e", f"{res.baseline.totals_by_scope[s]:.1f}"])
-        writer.writerow([f"variant_{s}_kgco2e", f"{res.variant.totals_by_scope[s]:.1f}"])
-    writer.writerow(["delta_kgco2e", f"{res.delta_kgco2e:.1f}"])
-    writer.writerow(
-        ["payback_years", "n/a" if res.payback_years is None else f"{res.payback_years:.2f}"]
-    )
-    return buf.getvalue()
+    *scopes, grand = _scenario_rows(res)
+    rows = [
+        (f"{side}_{name}_kgco2e", f"{value:.1f}")
+        for name, _, *values in (grand, *scopes)
+        for side, value in zip(("baseline", "variant"), values)
+    ]
+    payback = "n/a" if res.payback_years is None else f"{res.payback_years:.2f}"
+    rows += [("delta_kgco2e", f"{res.delta_kgco2e:.1f}"), ("payback_years", payback)]
+    return _csv_table(("metric", "value"), rows)
 
 
 def _scenario_dict(res: ScenarioResult) -> dict:
