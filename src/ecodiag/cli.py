@@ -117,7 +117,8 @@ def _read_input(path: str) -> str:
     try:
         return Path(path).read_text(encoding="utf-8-sig")
     except UnicodeDecodeError as exc:
-        line = exc.object[: exc.start].count(b"\n") + 1
+        # Numbered as the parsers number lines: the bad byte is on the last one.
+        line = len((exc.object[: exc.start].decode("utf-8") + "?").splitlines())
         raise EcodiagError(f"{path}: line {line}: not UTF-8 ({exc.reason})") from None
 
 
@@ -177,9 +178,6 @@ def cmd_validate(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    if len(args.reports) < 2:
-        _fail("compare needs at least two report files")
-        return 1
     reports = [parse_report_json(_read_input(p)) for p in args.reports]
     comparison = compare_years(reports)
     for warning in comparison.warnings:

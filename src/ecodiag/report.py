@@ -222,7 +222,8 @@ def evaluate_scenario(
 
     Payback answers the replacement dilemma: how many years of electricity
     savings repay the fabrication of the newly added equipment. It is absent
-    when the variant saves no usage emissions. Both reports carry
+    when the variant saves no usage emissions, or too little for the quotient
+    to be finite. Both reports carry
     factor_db_hash, the identity of the factor set.
     """
     variant_fleet = apply_scenario(fleet, actions)
@@ -239,7 +240,8 @@ def evaluate_scenario(
         if l.phase == "fabrication_transport" and l.group != "bulk" and l.subject_id in added_ids
     )
     savings = baseline.totals_by_scope["S2"] - variant.totals_by_scope["S2"]
-    payback = added_fabrication / savings if savings > 0 else None
+    # No payback without savings, nor from savings so small that it overflows.
+    payback = p if savings > 0 and math.isfinite(p := added_fabrication / savings) else None
 
     if not actions:
         verdict = "no actions: variant is identical to the baseline"

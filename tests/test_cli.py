@@ -256,6 +256,7 @@ class TestCompare:
     def test_single_report_is_usage_error(self, workdir, capsys):
         a = self.make_report(workdir, 2018, "a.json")
         assert main(["compare", str(a)]) == 1
+        assert "need at least two reports to compare" in capsys.readouterr().err
 
     def test_mismatched_perimeters_warn_but_succeed(self, workdir, capsys):
         a = self.make_report(workdir, 2018, "a.json")
@@ -338,6 +339,19 @@ class TestScenario:
         (workdir / "actions.csv").write_text("# nothing\n", encoding="utf-8")
         assert main(self.base(workdir)) == 0
         assert "Delta: +0.0 kgCO₂e" in capsys.readouterr().out
+
+    def test_savings_too_small_for_a_finite_payback(self, workdir, capsys):
+        fleet = FLEET_HEADER + "\nasset,pc,laptop,1,2015,,in_use,1e-300,,\n"
+        (workdir / "fleet.csv").write_text(fleet, encoding="utf-8")
+        (workdir / "actions.csv").write_text(
+            "replace,pc,pc-new,laptop,1,2019,,in_use,0,1e300,\n", encoding="utf-8"
+        )
+        assert main([*self.base(workdir), "--format", "json"]) == 0
+        out = capsys.readouterr().out
+        assert "Infinity" not in out
+        assert json.loads(out)["payback_years"] is None
+        assert main(self.base(workdir)) == 0
+        assert "Payback: n/a\n" in capsys.readouterr().out
 
     def test_bad_target_exits_two(self, workdir, capsys):
         (workdir / "actions.csv").write_text("remove,ghost\n", encoding="utf-8")
@@ -748,3 +762,12 @@ class TestNotUtf8:
         err = capsys.readouterr().err
         assert err.startswith(f"ecodiag: error: {path}: line 3: not UTF-8")
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("newline", ["\r", "\r\n", "\n", "\u2028"])
+    def test_line_counts_every_line_break(self, workdir, capsys, newline):
+        path = workdir / "fleet.csv"
+        lines = path.read_text(encoding="utf-8").splitlines()
+        head = newline.join(lines[:2]) + newline
+        path.write_bytes(head.encode("utf-8") + "# café\n".encode("latin-1"))
+        assert main(compute_args(workdir)) == 1
+        assert capsys.readouterr().err.startswith(f"ecodiag: error: {path}: line 3: not UTF-8")

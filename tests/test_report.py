@@ -312,6 +312,17 @@ class TestEvaluateScenario:
         assert result.payback_years is None
         assert "no annual usage savings" in result.verdict
 
+    def test_savings_too_small_for_a_finite_payback(self, config):
+        fleet = Fleet("p", 2019, assets=(Asset("pc", "laptop", 1, 2015, measured_power_w=1e-300),))
+        new = Asset(
+            "pc-new", "laptop", 1, 2019, measured_power_w=0.0, vendor_fab_transport_kgco2e=1e300
+        )
+        result = evaluate_scenario(
+            fleet, [ScenarioAction("replace", "pc", new)], make_db(make_factor()), config
+        )
+        assert result.payback_years is None
+        assert result.verdict == "no annual usage savings; added fabrication is not recovered"
+
     def test_pure_removal_pays_back_instantly(self, config):
         result = evaluate_scenario(
             base_fleet(), [ScenarioAction("remove", "srv-old")], SERVER_DB, config
