@@ -223,8 +223,8 @@ def evaluate_scenario(
     Payback answers the replacement dilemma: how many years of electricity
     savings repay the fabrication of the newly added equipment. It is absent
     when the variant saves no usage emissions, or too little for the quotient
-    to be finite. Both reports carry
-    factor_db_hash, the identity of the factor set.
+    to be finite. Both reports carry factor_db_hash, the identity of the
+    factor set.
     """
     variant_fleet = apply_scenario(fleet, actions)
     baseline_lines = compute_fleet(fleet, db, config)
