@@ -179,44 +179,17 @@ def scope1_refrigerant(room: ServerRoom, gwp_table: tuple[GwpEntry, ...]) -> Emi
     )
 
 
-def _any_room_metered(fleet: Fleet) -> bool:
-    return any(r.measured_room_kwh_per_year is not None for r in fleet.rooms)
-
-
-def _pool_total(usage_lines) -> tuple[float, float]:
-    """Usage kgco2e and its uncertainty summed over the server-room pool's
-    usage lines, in asset order."""
-    pool_kgco2e = 0.0
-    pool_uncertainty = 0.0
-    for line in usage_lines:
-        pool_kgco2e += line.kgco2e
-        pool_uncertainty += line.abs_uncertainty_kgco2e
-    return pool_kgco2e, pool_uncertainty
-
-
-def scope2_room_overheads(
-    room: ServerRoom, fleet: Fleet, db: FactorDatabase, config: EngineConfig
+def _room_lines(
+    room: ServerRoom, pool: tuple[float, float] | None, config: EngineConfig
 ) -> list[EmissionLine]:
     """Room-level electricity lines.
 
     A whole-room meter wins over everything: its single line replaces the
     per-asset usage lines of the server-room pool (compute_fleet applies the
-    suppression). Without metering anywhere, the UPS overhead fraction is
-    charged on top of the pool's consumption, inheriting its uncertainty.
+    suppression). Otherwise the UPS overhead fraction is charged on top of
+    pool, the pool's (kgco2e, uncertainty), inheriting its uncertainty; a
+    pool of None charges no overhead, as when some room is metered.
     """
-    pool = None
-    if not _any_room_metered(fleet) and room.ups_overhead_fraction != 0:
-        usage = (scope2_usage(a, lookup_factor(db, a.category), config)
-                 for a in fleet.assets if a.category in _POOL_CATEGORIES)
-        pool = _pool_total(line for line in usage if line is not None)
-    return _room_lines(room, pool, config)
-
-
-def _room_lines(
-    room: ServerRoom, pool: tuple[float, float] | None, config: EngineConfig
-) -> list[EmissionLine]:
-    # pool is the server-room pool's (kgco2e, uncertainty); None charges no
-    # overhead, as when some room is metered.
     if room.measured_room_kwh_per_year is not None:
         return [
             EmissionLine(
@@ -303,7 +276,7 @@ def compute_fleet(fleet: Fleet, db: FactorDatabase, config: EngineConfig) -> lis
     produce identical output.
     """
     lines: list[EmissionLine] = []
-    metered = _any_room_metered(fleet)
+    metered = any(r.measured_room_kwh_per_year is not None for r in fleet.rooms)
     year = fleet.reporting_year
     plans = {}  # category id -> (factor, own usage line?, S3 lines?, in the pool?)
     for cat_id in dict.fromkeys(a.category for a in fleet.assets):
@@ -331,7 +304,11 @@ def compute_fleet(fleet: Fleet, db: FactorDatabase, config: EngineConfig) -> lis
     # pool_lines holds each pool asset's non-None usage line, in fleet order.
     pool = None
     if not metered and any(r.ups_overhead_fraction != 0 for r in fleet.rooms):
-        pool = _pool_total(pool_lines)
+        pool_kgco2e = pool_uncertainty = 0.0
+        for line in pool_lines:
+            pool_kgco2e += line.kgco2e
+            pool_uncertainty += line.abs_uncertainty_kgco2e
+        pool = pool_kgco2e, pool_uncertainty
     for room in fleet.rooms:
         line = scope1_refrigerant(room, db.gwp_table)
         if line is not None:

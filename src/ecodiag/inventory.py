@@ -23,6 +23,7 @@ from .factors import (
     CABLE_CATEGORIES,
     EXPECTED,
     FactorDatabase,
+    _UNSAFE_TEXT,
     category,
     check_text_field,
     csv_rows,
@@ -49,15 +50,16 @@ GLPI_STATUS_ALIASES = {
 }
 
 
+def _finite_nonneg(values) -> bool:
+    return all(v is None or 0 <= v < math.inf for v in values)
+
+
 def _check_optional_nonneg(value: float | None, name: str) -> None:
-    if value is not None and (not math.isfinite(value) or value < 0):
+    if not _finite_nonneg((value,)):
         raise ValueError(f"{name} must be finite and >= 0, got {value}")
 
 
-@dataclass(frozen=True, slots=True)
-class Asset:
-    """One inventory line: a quantity of identical devices of one category."""
-
+class _AssetFields(NamedTuple):
     id: str
     category: str
     quantity: int
@@ -68,27 +70,52 @@ class Asset:
     vendor_fab_transport_kgco2e: float | None = None
     hour_profile_override: str | None = None
 
-    def __post_init__(self):
-        if not self.id:
-            raise ValueError("asset id must be non-empty")
-        check_text_field(self.id, "asset id")
-        if self.category not in ASSET_CATEGORIES:
-            raise ValueError(f"unknown or non-asset category: {self.category}")
-        if self.quantity < 1:
-            raise ValueError(f"quantity must be >= 1, got {self.quantity}")
-        if self.quantity > MAX_COUNT:
-            raise ValueError("quantity must be at most 2**53")
-        if self.disposal_year is not None and self.disposal_year < self.acquisition_year:
-            raise ValueError(
-                f"disposal_year {self.disposal_year} earlier than "
-                f"acquisition_year {self.acquisition_year}"
-            )
-        if self.status not in STATUSES:
-            raise ValueError(f"status must be one of {STATUSES}, got {self.status!r}")
-        _check_optional_nonneg(self.measured_power_w, "measured_power_w")
-        _check_optional_nonneg(self.vendor_fab_transport_kgco2e, "vendor_fab_transport_kgco2e")
-        if self.hour_profile_override is not None and self.hour_profile_override not in HOUR_PROFILES:
-            raise ValueError(f"hour_profile_override must be one of {HOUR_PROFILES}")
+
+#: Every rule an asset keeps, in the order their messages take precedence:
+#: (test that all assets of some field columns keep it, message of one that
+#: breaks it, formatted with the asset).
+_ASSET_RULES = (
+    (lambda c: "" not in c[0], "asset id must be non-empty"),
+    (lambda c: not _UNSAFE_TEXT.search(",".join(c[0])),
+     "asset id must not contain control characters: {0.id!r}"),
+    (lambda c: ASSET_CATEGORIES.issuperset(c[1]), "unknown or non-asset category: {0.category}"),
+    (lambda c: min(c[2]) >= 1, "quantity must be >= 1, got {0.quantity}"),
+    (lambda c: max(c[2]) <= MAX_COUNT, "quantity must be at most 2**53"),
+    (lambda c: all(d is None or d >= y for y, d in zip(c[3], c[4])),
+     "disposal_year {0.disposal_year} earlier than acquisition_year {0.acquisition_year}"),
+    (lambda c: set(STATUSES).issuperset(c[5]),
+     f"status must be one of {STATUSES}, got {{0.status!r}}"),
+    (lambda c: _finite_nonneg(c[6]),
+     "measured_power_w must be finite and >= 0, got {0.measured_power_w}"),
+    (lambda c: _finite_nonneg(c[7]),
+     "vendor_fab_transport_kgco2e must be finite and >= 0, got {0.vendor_fab_transport_kgco2e}"),
+    (lambda c: {None, *HOUR_PROFILES}.issuperset(c[8]),
+     f"hour_profile_override must be one of {HOUR_PROFILES}"),
+)
+
+
+def _broken_asset_rule(columns) -> str | None:
+    """The message of the first rule some asset of the (non-empty) columns breaks."""
+    return next((message for test, message in _ASSET_RULES if not test(columns)), None)
+
+
+class Asset(_AssetFields):
+    """One inventory line: a quantity of identical devices of one category.
+
+    An immutable tuple of its nine fields, equal to the plain tuple of them.
+    Asset(...) and _replace check every rule of _ASSET_RULES; _make checks
+    none, and the parsers use it only on columns that keep the rules."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        asset = super().__new__(cls, *args, **kwargs)
+        if message := _broken_asset_rule(tuple(zip(asset))):
+            raise ValueError(message.format(asset))
+        return asset
+
+    def _replace(self, /, **changes):
+        return Asset(*super()._replace(**changes))
 
 
 @dataclass(frozen=True)
@@ -329,7 +356,8 @@ def _compile(cls: type, fields: tuple[FleetField, ...]):
     """Per-row form of one kind: its class, its extra keys, its empty columns,
     and per field (index of its text in the columns then the extra values,
     type, default, field)."""
-    assert [f.attr for f in fields] == [x.name for x in dataclasses.fields(cls)]
+    names = cls._fields if cls is Asset else [x.name for x in dataclasses.fields(cls)]
+    assert [f.attr for f in fields] == list(names)
     columns = FLEET_CSV_COLUMNS[1:]
     extra_keys = tuple(f.key for f in fields if f.key not in columns)
     texts = columns + list(extra_keys)
@@ -408,7 +436,11 @@ def _convert_block(kind: str, rows: list[list[str]]) -> list:
         else texts[i] if convert is str else list(map(convert, texts[i]))
         for i, convert, default, _ in converters
     ]
-    return list(map(cls, *columns))
+    if cls is not Asset:
+        return list(map(cls, *columns))
+    if _broken_asset_rule(columns):
+        raise ValueError("an asset of the block breaks a rule")
+    return list(map(Asset._make, zip(*columns)))
 
 
 def _parse(text: str, reporting_year: int, perimeter_description: str, block_rows: int) -> Fleet:
@@ -533,10 +565,11 @@ def parse_glpi_export(
     match decides the category. An asset takes the record's name as its id;
     a name already taken gets the first free suffix '#2', '#3', ...
     """
-    assets: list[Asset] = []
     unmapped: list[UnmappedRecord] = []
     used_ids: set[str] = set()
     next_suffix: dict[str, int] = {}
+    records: list[tuple] = []  # (row number, id, category, year, status) of each asset
+    unknown_statuses: list[tuple[int, str]] = []
     rows = _glpi_rows(text)
     # An empty export has no header row, so no column is missing.
     header = next(rows, _GLPI_REQUIRED)
@@ -545,38 +578,60 @@ def parse_glpi_export(
     if missing:
         raise FleetParseError(f"missing required column(s): {', '.join(missing)}")
     i_name, i_type, i_model, i_date, i_status = (column[c] for c in _GLPI_REQUIRED)
-    for rownum, row in enumerate(rows, start=2):
-        if len(row) < len(header):  # a short row reads "" past its end
-            row += [""] * (len(header) - len(row))
-        name = row[i_name]
-        lowered = {"type": row[i_type].lower(), "model": row[i_model].lower(), "name": name.lower()}
-        for rule in rules:
-            if rule._test(lowered[rule.match_field]):
-                break
-        else:
-            unmapped.append(UnmappedRecord(rownum, dict(zip(header, row)), "no matching rule"))
-            continue
-        year = _year_from_date(row[i_date])
-        if year is None:
-            reason = f"unparsable purchase_date: {row[i_date]!r}"
-            unmapped.append(UnmappedRecord(rownum, dict(zip(header, row)), reason))
-            continue
-        status = GLPI_STATUS_ALIASES.get(row[i_status].strip().lower())
-        if status is None:
-            logger.warning("GLPI row %d: unknown status %r, assuming in_use", rownum, row[i_status])
-            status = "in_use"
-        asset_id = base_id = name.strip() or f"glpi-row-{rownum}"
-        suffix = next_suffix.get(base_id, 2)
-        while asset_id in used_ids:
-            asset_id, suffix = f"{base_id}#{suffix}", suffix + 1
-        next_suffix[base_id] = suffix
-        used_ids.add(asset_id)
+    malformed = None
+    try:
+        for rownum, row in enumerate(rows, start=2):
+            if len(row) < len(header):  # a short row reads "" past its end
+                row += [""] * (len(header) - len(row))
+            name = row[i_name]
+            lowered = {"type": row[i_type].lower(), "model": row[i_model].lower(),
+                       "name": name.lower()}
+            for rule in rules:
+                if rule._test(lowered[rule.match_field]):
+                    break
+            else:
+                unmapped.append(UnmappedRecord(rownum, dict(zip(header, row)), "no matching rule"))
+                continue
+            year = _year_from_date(row[i_date])
+            if year is None:
+                reason = f"unparsable purchase_date: {row[i_date]!r}"
+                unmapped.append(UnmappedRecord(rownum, dict(zip(header, row)), reason))
+                continue
+            status = GLPI_STATUS_ALIASES.get(row[i_status].strip().lower())
+            if status is None:
+                unknown_statuses.append((rownum, row[i_status]))
+                status = "in_use"
+            asset_id = base_id = name.strip() or f"glpi-row-{rownum}"
+            suffix = next_suffix.get(base_id, 2)
+            while asset_id in used_ids:
+                asset_id, suffix = f"{base_id}#{suffix}", suffix + 1
+            next_suffix[base_id] = suffix
+            used_ids.add(asset_id)
+            records.append((rownum, asset_id, rule.target_category, year, status))
+    except FleetParseError as exc:  # a malformed line stops the read
+        malformed = exc
+    # A bad record before a malformed line is the error, and no warning about
+    # a record past the error is logged.
+    rownums, ids, categories, years, statuses = zip(*records) if records else [()] * 5
+    nones = (None,) * len(ids)
+    columns = (ids, categories, (1,) * len(ids), years, nones, statuses, nones, nones, nones)
+    bad = _first_bad_asset(rownums, columns) if ids and _broken_asset_rule(columns) else None
+    for rownum, status in unknown_statuses:
+        if bad is None or rownum <= bad.row:
+            logger.warning("GLPI row %d: unknown status %r, assuming in_use", rownum, status)
+    if bad or malformed:
+        raise bad or malformed
+    assets = tuple(map(Asset._make, zip(*columns)))
+    return Fleet(perimeter_description, reporting_year, assets=assets), tuple(unmapped)
+
+
+def _first_bad_asset(rownums: tuple[int, ...], columns) -> FleetParseError | None:
+    """The error of the first row of the columns that Asset rejects."""
+    for rownum, values in zip(rownums, zip(*columns)):
         try:
-            assets.append(Asset(asset_id, rule.target_category, 1, year, status=status))
+            Asset(*values)
         except ValueError as exc:
-            raise FleetParseError(str(exc), row=rownum) from None
-    fleet = Fleet(perimeter_description, reporting_year, assets=tuple(assets))
-    return fleet, tuple(unmapped)
+            return FleetParseError(str(exc), row=rownum)
 
 
 def validate_fleet(

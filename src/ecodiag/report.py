@@ -202,7 +202,7 @@ def apply_scenario(fleet: Fleet, actions: list[ScenarioAction]) -> Fleet:
         new = action.new_asset
         if action.op == "replace":
             try:
-                new = dataclasses.replace(new, acquisition_year=fleet.reporting_year)
+                new = new._replace(acquisition_year=fleet.reporting_year)
             except ValueError as exc:
                 raise ScenarioError(f"replacement asset {new.id}: {exc}") from None
         if new.id in assets:
@@ -339,10 +339,10 @@ def _json_object(data, key: str, names) -> dict:
 
 def _json_value(value, key: str, kind: type):
     # type(), not isinstance(): JSON true and false are not numbers here.
-    if kind is float and type(value) in (int, float) and abs(value) <= sys.float_info.max:
+    if kind is float and type(value) in (int, float) and 0 <= value <= sys.float_info.max:
         return float(value)
     if kind is float or type(value) is not kind:
-        what = {str: "a string", int: "an integer", float: "a finite number"}[kind]
+        what = {str: "a string", int: "an integer", float: "a finite number >= 0"}[kind]
         raise ValueError(f"report JSON key {key} must be {what}, got {json.dumps(value)[:40]}")
     return value
 

@@ -171,7 +171,7 @@ def test_linearity_and_grid_scaling():
             config = config_for_db(db)
 
             exploded_assets = tuple(
-                dataclasses.replace(a, id=f"{a.id}.{j}", quantity=1)
+                a._replace(id=f"{a.id}.{j}", quantity=1)
                 for a in fleet.assets
                 for j in range(a.quantity)
             )
@@ -258,7 +258,7 @@ def test_scenario_payback(sample_db, config):
         new = Asset("srv-new", "server", 1, 2019, measured_power_w=200.0)
         # The sample server factor is 1100; pin fabrication at 1000 via the
         # vendor figure so the case is fully determined by this test.
-        new = dataclasses.replace(new, vendor_fab_transport_kgco2e=1000.0)
+        new = new._replace(vendor_fab_transport_kgco2e=1000.0)
         result = evaluate_scenario(
             fleet, [ScenarioAction("replace", "srv-old", new)], sample_db, config
         )

@@ -312,6 +312,20 @@ class TestCompare:
         assert 0 < json.loads(out)["grand_totals"][0] < 1e-300
         assert delta["delta_pct"] is None and "Infinity" not in out
 
+    def test_negative_total_exits_one(self, workdir, capsys):
+        # -1.7e308 against 1.7e308 would make a delta that overflows to Infinity.
+        reports = []
+        for year, total in ((2019, -1.7e308), (2020, 1.7e308)):
+            data = json.loads((GOLDEN / "report_2019.json").read_text(encoding="utf-8"))
+            data.update(reporting_year=year, grand_total_kgco2e=total)
+            reports.append(workdir / f"{year}.json")
+            reports[-1].write_text(json.dumps(data), encoding="utf-8")
+        capsys.readouterr()
+        assert main(["compare", *map(str, reports), "--format", "json"]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("ecodiag: error: report JSON key grand_total_kgco2e must be a finite")
+
     def test_null_report_exits_one(self, workdir, capsys):
         a = self.make_report(workdir, 2018, "a.json")
         (workdir / "null.json").write_text("null", encoding="utf-8")

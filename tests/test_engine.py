@@ -17,7 +17,6 @@ from ecodiag.engine import (
     declared_external,
     scope1_refrigerant,
     scope2_campaign,
-    scope2_room_overheads,
     scope2_usage,
     scope3_cables,
     scope3_eol,
@@ -160,6 +159,29 @@ class TestScope1Refrigerant:
             scope1_refrigerant(room, self.GWP)
 
 
+def room_lines(fleet, db, config):
+    """The lines compute_fleet gives room "sr"."""
+    return [l for l in compute_fleet(fleet, db, config) if l.subject_id == "sr"]
+
+
+def room_lines_from_its_own_pool(room, fleet, db, config):
+    """The room's electricity lines, with the server-room pool summed here,
+    asset by asset and in fleet order, apart from compute_fleet's own pass."""
+    pool = None
+    if room.ups_overhead_fraction != 0 and all(
+        r.measured_room_kwh_per_year is None for r in fleet.rooms
+    ):
+        pool_kgco2e = pool_uncertainty = 0.0
+        for a in fleet.assets:
+            if a.category in engine._POOL_CATEGORIES:
+                line = scope2_usage(a, lookup_factor(db, a.category), config)
+                if line is not None:
+                    pool_kgco2e += line.kgco2e
+                    pool_uncertainty += line.abs_uncertainty_kgco2e
+        pool = pool_kgco2e, pool_uncertainty
+    return engine._room_lines(room, pool, config)
+
+
 class TestRoomOverheads:
     def test_ups_overhead_on_room_load(self, config):
         # One server measured at 200 W around the clock: 1752 kWh.
@@ -169,7 +191,7 @@ class TestRoomOverheads:
             rooms=(ServerRoom("sr", ups_overhead_fraction=0.10),),
         )
         db = make_db(make_factor("server"))
-        (line,) = scope2_room_overheads(fleet.rooms[0], fleet, db, config)
+        (line,) = room_lines(fleet, db, config)
         assert line.kgco2e == pytest.approx(20.8488, rel=REL)
         assert line.subject_id == "sr"
 
@@ -180,7 +202,7 @@ class TestRoomOverheads:
             rooms=(ServerRoom("sr", measured_room_kwh_per_year=5000.0),),
         )
         db = make_db(make_factor("server"))
-        (line,) = scope2_room_overheads(fleet.rooms[0], fleet, db, config)
+        (line,) = room_lines(fleet, db, config)
         assert line.kgco2e == pytest.approx(595.0, rel=REL)
         # and compute_fleet suppresses the per-asset server line
         lines = compute_fleet(fleet, db, config)
@@ -190,7 +212,7 @@ class TestRoomOverheads:
 
     def test_no_overhead_no_metering_no_line(self, config):
         fleet = Fleet("p", 2019, rooms=(ServerRoom("sr"),))
-        assert scope2_room_overheads(fleet.rooms[0], fleet, make_db(), config) == []
+        assert room_lines(fleet, make_db(), config) == []
 
     def test_office_assets_not_in_room_pool(self, config):
         fleet = Fleet(
@@ -198,7 +220,7 @@ class TestRoomOverheads:
             assets=(asset("laptop", measured_power_w=100.0),),
             rooms=(ServerRoom("sr", ups_overhead_fraction=0.5),),
         )
-        assert scope2_room_overheads(fleet.rooms[0], fleet, make_db(make_factor()), config) == []
+        assert room_lines(fleet, make_db(make_factor()), config) == []
 
     def test_unmetered_rooms_each_charge_a_fraction_of_one_pool(self, config):
         fleet = Fleet(
@@ -226,7 +248,11 @@ class TestRoomOverheads:
             (line,) = [l for l in lines if l.subject_id == room.id]
             assert line.kgco2e == room.ups_overhead_fraction * pool_kgco2e
             assert line.abs_uncertainty_kgco2e == room.ups_overhead_fraction * pool_uncertainty
-            assert scope2_room_overheads(room, fleet, db, config) == [line]
+            assert line == EmissionLine(
+                room.id, "S2", "usage", room.ups_overhead_fraction * pool_kgco2e,
+                room.ups_overhead_fraction * pool_uncertainty, f"room_overhead:{room.id}",
+                "server_room",
+            )
         expected = oracle_totals(fleet, db, config)
         total, uncertainty = aggregate_uncertainty(lines)
         assert total == pytest.approx(expected["total"], rel=REL)
@@ -239,15 +265,15 @@ class TestRoomOverheads:
 
     def test_overhead_line_equals_the_room_overheads_on_random_fleets(self, config):
         # compute_fleet sums the pool from the usage lines of its own asset
-        # pass; scope2_room_overheads sums it on its own. Both must agree to
-        # the last bit.
+        # pass; room_lines_from_its_own_pool sums it on its own. Both must
+        # agree to the last bit.
         rng = random.Random(5)
         overheads = 0
         for _ in range(300):
             db, fleet = random_db(rng), random_fleet(rng)
             lines = compute_fleet(fleet, db, config)
             for room in fleet.rooms:
-                expected = scope2_room_overheads(room, fleet, db, config)
+                expected = room_lines_from_its_own_pool(room, fleet, db, config)
                 assert [l for l in lines if l.subject_id == room.id and l.scope == "S2"] == expected
                 overheads += any(l.factor_source.startswith("room_overhead:") for l in expected)
         assert overheads > 20

@@ -1,7 +1,6 @@
 """Tests for fleet parsing, rendering, GLPI import and validation."""
 
 import csv
-import dataclasses
 import fnmatch
 import io
 import random
@@ -295,6 +294,33 @@ def fleet_texts_with_one_word(draw):
     return "\n".join(lines)
 
 
+#: Edits of one asset row that each break exactly one Asset rule, or sit on
+#: the edge of one: (FLEET_CSV_COLUMNS index, new cell, or None for the
+#: acquisition year minus one).
+_RULE_EDGES = [
+    *((i, text) for i in (7, 8) for text in ("nan", "inf", "-inf", "-0.0")),
+    *((3, str(n)) for n in (0, 2**53, 2**53 + 1)),
+    (5, None),
+    (6, "retired"), (2, "mainframe"), (2, "cable_cat5"), (9, "hours=weekly"),
+    *((1, word) for word in ("", "pc\x00", "pc\x85", "pc\u2028")),
+]
+
+
+@st.composite
+def fleet_texts_breaking_one_rule(draw):
+    """A rendered fleet of 60 to 150 random assets, so several blocks, with one
+    row edited by one of _RULE_EDGES."""
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    assets = tuple(random_asset(rng, i, 2019) for i in range(draw(st.integers(60, 150))))
+    lines = render_fleet_csv(Fleet("p", 2019, assets=assets)).splitlines()
+    i = draw(st.integers(1, len(assets)))
+    column, text = draw(st.sampled_from(_RULE_EDGES))
+    cells = lines[i].split(",")
+    cells[column] = str(int(cells[4]) - 1) if text is None else text
+    lines[i] = ",".join(cells)
+    return "\n".join(lines)
+
+
 def asset_rows(n: int) -> list[str]:
     return [f"asset,a{i},laptop,1,2015,,in_use,,," for i in range(n)]
 
@@ -326,6 +352,11 @@ class TestBlockParse:
     @given(fleet_texts_with_one_word())
     @settings(max_examples=300, derandomize=True, database=None, deadline=None)
     def test_fleets_with_one_bad_word_agree_with_row_walk(self, text):
+        self.check_against_row_walk(text)
+
+    @given(fleet_texts_breaking_one_rule())
+    @settings(max_examples=150, derandomize=True, database=None, deadline=None)
+    def test_fleets_breaking_one_asset_rule_agree_with_row_walk(self, text):
         self.check_against_row_walk(text)
 
     @pytest.mark.parametrize("text,row,message", [
@@ -483,6 +514,46 @@ class TestParseGlpi:
         with pytest.raises(FleetParseError, match="malformed CSV") as exc:
             glpi("ok,laptop,L,2018-01-01,used\npc,lap\rtop,L,2018-01-01,used")
         assert exc.value.row == 3
+
+    def test_bad_record_among_blank_lines_names_its_row(self):
+        # A blank line after every tenth record: blank lines take no row number.
+        records = [f"pc-{k},laptop,L,2018-01-01,used" for k in range(1, 201)]
+        records[149] = "pc\x07-150,laptop,L,2018-01-01,used"
+        lines = [line for k, r in enumerate(records, 1) for line in ([r, ""] if k % 10 else [r])]
+        with pytest.raises(FleetParseError, match=r"row 151: .*control characters") as exc:
+            glpi("\n".join(lines))
+        assert exc.value.row == 151
+
+    def test_bad_record_before_a_malformed_line_is_the_error(self, caplog):
+        text = (
+            "ok,laptop,L,2018-01-01,odd\n"
+            "pc\x01,laptop,L,2018-01-01,used\n"
+            "late,laptop,L,2018-01-01,odd\n"
+            "pc,lap\rtop,L,2018-01-01,used"
+        )
+        with pytest.raises(FleetParseError, match="control characters") as exc:
+            glpi(text)
+        assert exc.value.row == 3
+        # No warning about a record past the bad one.
+        assert [r.getMessage() for r in caplog.records] == [
+            "GLPI row 2: unknown status 'odd', assuming in_use"
+        ]
+
+    def test_seeded_export_equals_the_assets_built_one_by_one(self):
+        rng = random.Random(11)
+        aliases = {"en service": "in_use", "Stock": "stored", "used": "in_use", "broken": "in_use"}
+        rows, expected = [], []
+        for k in range(300):
+            kind = rng.choice(("Laptop", "Server", "Desk"))
+            year = rng.randint(1990, 2019)
+            status = rng.choice(sorted(aliases))
+            rows.append(f"pc-{k},{kind},M{k},{year}-03-01,{status}")
+            if kind != "Desk":
+                expected.append(Asset(f"pc-{k}", kind.lower(), 1, year, status=aliases[status]))
+        fleet, unmapped = glpi("\n".join(rows))
+        assert fleet == Fleet("Lab X", 2019, assets=tuple(expected))
+        assert all(type(a) is Asset for a in fleet.assets)
+        assert len(unmapped) == 300 - len(expected)
 
     def test_missing_column(self):
         with pytest.raises(FleetParseError, match="missing required column"):
@@ -696,21 +767,26 @@ class TestDomainInvariants:
 
     def test_asset_is_frozen(self):
         asset = Asset("a", "laptop", 1, 2019)
-        with pytest.raises(dataclasses.FrozenInstanceError):
+        with pytest.raises(AttributeError):
             asset.quantity = 2
         assert asset.quantity == 1
 
     def test_replace_still_checks_the_years(self):
         asset = Asset("a", "laptop", 1, 2015, disposal_year=2018)
-        assert dataclasses.replace(asset, acquisition_year=2016).acquisition_year == 2016
+        assert asset._replace(acquisition_year=2016).acquisition_year == 2016
         with pytest.raises(ValueError, match="earlier than acquisition_year 2019"):
-            dataclasses.replace(asset, acquisition_year=2019)
+            asset._replace(acquisition_year=2019)
+
+    def test_asset_equals_the_plain_tuple_of_its_fields(self):
+        a = Asset("a", "laptop", 2, 2019, status="stored", measured_power_w=3.5)
+        assert a == ("a", "laptop", 2, 2019, None, "stored", 3.5, None, None)
+        assert tuple(a) == tuple(getattr(a, name) for name in Asset._fields)
 
     def test_asset_equality_and_hash(self):
         a, b = Asset("a", "laptop", 2, 2019), Asset("a", "laptop", 2, 2019)
         assert a == b and hash(a) == hash(b) and len({a, b}) == 1
-        assert a != dataclasses.replace(a, quantity=3)
-        assert [f.name for f in dataclasses.fields(Asset)][:4] == [
+        assert a != a._replace(quantity=3)
+        assert list(Asset._fields)[:4] == [
             "id", "category", "quantity", "acquisition_year"
         ]
 

@@ -263,7 +263,7 @@ class TestApplyScenario:
         new = Asset("srv-old", "server", 1, 2016, measured_power_w=200.0)
         fleet = apply_scenario(base_fleet(), [ScenarioAction("replace", "srv-old", new)])
         assert [a.id for a in fleet.assets] == ["pc", "srv-old"]
-        assert fleet.assets[1] == dataclasses.replace(new, acquisition_year=2019)
+        assert fleet.assets[1] == new._replace(acquisition_year=2019)
 
     def test_add_of_an_id_removed_earlier(self):
         again = Asset("srv-old", "server", 1, 2019, measured_power_w=100.0)
@@ -362,7 +362,7 @@ class TestEvaluateScenario:
                 else:
                     new = random_asset(rng, 1000 + k, fleet.reporting_year)
                     # A replacement is acquired this year, so it cannot be disposed before.
-                    new = dataclasses.replace(new, disposal_year=None)
+                    new = new._replace(disposal_year=None)
                     actions.append(ScenarioAction("replace", target, new))
             for k in range(rng.randint(0, 3)):
                 new = random_asset(rng, 2000 + k, fleet.reporting_year)
@@ -502,6 +502,9 @@ class TestRender:
             ({"external_total": float("inf")}, "key external_total must be a finite number"),
             ({"external_total": 10**400}, "key external_total must be a finite number"),
             ({"totals_by_scope": {"S1": 0, "S2": "1", "S3": 0}}, "key totals_by_scope.S2 must be"),
+            ({"grand_total_kgco2e": -1.7e308}, "key grand_total_kgco2e must be a finite number >= 0"),
+            ({"totals_by_group": {**dict.fromkeys(GROUPS, 0.0), "office": -0.5}},
+             "key totals_by_group.office must be a finite number >= 0"),
         ],
     )
     def test_parse_report_json_checks_value_types(self, changes, message):
@@ -576,7 +579,7 @@ class TestAgainstSeedRenderers:
             db = random_db(rng)
             fleet = random_fleet(rng, max_entries=20)
             actions = [ScenarioAction("remove", a.id) for a in fleet.assets if rng.random() < 0.3]
-            new = dataclasses.replace(random_asset(rng, 1000, fleet.reporting_year), disposal_year=None)
+            new = random_asset(rng, 1000, fleet.reporting_year)._replace(disposal_year=None)
             actions.append(ScenarioAction("add", new_asset=new))
             self.assert_same(evaluate_scenario(fleet, actions, db, config_for(db), "f:sha256:0"))
 
