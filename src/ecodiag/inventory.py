@@ -9,6 +9,7 @@ import contextlib
 import csv
 import dataclasses
 import fnmatch
+import functools
 import io
 import logging
 import math
@@ -70,6 +71,9 @@ class _AssetFields(NamedTuple):
     vendor_fab_transport_kgco2e: float | None = None
     hour_profile_override: str | None = None
 
+
+# Asset(...) argument errors are raised by the base's __new__; name Asset in them.
+_AssetFields.__new__.__qualname__ = "Asset.__new__"
 
 #: Every rule an asset keeps, in the order their messages take precedence:
 #: (test that all assets of some field columns keep it, message of one that
@@ -539,6 +543,27 @@ def _year_from_date(text: str) -> int | None:
     return int(m.group(1) or m.group(2)) if m else None
 
 
+def _pair_walker(rules: tuple[MappingRule, ...]):
+    """The function from a raw (type, model) pair to (the name rules before the first
+    type/model rule the pair matches, that rule or None), in first-match order.
+    Each test is looked up here once, so exports whose pairs never repeat stay fast."""
+    steps, names = [], ()
+    for rule in rules:
+        if rule.match_field == "name":
+            names += (rule,)
+        else:
+            steps.append((rule._test, rule.match_field == "model", (names, rule)))
+    unmatched = (names, None)
+
+    def walk(type_: str, model: str):
+        type_, model = type_.lower(), model.lower()
+        for test, on_model, found in steps:
+            if test(model if on_model else type_):
+                return found
+        return unmatched
+    return walk
+
+
 def _glpi_rows(text: str):
     """Yield the header row (the first, even if blank), then each record's
     cells, skipping blank lines; a csv.Error names the row being read."""
@@ -570,6 +595,10 @@ def parse_glpi_export(
     next_suffix: dict[str, int] = {}
     records: list[tuple] = []  # (row number, id, category, year, status) of each asset
     unknown_statuses: list[tuple[int, str]] = []
+    # What depends on one or two cells alone is worked out once per distinct text.
+    pair_rules = functools.cache(_pair_walker(rules))
+    year_of = functools.cache(_year_from_date)
+    status_of = functools.cache(lambda label: GLPI_STATUS_ALIASES.get(label.strip().lower()))
     rows = _glpi_rows(text)
     # An empty export has no header row, so no column is missing.
     header = next(rows, _GLPI_REQUIRED)
@@ -584,28 +613,28 @@ def parse_glpi_export(
             if len(row) < len(header):  # a short row reads "" past its end
                 row += [""] * (len(header) - len(row))
             name = row[i_name]
-            lowered = {"type": row[i_type].lower(), "model": row[i_model].lower(),
-                       "name": name.lower()}
-            for rule in rules:
-                if rule._test(lowered[rule.match_field]):
-                    break
-            else:
+            name_rules, rule = pair_rules(row[i_type], row[i_model])
+            if name_rules:
+                lowered_name = name.lower()
+                rule = next((r for r in name_rules if r._test(lowered_name)), rule)
+            if rule is None:
                 unmapped.append(UnmappedRecord(rownum, dict(zip(header, row)), "no matching rule"))
                 continue
-            year = _year_from_date(row[i_date])
+            year = year_of(row[i_date])
             if year is None:
                 reason = f"unparsable purchase_date: {row[i_date]!r}"
                 unmapped.append(UnmappedRecord(rownum, dict(zip(header, row)), reason))
                 continue
-            status = GLPI_STATUS_ALIASES.get(row[i_status].strip().lower())
+            status = status_of(row[i_status])
             if status is None:
                 unknown_statuses.append((rownum, row[i_status]))
                 status = "in_use"
             asset_id = base_id = name.strip() or f"glpi-row-{rownum}"
-            suffix = next_suffix.get(base_id, 2)
-            while asset_id in used_ids:
-                asset_id, suffix = f"{base_id}#{suffix}", suffix + 1
-            next_suffix[base_id] = suffix
+            if asset_id in used_ids:
+                suffix = next_suffix.get(base_id, 2)
+                while asset_id in used_ids:
+                    asset_id, suffix = f"{base_id}#{suffix}", suffix + 1
+                next_suffix[base_id] = suffix
             used_ids.add(asset_id)
             records.append((rownum, asset_id, rule.target_category, year, status))
     except FleetParseError as exc:  # a malformed line stops the read

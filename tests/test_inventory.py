@@ -5,9 +5,10 @@ import fnmatch
 import io
 import random
 import tracemalloc
+from collections import Counter
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import make_db, make_factor
@@ -35,6 +36,7 @@ from ecodiag.inventory import (
 from ecodiag.samples import sample_fleet, sample_fleet_csv
 from fleet_strategies import _WORDS, boundary_texts, fleets
 from randgen import random_asset, random_db, random_fleet
+from seed_glpi import seed_parse_glpi_export
 
 HEADER = (
     "kind,id,category,quantity,acquisition_year,disposal_year,status,"
@@ -555,6 +557,48 @@ class TestParseGlpi:
         assert all(type(a) is Asset for a in fleet.assets)
         assert len(unmapped) == 300 - len(expected)
 
+    def test_rules_and_dates_worked_out_once_per_distinct_value(self, monkeypatch):
+        rules = (
+            MappingRule("name", "wifi*", "wifi_ap"),
+            MappingRule("type", "laptop", "laptop"),
+            MappingRule("model", "opti*", "desktop"),
+            MappingRule("type", "serv", "server"),
+            MappingRule("name", "pc", "desktop"),
+        )
+        pairs = [(kind, f"M{k % 2}") for k, kind in enumerate(
+            ("Laptop", "LAPTOP", "Server", "Mainframe", "Computer") * 2)]
+        dates = [f"{2000 + k % 20}-0{1 + k // 20}-01" for k in range(40)]
+        rng = random.Random(5)
+        text = f"{GLPI_HEADER}\n" + "\n".join(
+            f"{rng.choice(('pc', 'wifi', 'host'))}-{k},{kind},{model},{dates[k % 40]},used"
+            for k, (kind, model) in enumerate(rng.choice(pairs) for _ in range(2000))
+        )
+        assert len(set(pairs)) == 10
+        expected = seed_parse_glpi_export(text, rules, 2019, "Lab X")
+        tests = Counter()
+
+        def counting(rule, test):
+            def counted(value):
+                tests[rule] += 1
+                return test(value)
+            return counted
+
+        for rule in rules:
+            if rule.match_field != "name":
+                object.__setattr__(rule, "_test", counting(rule, rule._test))
+        years = Counter()
+        real = inventory._year_from_date
+
+        def year_from_date(text):
+            years[text] += 1
+            return real(text)
+
+        monkeypatch.setattr(inventory, "_year_from_date", year_from_date)
+        fleet, unmapped = parse_glpi_export(text, rules, 2019, "Lab X")
+        assert fleet == expected[0] and unmapped == expected[1] and len(unmapped) > 0
+        assert tests and max(tests.values()) <= 10
+        assert years == Counter(dates)
+
     def test_missing_column(self):
         with pytest.raises(FleetParseError, match="missing required column"):
             parse_glpi_export("name,type\n", RULES, 2019, "Lab X")
@@ -671,6 +715,89 @@ class TestGlpiMatching:
         ]
 
 
+# Pools a drawn export takes its cells from, so that (type, model) pairs, dates
+# and statuses repeat across records, as in a real export.
+GLPI_POOLS = {
+    "name": ("pc", "PC", "pc#2", "pc#3", "wifi-hall", "WiFi-1", "hall-wifi", "srv-1", "", "  "),
+    "type": ("Laptop", "LAPTOP", "laptop", "Desktop", "Server", "Access point", "Mainframe"),
+    "model": ("Latitude 5490", "ThinkPad T480", "OptiPlex", "X", ""),
+    "purchase_date": ("2018-01-31", "2016", "14/05/2017", "14-05-2017", " 2019 ",
+                      "\t03/06/2015 ", "last spring", "", "2018-1-1", "17/05/17"),
+    "status": ("en service", "EN SERVICE", " used ", "Stock", "réserve", "RÉSERVE",
+               "In  Use", "cassé", "", "storage\t"),
+    "serial": ("SN1",),
+}
+GLPI_PATTERNS = {
+    "type": ("laptop", "LAP", "desk*", "*point", "serv", "[lm]a*"),
+    "model": ("latitude", "think*", "x", "Opti", "*4*"),
+    "name": ("wifi*", "pc", "*hall", "srv?1", "PC#"),
+}
+#: Put among the records: a record with a control-character name, and a line
+#: the csv module rejects.
+GLPI_BAD_NAME = {"name": "pc\x07", "type": "Laptop", "model": "X", "purchase_date": "2018",
+                 "status": "used", "serial": ""}
+GLPI_MALFORMED = "pc,lap\rtop,X,2018-01-01,used"
+
+
+@st.composite
+def glpi_exports(draw):
+    """(rules, export text): 0-300 records from GLPI_POOLS under a shuffled
+    header, with short rows, blank lines and at most one each of the
+    GLPI_BAD_NAME and GLPI_MALFORMED lines."""
+    fields = draw(st.lists(st.sampled_from(("type", "model", "name")), max_size=7))
+    rules = tuple(
+        MappingRule(f, draw(st.sampled_from(GLPI_PATTERNS[f])), draw(st.sampled_from(TARGETS)))
+        for f in fields
+    )
+    header = draw(st.permutations(list(GLPI_POOLS)))
+    rng = draw(st.randoms(use_true_random=False))
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    for _ in range(draw(st.integers(0, 300))):
+        width = rng.choice((6, 6, 6, 6, 6, 5, 3, 1))
+        writer.writerow([rng.choice(GLPI_POOLS[c]) for c in header][:width])
+    bad_name = ",".join(GLPI_BAD_NAME[c] for c in header)
+    lines = buf.getvalue().split("\n")[:-1]
+    extra = [""] * rng.randint(0, 3) + rng.choice(
+        ([], [bad_name], [GLPI_MALFORMED], [bad_name, GLPI_MALFORMED])
+    )
+    for line in extra:
+        lines.insert(rng.randint(1, len(lines)), line)
+    return rules, "\n".join(lines)
+
+
+def glpi_outcome(parse, rules, text, caplog):
+    """What an import returns or raises, and the warnings it logs, in order."""
+    caplog.clear()
+    try:
+        fleet, unmapped = parse(text, rules, 2019, "Lab X")
+        result = fleet, [(u.row_number, u.record, u.reason) for u in unmapped]
+    except FleetParseError as exc:
+        result = type(exc), str(exc), exc.row
+    return result, [r.getMessage() for r in caplog.records]
+
+
+class TestGlpiAgainstSeed:
+    @given(drawn=glpi_exports())
+    @settings(max_examples=300, derandomize=True, database=None, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @example(drawn=(
+        (MappingRule("name", "wifi*", "wifi_ap"), MappingRule("type", "laptop", "laptop"),
+         MappingRule("name", "pc", "desktop"), MappingRule("model", "x", "server")),
+        "\n".join([GLPI_HEADER, "pc,Laptop,X,2018,cassé", "wifi-1,Laptop,X,2018,used",
+                   "pc,Desktop,X,14/05/2017,odd", "pc\x07,Laptop,X,2018,used",
+                   "b,Laptop,X,2018,broken", GLPI_MALFORMED, "c,Laptop,X,2018,late"]),
+    ))
+    @example(drawn=(RULES, "\n".join([GLPI_HEADER, "a,Laptop,X,2018,odd", GLPI_MALFORMED,
+                                      "pc\x07,Laptop,X,2018,used"])))
+    def test_import_equals_the_seed_import(self, drawn, caplog):
+        rules, text = drawn
+        assert glpi_outcome(parse_glpi_export, rules, text, caplog) == glpi_outcome(
+            seed_parse_glpi_export, rules, text, caplog
+        )
+
+
 class TestValidateFleet:
     def test_missing_factor_reported(self):
         fleet = Fleet("p", 2019, assets=(Asset("t1", "tablet", 1, 2019),))
@@ -781,6 +908,18 @@ class TestDomainInvariants:
         a = Asset("a", "laptop", 2, 2019, status="stored", measured_power_w=3.5)
         assert a == ("a", "laptop", 2, 2019, None, "stored", 3.5, None, None)
         assert tuple(a) == tuple(getattr(a, name) for name in Asset._fields)
+
+    def test_argument_errors_name_asset(self):
+        with pytest.raises(TypeError) as exc:
+            Asset("a", "laptop")
+        assert str(exc.value) == (
+            "Asset.__new__() missing 2 required positional arguments: "
+            "'quantity' and 'acquisition_year'"
+        )
+        with pytest.raises(TypeError) as exc:
+            Asset("a", "laptop", 1, 2019, colour="red")
+        assert str(exc.value) == "Asset.__new__() got an unexpected keyword argument 'colour'"
+        assert repr(Asset("a", "laptop", 1, 2019)).startswith("Asset(id='a', category='laptop', ")
 
     def test_asset_equality_and_hash(self):
         a, b = Asset("a", "laptop", 2, 2019), Asset("a", "laptop", 2, 2019)
