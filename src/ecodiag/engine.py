@@ -269,22 +269,25 @@ def declared_external(entry: ExternalServiceEntry) -> EmissionLine:
     )
 
 
-def compute_fleet(fleet: Fleet, db: FactorDatabase, config: EngineConfig) -> list[EmissionLine]:
-    """Compute every emission line for a fleet under a merged factor database.
+def asset_lines(
+    fleet: Fleet, assets: tuple[Asset, ...], db: FactorDatabase, config: EngineConfig
+) -> tuple[list[EmissionLine], list[EmissionLine]]:
+    """The emission lines of some of the fleet's assets, in the given order,
+    and the subset of them that makes up the server-room pool.
 
-    Output is sorted by (subject_id, scope, phase) so identical inputs always
-    produce identical output.
+    The fleet gives the reporting year and the rooms; a room meter
+    suppresses the pool's own usage lines.
     """
     lines: list[EmissionLine] = []
     metered = any(r.measured_room_kwh_per_year is not None for r in fleet.rooms)
     year = fleet.reporting_year
     plans = {}  # category id -> (factor, own usage line?, S3 lines?, in the pool?)
-    for cat_id in dict.fromkeys(a.category for a in fleet.assets):
+    for cat_id in dict.fromkeys(a.category for a in assets):
         scope_mask, in_pool = CATEGORIES[cat_id].scope_mask, cat_id in _POOL_CATEGORIES
         usage = "S2" in scope_mask and not (metered and in_pool)
         plans[cat_id] = lookup_factor(db, cat_id), usage, "S3" in scope_mask, in_pool
     pool_lines: list[EmissionLine] = []
-    for asset in fleet.assets:
+    for asset in assets:
         factor, usage, lifecycle, in_pool = plans[asset.category]
         if usage:
             line = scope2_usage(asset, factor, config)
@@ -299,6 +302,26 @@ def compute_fleet(fleet: Fleet, db: FactorDatabase, config: EngineConfig) -> lis
             line = scope3_eol(asset, factor, year)
             if line is not None:
                 lines.append(line)
+    return lines, pool_lines
+
+
+def compute_fleet(
+    fleet: Fleet,
+    db: FactorDatabase,
+    config: EngineConfig,
+    asset_part: tuple[list[EmissionLine], list[EmissionLine]] | None = None,
+) -> list[EmissionLine]:
+    """Compute every emission line for a fleet under a merged factor database.
+
+    asset_part, when given, stands for asset_lines(fleet, fleet.assets, db,
+    config) and is not modified. Output is sorted by (subject_id, scope,
+    phase) so identical inputs always produce identical output.
+    """
+    if asset_part is None:
+        lines, pool_lines = asset_lines(fleet, fleet.assets, db, config)
+    else:
+        lines, pool_lines = list(asset_part[0]), asset_part[1]
+    metered = any(r.measured_room_kwh_per_year is not None for r in fleet.rooms)
 
     # Every pool category has S2 in its scope, so without a room meter
     # pool_lines holds each pool asset's non-None usage line, in fleet order.

@@ -5,7 +5,6 @@ user rules. Parsing is pure; a Fleet never mutates after construction.
 """
 from __future__ import annotations
 
-import contextlib
 import csv
 import dataclasses
 import fnmatch
@@ -242,8 +241,10 @@ class Fleet:
             ("campaign", self.campaigns),
             ("external service", self.external_services),
         ):
+            if len({item.id for item in items}) == len(items):
+                continue
             seen: set[str] = set()
-            for item in items:
+            for item in items:  # name the first duplicate
                 if item.id in seen:
                     raise ValueError(f"duplicate {label} id: {item.id}")
                 seen.add(item.id)
@@ -447,35 +448,66 @@ def _convert_block(kind: str, rows: list[list[str]]) -> list:
     return list(map(Asset._make, zip(*columns)))
 
 
-def _parse(text: str, reporting_year: int, perimeter_description: str, block_rows: int) -> Fleet:
-    """parse_fleet_csv, block_rows rows of a kind at a time, or row by row if 0."""
+def _first_pending_error(text: str, items: dict, pending: dict) -> None:
+    """Raise the error of the first bad row, in file order, among the rows
+    parse_fleet_csv left in pending blocks; rows of converted blocks are good.
+
+    Every row before the one where the block parse stopped passed the
+    structural checks, and the pending rows of a kind are the ones after its
+    len(items[kind]) converted rows.
+    """
+    todo = sum(map(len, pending.values()))
+    seen = dict.fromkeys(pending, 0)
+    lines = csv_rows(text)
+    next(lines, None)  # the header
+    while todo:
+        rownum, fields = next(lines)
+        kind = fields[0]
+        seen[kind] += 1
+        if seen[kind] > len(items[kind]):
+            parse_fleet_row(kind, fields[1:], rownum)
+            todo -= 1
+
+
+def parse_fleet_csv(text: str, reporting_year: int, perimeter_description: str) -> Fleet:
+    """Parse the native fleet CSV into a Fleet.
+
+    Rows are dispatched on the 'kind' column through FLEET_SCHEMA. Blank
+    lines and '#' comments are skipped; empty input yields an empty (still
+    valid) fleet. Rows are converted a block of one kind at a time; when the
+    parse stops on an error, the rows of unconverted blocks are converted one
+    by one, so the error names the first bad row in file order."""
+    block_rows = _BLOCK_ROWS
     items, pending = {k: [] for k in FLEET_SCHEMA}, {k: [] for k in FLEET_SCHEMA}
     seen_ids = {kind: set() for kind in ("asset", "room", "campaign", "external")}
     lines = csv_rows(text)
     header = next(lines, None)
     if header is not None and header[1] != FLEET_CSV_COLUMNS:
         raise FleetParseError(f"expected header {','.join(FLEET_CSV_COLUMNS)!r}", row=header[0])
-    for rownum, fields in lines:
-        if len(fields) != len(FLEET_CSV_COLUMNS):
-            message = f"expected {len(FLEET_CSV_COLUMNS)} fields, got {len(fields)}"
-            raise FleetParseError(message, row=rownum)
-        kind = fields[0]
-        if (ids := seen_ids.get(kind)) is not None:
-            if fields[1] in ids:
-                raise FleetParseError(f"duplicate {kind} id: {fields[1]}", row=rownum)
-            ids.add(fields[1])
-        if not block_rows:
-            item = parse_fleet_row(kind, fields[1:], rownum)
-            items[kind].append(item)
-            continue
-        block = pending[kind]
-        block.append(fields)
-        if len(block) == block_rows:
-            items[kind] += _convert_block(kind, block)
-            block.clear()
-    for kind, block in pending.items():
-        if block:
-            items[kind] += _convert_block(kind, block)
+    try:
+        for rownum, fields in lines:
+            if len(fields) != len(FLEET_CSV_COLUMNS):
+                message = f"expected {len(FLEET_CSV_COLUMNS)} fields, got {len(fields)}"
+                raise FleetParseError(message, row=rownum)
+            kind = fields[0]
+            if (ids := seen_ids.get(kind)) is not None:
+                if fields[1] in ids:
+                    raise FleetParseError(f"duplicate {kind} id: {fields[1]}", row=rownum)
+                ids.add(fields[1])
+            block = pending.get(kind)
+            if block is None:
+                parse_fleet_row(kind, fields[1:], rownum)  # raises: unknown kind
+            block.append(fields)
+            if len(block) == block_rows:
+                items[kind] += _convert_block(kind, block)
+                block.clear()
+        for kind, block in pending.items():
+            if block:
+                items[kind] += _convert_block(kind, block)
+                block.clear()
+    except (FleetParseError, ValueError):
+        _first_pending_error(text, items, pending)
+        raise
 
     # seen_ids is freed after the Fleet is built: freed before, it raises glibc's mmap
     # threshold, and the Fleet's big arrays go to a heap that keeps them (+5.5 MB RSS).
@@ -484,18 +516,6 @@ def _parse(text: str, reporting_year: int, perimeter_description: str, block_row
         return Fleet(perimeter_description, reporting_year, **collections)
     except ValueError as exc:
         raise FleetParseError(str(exc)) from None
-
-
-def parse_fleet_csv(text: str, reporting_year: int, perimeter_description: str) -> Fleet:
-    """Parse the native fleet CSV into a Fleet.
-
-    Rows are dispatched on the 'kind' column through FLEET_SCHEMA. Blank
-    lines and '#' comments are skipped; empty input yields an empty (still
-    valid) fleet. Rows are converted a block at a time, then one by one if a
-    row is bad, so the error names the first bad row in file order."""
-    with contextlib.suppress(FleetParseError, KeyError, ValueError):
-        return _parse(text, reporting_year, perimeter_description, _BLOCK_ROWS)
-    return _parse(text, reporting_year, perimeter_description, 0)
 
 
 def render_fleet_csv(fleet: Fleet) -> str:

@@ -12,12 +12,14 @@ import json
 import math
 import sys
 from dataclasses import dataclass
+from operator import attrgetter
 
 from .engine import (
     EXTERNAL_GROUP,
     EmissionLine,
     EngineConfig,
     aggregate_uncertainty,
+    asset_lines,
     compute_fleet,
 )
 from .errors import FleetParseError, ScenarioError
@@ -225,19 +227,36 @@ def evaluate_scenario(
     when the variant saves no usage emissions, or too little for the quotient
     to be finite. Both reports carry factor_db_hash, the identity of the
     factor set.
+
+    Only the added and replacement assets are evaluated for the variant: the
+    kept assets' lines are the baseline's own, so both reports are exactly
+    those of a full compute of each fleet.
     """
     variant_fleet = apply_scenario(fleet, actions)
-    baseline_lines = compute_fleet(fleet, db, config)
-    variant_lines = compute_fleet(variant_fleet, db, config)
+    lines, pool_lines = part = asset_lines(fleet, fleet.assets, db, config)
+    baseline_lines = compute_fleet(fleet, db, config, part)
+
+    # apply_scenario keeps the assets whose id no action targets, in fleet
+    # order, and appends the new ones; an added id was free when added, so
+    # only the new assets carry one.
+    dropped = {a.target_asset_id for a in actions if a.op != "add"}
+    added_ids = {a.new_asset.id for a in actions if a.new_asset is not None}
+    tail = variant_fleet.assets[max(0, len(variant_fleet.assets) - len(added_ids)):]
+    new_assets = tuple(a for a in tail if a.id in added_ids)
+    new_lines, new_pool_lines = asset_lines(variant_fleet, new_assets, db, config)
+    variant_part = (
+        [l for l in lines if l.subject_id not in dropped] + new_lines,
+        [l for l in pool_lines if l.subject_id not in dropped] + new_pool_lines,
+    )
+    variant_lines = compute_fleet(variant_fleet, db, config, variant_part)
     baseline = aggregate(baseline_lines, fleet, factor_db_hash)
     variant = aggregate(variant_lines, variant_fleet, factor_db_hash)
 
-    added_ids = {a.new_asset.id for a in actions if a.new_asset is not None}
-    # A cable bulk's subject is its category, which an asset id may equal.
+    # In subject_id order, as they come in the sorted variant lines.
     added_fabrication = sum(
         l.kgco2e
-        for l in variant_lines
-        if l.phase == "fabrication_transport" and l.group != "bulk" and l.subject_id in added_ids
+        for l in sorted(new_lines, key=attrgetter("subject_id"))
+        if l.phase == "fabrication_transport"
     )
     savings = baseline.totals_by_scope["S2"] - variant.totals_by_scope["S2"]
     # No payback without savings, nor from savings so small that it overflows.

@@ -349,6 +349,17 @@ class TestComputeFleet:
         assert by_scope["S2"] == pytest.approx(208.488, rel=REL)
         assert by_scope["S3"] == 1000.0
 
+    def test_given_asset_part_is_used_and_left_unchanged(self, config):
+        rng = random.Random(11)
+        for _ in range(20):
+            db = random_db(rng)
+            fleet = random_fleet(rng)
+            lines, pool_lines = engine.asset_lines(fleet, fleet.assets, db, config)
+            kept = list(lines), list(pool_lines)
+            full = compute_fleet(fleet, db, config)
+            assert compute_fleet(fleet, db, config, (lines, pool_lines)) == full
+            assert (lines, pool_lines) == kept
+
     def test_deterministic_and_sorted(self, config):
         rng = random.Random(7)
         db = random_db(rng)

@@ -398,6 +398,20 @@ class TestBlockParse:
         assert outcome(row_walk_parse, text) == expected
         assert outcome(parse_fleet_csv, text) == expected
 
+    def test_error_path_converts_only_the_pending_rows(self, monkeypatch):
+        rows = asset_rows(4999)
+        rows[::500] = [f"room,sr{i},,,,,,,,ups_overhead=0.1" for i in range(10)]
+        text = body(*rows, "asset,last,laptop,0,2015,,in_use,,,")
+        calls = []
+        row = inventory.parse_fleet_row
+        monkeypatch.setattr(
+            inventory, "parse_fleet_row", lambda *a: calls.append(a[2]) or row(*a)
+        )
+        assert outcome(parse_fleet_csv, text) == (
+            FleetParseError, "row 5001: quantity must be >= 1, got 0", 5001
+        )
+        assert len(calls) <= len(FLEET_SCHEMA) * inventory._BLOCK_ROWS + 1
+
     def test_peak_memory_stays_near_the_row_walk(self):
         rng = random.Random(5)
         fleet = Fleet("p", 2020, assets=tuple(random_asset(rng, i, 2020) for i in range(10_000)))

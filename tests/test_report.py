@@ -9,10 +9,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_db, make_factor
+from ecodiag import engine
 from ecodiag.engine import EmissionLine, EngineConfig, GridFactor, compute_fleet, config_for
 from ecodiag.errors import FleetParseError, ScenarioError
 from ecodiag.factors import GROUPS
-from ecodiag.inventory import Asset, CableBulk, ExternalServiceEntry, Fleet
+from ecodiag.inventory import Asset, CableBulk, ExternalServiceEntry, Fleet, ServerRoom
 from ecodiag.report import (
     GENERATED_NOTE,
     Report,
@@ -371,6 +372,114 @@ class TestEvaluateScenario:
             variant = apply_scenario(fleet, actions)
             assert result.variant == aggregate(compute_fleet(variant, db, config), variant)
             assert result.baseline == aggregate(compute_fleet(fleet, db, config), fleet)
+
+
+def variant_lines_checked(fleet, actions, db, config, monkeypatch):
+    """The variant's lines from evaluate_scenario, checked equal (lines and
+    report) to a full compute of the variant fleet."""
+    computed = []
+
+    def recording(*args):
+        computed.append(compute_fleet(*args))
+        return computed[-1]
+
+    monkeypatch.setattr("ecodiag.report.compute_fleet", recording)
+    result = evaluate_scenario(fleet, actions, db, config)
+    monkeypatch.undo()
+    variant = apply_scenario(fleet, actions)
+    full = compute_fleet(variant, db, config)
+    assert computed[1] == full
+    assert result.variant == aggregate(full, variant)
+    assert result.baseline == aggregate(compute_fleet(fleet, db, config), fleet)
+    return full
+
+
+ROOM_DB = make_db(
+    make_factor("server", fab=1000.0, power=300.0),
+    make_factor("laptop"),
+    make_factor("desktop", fab=400.0, power=80.0),
+)
+
+
+def server_fleet(*rooms: ServerRoom) -> Fleet:
+    return Fleet(
+        "p", 2019,
+        assets=(
+            Asset("sr1", "server", 1, 2015),
+            Asset("srv-a", "server", 2, 2019),
+            Asset("pc", "laptop", 10, 2016),
+            Asset("srv-b", "server", 1, 2017, measured_power_w=250.0),
+        ),
+        rooms=rooms,
+    )
+
+
+class TestScenarioVariantLines:
+    """evaluate_scenario builds the variant from the baseline's asset lines;
+    each case must give exactly the lines of a full compute."""
+
+    def test_removed_asset_sharing_a_room_id_keeps_the_room_line(self, config, monkeypatch):
+        fleet = server_fleet(ServerRoom("sr1", "R410A", 1.5, ups_overhead_fraction=0.1))
+        lines = variant_lines_checked(
+            fleet, [ScenarioAction("remove", "sr1")], ROOM_DB, config, monkeypatch
+        )
+        assert [(l.scope, l.phase) for l in lines if l.subject_id == "sr1"] == [
+            ("S1", "fugitive"), ("S2", "usage"),
+        ]
+
+    def test_metered_room_suppresses_the_pool(self, config, monkeypatch):
+        fleet = server_fleet(ServerRoom("room", measured_room_kwh_per_year=9000.0))
+        new = Asset("srv-c", "server", 1, 2019)
+        lines = variant_lines_checked(
+            fleet, [ScenarioAction("replace", "srv-a", new)], ROOM_DB, config, monkeypatch
+        )
+        assert [l.subject_id for l in lines if l.phase == "usage"] == ["pc", "room"]
+
+    def test_replace_keeping_its_id(self, config, monkeypatch):
+        fleet = server_fleet(ServerRoom("room", ups_overhead_fraction=0.2))
+        new = Asset("srv-a", "server", 1, 2016, measured_power_w=120.0)
+        lines = variant_lines_checked(
+            fleet, [ScenarioAction("replace", "srv-a", new)], ROOM_DB, config, monkeypatch
+        )
+        usage = next(l for l in lines if l.subject_id == "srv-a" and l.phase == "usage")
+        assert usage.kgco2e == pytest.approx(120.0 * 8760 / 1000 * 0.119, rel=REL)
+
+    def test_remove_then_add_the_same_id(self, config, monkeypatch):
+        fleet = server_fleet(ServerRoom("room", ups_overhead_fraction=0.2))
+        again = Asset("srv-b", "desktop", 3, 2019)
+        actions = [ScenarioAction("remove", "srv-b"), ScenarioAction("add", new_asset=again)]
+        lines = variant_lines_checked(fleet, actions, ROOM_DB, config, monkeypatch)
+        assert {l.group for l in lines if l.subject_id == "srv-b"} == {"office"}
+
+    def test_add_then_remove_the_same_id(self, config, monkeypatch):
+        fleet = server_fleet(ServerRoom("room", ups_overhead_fraction=0.2))
+        new = Asset("srv-c", "server", 4, 2019)
+        actions = [ScenarioAction("add", new_asset=new), ScenarioAction("remove", "srv-c")]
+        lines = variant_lines_checked(fleet, actions, ROOM_DB, config, monkeypatch)
+        assert lines == compute_fleet(fleet, ROOM_DB, config)
+
+    def test_category_used_only_by_a_new_asset(self, config, monkeypatch):
+        fleet = server_fleet(ServerRoom("room", ups_overhead_fraction=0.2))
+        new = Asset("ws", "desktop", 2, 2019)
+        actions = [ScenarioAction("replace", "pc", new), ScenarioAction("remove", "srv-b")]
+        lines = variant_lines_checked(fleet, actions, ROOM_DB, config, monkeypatch)
+        phases = [l.phase for l in lines if l.subject_id == "ws"]
+        assert phases == ["usage", "fabrication_transport"]
+
+    def test_usage_evaluated_once_per_baseline_asset_and_once_per_new_one(
+        self, config, monkeypatch
+    ):
+        fleet = server_fleet(ServerRoom("room", ups_overhead_fraction=0.2))
+        actions = [
+            ScenarioAction("replace", "srv-a", Asset("srv-c", "server", 1, 2019)),
+            ScenarioAction("remove", "pc"),
+            ScenarioAction("add", new_asset=Asset("ws", "desktop", 1, 2019)),
+        ]
+        calls = []
+        usage = engine.scope2_usage
+        monkeypatch.setattr(engine, "scope2_usage", lambda *a: calls.append(a[0]) or usage(*a))
+        evaluate_scenario(fleet, actions, ROOM_DB, config)
+        assert [a.id for a in calls] == ["sr1", "srv-a", "pc", "srv-b", "srv-c", "ws"]
 
 
 class TestParseActionsCsv:
