@@ -122,8 +122,26 @@ def _read_input(path: str) -> str:
         raise EcodiagError(f"{path}: line {line}: not UTF-8 ({exc.reason})") from None
 
 
+def _factor_path(args) -> str | None:
+    return args.factors or os.environ.get(FACTORS_ENV_VAR)
+
+
+def _refuse_input_as_out(args) -> None:
+    """Raise when --out names one of the files the command reads."""
+    out = getattr(args, "out", None)
+    if not out or not os.path.exists(out):
+        return
+    paths = [getattr(args, name, None) for name in ("inventory", "rules", "actions")]
+    paths += getattr(args, "reports", [])
+    if hasattr(args, "factors"):
+        paths.append(_factor_path(args))
+    for path in paths:
+        if path and os.path.exists(path) and os.path.samefile(path, out):
+            raise EcodiagError(f"--out {out} is an input of this command; refusing to overwrite it")
+
+
 def _load_db(args) -> tuple[FactorDatabase, str]:
-    path = args.factors or os.environ.get(FACTORS_ENV_VAR)
+    path = _factor_path(args)
     if not path:
         raise FactorParseError(f"no factor file given (--factors or ${FACTORS_ENV_VAR})")
     text = _read_input(path)
@@ -256,6 +274,7 @@ def main(argv=None) -> int:
     gc_was_enabled = gc.isenabled()
     gc.disable()
     try:
+        _refuse_input_as_out(args)
         return args.func(args)
     except ScenarioError as exc:
         _fail(str(exc))

@@ -422,13 +422,14 @@ def parse_fleet_row(kind: str, fields: list[str], rownum: int = 0):
         raise FleetParseError(str(exc), row=rownum) from None
 
 
-#: Rows of one kind converted together; 48 keeps each list within pymalloc's 512 bytes.
+#: Consecutive rows converted together; 48 keeps each list within pymalloc's 512 bytes.
 _BLOCK_ROWS = 48
 
 
 def _convert_block(kind: str, rows: list[list[str]]) -> list:
-    """The objects of rows of one kind (with 'kind' first), as parse_fleet_row
-    builds them; a bad row raises ValueError or FleetParseError, unnumbered."""
+    """The objects of the rows of one kind (with 'kind' first) of a block, in
+    their order, as parse_fleet_row builds them; a bad row raises ValueError
+    or FleetParseError, unnumbered."""
     cls, extra_keys, empty, converters = _COMPILED[kind]
     texts = list(zip(*rows))[1:]
     if any(any(texts[i]) for i, _ in empty):
@@ -448,44 +449,35 @@ def _convert_block(kind: str, rows: list[list[str]]) -> list:
     return list(map(Asset._make, zip(*columns)))
 
 
-def _first_pending_error(text: str, items: dict, pending: dict) -> None:
-    """Raise the error of the first bad row, in file order, among the rows
-    parse_fleet_csv left in pending blocks; rows of converted blocks are good.
-
-    Every row before the one where the block parse stopped passed the
-    structural checks, and the pending rows of a kind are the ones after its
-    len(items[kind]) converted rows.
-    """
-    todo = sum(map(len, pending.values()))
-    seen = dict.fromkeys(pending, 0)
-    lines = csv_rows(text)
-    next(lines, None)  # the header
-    while todo:
-        rownum, fields = next(lines)
-        kind = fields[0]
-        seen[kind] += 1
-        if seen[kind] > len(items[kind]):
-            parse_fleet_row(kind, fields[1:], rownum)
-            todo -= 1
-
-
 def parse_fleet_csv(text: str, reporting_year: int, perimeter_description: str) -> Fleet:
     """Parse the native fleet CSV into a Fleet.
 
     Rows are dispatched on the 'kind' column through FLEET_SCHEMA. Blank
     lines and '#' comments are skipped; empty input yields an empty (still
-    valid) fleet. Rows are converted a block of one kind at a time; when the
-    parse stops on an error, the rows of unconverted blocks are converted one
-    by one, so the error names the first bad row in file order."""
+    valid) fleet. Rows wait, with their row numbers, in one block of up to
+    _BLOCK_ROWS consecutive rows, which is converted one kind at a time. When
+    the parse stops on an error, the rows of that block are converted one by
+    one, in file order, so the error names the first bad row without the
+    text being read again."""
     block_rows = _BLOCK_ROWS
-    items, pending = {k: [] for k in FLEET_SCHEMA}, {k: [] for k in FLEET_SCHEMA}
+    items, block = {k: [] for k in FLEET_SCHEMA}, []
     seen_ids = {kind: set() for kind in ("asset", "room", "campaign", "external")}
+
+    def convert():
+        rows = [fields for _, fields in block]
+        kinds = {fields[0] for fields in rows}
+        for kind in kinds:
+            part = rows if len(kinds) == 1 else [f for f in rows if f[0] == kind]
+            items[kind] += _convert_block(kind, part)
+        block.clear()
+
     lines = csv_rows(text)
     header = next(lines, None)
     if header is not None and header[1] != FLEET_CSV_COLUMNS:
         raise FleetParseError(f"expected header {','.join(FLEET_CSV_COLUMNS)!r}", row=header[0])
     try:
-        for rownum, fields in lines:
+        for row in lines:
+            rownum, fields = row
             if len(fields) != len(FLEET_CSV_COLUMNS):
                 message = f"expected {len(FLEET_CSV_COLUMNS)} fields, got {len(fields)}"
                 raise FleetParseError(message, row=rownum)
@@ -494,19 +486,13 @@ def parse_fleet_csv(text: str, reporting_year: int, perimeter_description: str) 
                 if fields[1] in ids:
                     raise FleetParseError(f"duplicate {kind} id: {fields[1]}", row=rownum)
                 ids.add(fields[1])
-            block = pending.get(kind)
-            if block is None:
-                parse_fleet_row(kind, fields[1:], rownum)  # raises: unknown kind
-            block.append(fields)
+            block.append(row)
             if len(block) == block_rows:
-                items[kind] += _convert_block(kind, block)
-                block.clear()
-        for kind, block in pending.items():
-            if block:
-                items[kind] += _convert_block(kind, block)
-                block.clear()
-    except (FleetParseError, ValueError):
-        _first_pending_error(text, items, pending)
+                convert()
+        convert()
+    except (FleetParseError, KeyError, ValueError):  # KeyError: a kind not in FLEET_SCHEMA
+        for rownum, fields in block:
+            parse_fleet_row(fields[0], fields[1:], rownum)
         raise
 
     # seen_ids is freed after the Fleet is built: freed before, it raises glibc's mmap

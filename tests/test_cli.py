@@ -437,6 +437,45 @@ class TestTotalsOverflow:
         assert "Infinity" not in err
 
 
+def _glpi_args(w):
+    (w / "glpi.csv").write_text(
+        f"{GLPI_HEADER}\npc-1,Laptop Dell,L5400,2019-03-01,en service\n", encoding="utf-8"
+    )
+    args = compute_args(w, "--glpi", "--rules", str(w / "rules.csv"))
+    args[args.index("--inventory") + 1] = str(w / "glpi.csv")
+    return args
+
+
+@pytest.mark.parametrize("name,command", [
+    pytest.param("fleet.csv", compute_args, id="compute-inventory"),
+    pytest.param("factors.txt", compute_args, id="compute-factors"),
+    pytest.param("factors.txt", lambda w: compute_args(w)[:3] + compute_args(w)[5:],
+                 id="compute-factors-from-environment"),
+    pytest.param("rules.csv", _glpi_args, id="compute-glpi-rules"),
+    pytest.param("actions.csv",
+                 lambda w: ["scenario", *compute_args(w)[1:], "--actions", str(w / "actions.csv")],
+                 id="scenario-actions"),
+    pytest.param("factors.txt", lambda w: ["factors", "--factors", str(w / "factors.txt")],
+                 id="factors"),
+    pytest.param("b.json", lambda w: ["compare", str(w / "a.json"), str(w / "b.json")],
+                 id="compare-report"),
+])
+def test_out_never_overwrites_an_input(workdir, monkeypatch, capsys, name, command):
+    monkeypatch.setenv("ECODIAG_FACTORS", str(workdir / "factors.txt"))
+    (workdir / "actions.csv").write_text("# nothing\n", encoding="utf-8")
+    for report in ("a.json", "b.json"):
+        assert main(compute_args(workdir, "--format", "json", "--out", str(workdir / report))) == 0
+    args = command(workdir)
+    before = (workdir / name).read_bytes()
+    out = os.path.join(workdir, ".", name)  # another spelling of the input's path
+    capsys.readouterr()
+    assert main([*args, "--out", out]) == 1
+    assert capsys.readouterr().err == (
+        f"ecodiag: error: --out {out} is an input of this command; refusing to overwrite it\n"
+    )
+    assert (workdir / name).read_bytes() == before
+
+
 def run_python(*args: str) -> subprocess.CompletedProcess:
     """Run a fresh interpreter against src/."""
     paths = [str(REPO / "src"), os.environ.get("PYTHONPATH", "")]
