@@ -73,18 +73,20 @@ def _build_parser() -> _Parser:
         p.add_argument("--factors", help=f"factor file path (default: ${FACTORS_ENV_VAR})")
         p.add_argument("--grid-factor", type=_grid_factor, dest="grid_factor",
                        help="override the factor file's grid kgCO2e/kWh")
-        add_output_flags(p)
 
-    def add_output_flags(p):
-        p.add_argument("--format", choices=("json", "csv", "markdown"), default="markdown")
+    def add_output_flags(p, formats=True):
+        if formats:
+            p.add_argument("--format", choices=("json", "csv", "markdown"), default="markdown")
         p.add_argument("--out", help="write output here instead of stdout")
 
     p = sub.add_parser("compute", help="compute the annual report for one fleet")
     add_fleet_flags(p)
+    add_output_flags(p)
     p.set_defaults(func=cmd_compute)
 
     p = sub.add_parser("validate", help="check a fleet against the factor database")
     add_fleet_flags(p)
+    add_output_flags(p, formats=False)
     p.set_defaults(func=cmd_validate)
 
     p = sub.add_parser("compare", help="compare two or more report JSON files")
@@ -94,12 +96,13 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("scenario", help="evaluate what-if fleet changes")
     add_fleet_flags(p)
+    add_output_flags(p)
     p.add_argument("--actions", required=True, help="actions CSV path")
     p.set_defaults(func=cmd_scenario)
 
     p = sub.add_parser("factors", help="list the merged factor database")
     p.add_argument("--factors", help=f"factor file path (default: ${FACTORS_ENV_VAR})")
-    p.add_argument("--out", help="write output here instead of stdout")
+    add_output_flags(p, formats=False)
     p.set_defaults(func=cmd_factors)
 
     p = sub.add_parser("init", help="write sample factor, fleet and rules files")
@@ -162,8 +165,8 @@ def _load_fleet(args) -> Fleet:
     return parse_fleet_csv(text, args.year, args.perimeter)
 
 
-def _print_issues(issues: list[Issue], stream) -> None:
-    stream.write("".join(f"{i.severity}: {i.subject_id}: {i.message}\n" for i in issues))
+def _issue_lines(issues: list[Issue]) -> str:
+    return "".join(f"{i.severity}: {i.subject_id}: {i.message}\n" for i in issues)
 
 
 def _emit(text: str, out_path: str | None) -> None:
@@ -177,7 +180,7 @@ def cmd_compute(args) -> int:
     db, db_id = _load_db(args)
     fleet = _load_fleet(args)
     issues = validate_fleet(fleet, db)
-    _print_issues(issues, sys.stderr)
+    sys.stderr.write(_issue_lines(issues))
     if any(i.severity == "error" for i in issues):
         return 2
     lines = compute_fleet(fleet, db, config_for(db, args.grid_factor))
@@ -189,9 +192,7 @@ def cmd_validate(args) -> int:
     db, _ = _load_db(args)
     fleet = _load_fleet(args)
     issues = validate_fleet(fleet, db)
-    _print_issues(issues, sys.stdout)
-    if not issues:
-        print("no issues")
+    _emit(_issue_lines(issues) or "no issues\n", args.out)
     return 2 if any(i.severity == "error" for i in issues) else 0
 
 
@@ -210,7 +211,7 @@ def cmd_scenario(args) -> int:
     issues = validate_fleet(fleet, db)
     errors = [i for i in issues if i.severity == "error"]
     if errors:
-        _print_issues(errors, sys.stderr)
+        sys.stderr.write(_issue_lines(errors))
         return 2
     actions = parse_actions_csv(_read_input(args.actions))
     result = evaluate_scenario(

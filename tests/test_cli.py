@@ -235,6 +235,23 @@ class TestValidate:
         assert main(args) == 0
         assert "no issues" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("factors", ["factors.txt", "server-less.txt"])
+    def test_out_holds_what_stdout_shows(self, workdir, capsys, factors):
+        text = (workdir / "factors.txt").read_text(encoding="utf-8")
+        kept = [l for l in text.splitlines() if not l.startswith("server,")]
+        (workdir / "server-less.txt").write_text("\n".join(kept) + "\n", encoding="utf-8")
+        args = self.base(workdir)
+        args[args.index("--factors") + 1] = str(workdir / factors)
+        code = main(args)
+        shown = capsys.readouterr().out
+        assert main([*args, "--out", str(workdir / "v.txt")]) == code
+        assert capsys.readouterr().out == ""
+        assert (workdir / "v.txt").read_text(encoding="utf-8") == shown
+
+    def test_format_is_a_usage_error(self, workdir, capsys):
+        assert main(self.base(workdir, "--format", "json")) == 1
+        assert "unrecognized arguments: --format json" in capsys.readouterr().err
+
 
 class TestCompare:
     def make_report(self, workdir, year, name):

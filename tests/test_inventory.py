@@ -35,7 +35,7 @@ from ecodiag.inventory import (
 )
 from ecodiag.samples import sample_fleet, sample_fleet_csv
 from fleet_strategies import _WORDS, boundary_texts, fleets
-from randgen import random_asset, random_db, random_fleet
+from randgen import random_asset, random_campaign, random_db, random_fleet, random_room
 from seed_glpi import seed_parse_glpi_export
 
 HEADER = (
@@ -326,6 +326,34 @@ def fleet_texts_breaking_one_rule(draw):
     return "\n".join(lines)
 
 
+@st.composite
+def untidy_valid_fleet_texts(draw):
+    """A valid rendered fleet of 305 to 378 rows of every kind in shuffled
+    order, so more than one block at the default size and blocks that mix
+    kinds, with '#' comments (one with nine commas), blank lines and quoted
+    cells among them and \r\n line ends."""
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    fleet = Fleet(
+        "Lab X", 2019,
+        assets=tuple(random_asset(rng, i, 2019) for i in range(rng.randint(300, 360))),
+        rooms=tuple(random_room(rng, i) for i in range(rng.randint(1, 10))),
+        campaigns=tuple(random_campaign(rng, i) for i in range(rng.randint(1, 5))),
+        external_services=(ExternalServiceEntry("x0", 12.5, "S3", "a note"),),
+        cable_bulks=(CableBulk("cable_cat5", 3), CableBulk("cable_hdmi", 0)),
+    )
+    header, *rows = render_fleet_csv(fleet).splitlines()
+    rng.shuffle(rows)
+    lines = [header]
+    for row in rows:
+        lines += rng.choice(([], [], ["# a comment"], ["#" + ",x" * 9], [""], ["  "]))
+        cells = row.split(",")
+        if rng.random() < 0.1:
+            i = rng.randrange(len(cells))
+            cells[i] = f'"{cells[i]}"'
+        lines.append(",".join(cells))
+    return "\r\n".join(lines) + "\r\n"
+
+
 def asset_rows(n: int) -> list[str]:
     return [f"asset,a{i},laptop,1,2015,,in_use,,," for i in range(n)]
 
@@ -400,11 +428,55 @@ class TestBlockParse:
                  "asset,a1,laptop,x,2015,,in_use,,,"),
             3, "field ups_overhead: not a number: 'x'",
             id="bad-room-before-bad-asset-in-one-block"),
+        pytest.param(
+            body(*asset_rows(10), "asset,a5,laptop,1,2015,,in_use,,,",
+                 "asset,a2,laptop,1,2015,,in_use,,,"),
+            12, "duplicate asset id: a5",
+            id="two-duplicates-in-one-block"),
+        pytest.param(
+            body("asset,sr1,laptop,1,2015,,in_use,,,", "room,sr1,,,,,,,,",
+                 "asset,a1,laptop,1,2015,,in_use,,,", "room,sr1,,,,,,,,"),
+            5, "duplicate room id: sr1",
+            id="duplicate-room-in-a-mixed-block"),
+        pytest.param(
+            body(*asset_rows(100), "asset,a7,laptop,1,2015,,in_use,,,",
+                 "asset,a99,laptop,1,2015,,in_use,,,", "asset,a1,laptop,1,2015,,in_use,,,"),
+            102, "duplicate asset id: a7",
+            id="duplicates-of-two-earlier-blocks"),
+        pytest.param(
+            body(*asset_rows(60), "asset,a70,laptop,0,2015,,in_use,,,", *asset_rows(80)[60:]),
+            62, "quantity must be >= 1, got 0",
+            id="bad-row-before-a-duplicate-in-its-block"),
     ])
     def test_first_bad_row_in_file_order(self, text, row, message):
         expected = (FleetParseError, f"row {row}: {message}", row)
         assert outcome(row_walk_parse, text) == expected
         assert outcome(parse_fleet_csv, text) == expected
+
+    @pytest.mark.parametrize("column,name", [(7, "measured_power_w"),
+                                             (8, "vendor_fab_transport_kgco2e")])
+    @pytest.mark.parametrize("number", ["nan", "NaN", "-nan", "inf", "-inf", "1e999"])
+    def test_non_finite_numbers_are_rejected(self, column, name, number):
+        rows = [row.split(",") for row in asset_rows(3 * inventory._BLOCK_ROWS)]
+        for cells in rows:
+            cells[column] = "1.5"
+        rows[100][column] = number
+        expected = f"row 102: {name} must be finite and >= 0, got {float(number)}"
+        assert outcome(parse_fleet_csv, body(*map(",".join, rows))) == (
+            FleetParseError, expected, 102
+        )
+
+    @given(untidy_valid_fleet_texts())
+    @settings(max_examples=25, derandomize=True, database=None, deadline=None)
+    def test_valid_fleet_converts_no_row_alone(self, text):
+        expected = outcome(row_walk_parse, text)
+        assert isinstance(expected, Fleet)
+        calls = []
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(inventory, "parse_fleet_row", lambda *a: calls.append(a[2]))
+            assert outcome(parse_fleet_csv, text) == expected
+        assert calls == []
+        self.check_against_row_walk(text)
 
     def test_error_path_converts_only_the_pending_rows(self, monkeypatch):
         rows = asset_rows(4999)
