@@ -258,16 +258,13 @@ def gwp_value(gwp_table: tuple[GwpEntry, ...], fluid: str) -> float:
     raise UnknownFluidError(fluid)
 
 
-def csv_rows(
-    text: str, error: type[FactorParseError | FleetParseError] = FleetParseError, first_line=1
-):
+def csv_rows(text: str, error: type[FactorParseError | FleetParseError] = FleetParseError):
     """Yield (line number, fields) for every line that is not blank or a '#' comment;
-    a malformed line raises error(message, line number). The first line of the
-    text is numbered first_line.
+    a malformed line raises error(message, line number).
     A line without '"' or NUL, within the csv field size limit, is split on
     commas: csv.reader makes the same of it."""
     limit = csv.field_size_limit()
-    for rownum, raw in enumerate(text.splitlines(), start=first_line):
+    for rownum, raw in enumerate(text.splitlines(), start=1):
         head = raw.lstrip()
         if not head or head[0] == "#":
             continue

@@ -442,9 +442,9 @@ def parse_fleet_row(kind: str, fields: list[str], rownum: int = 0):
 
 #: Consecutive lines parsed together; an error converts at most this many rows
 #: one at a time. Measured on a 100k-row fleet (CPython 3.11, 2-core Xeon VM):
-#: the parse takes 0.46 s in blocks of 48, 0.37 s in blocks of 256 or 512 and
-#: 0.61 s in blocks of 4096, and `compute` peaks at 80.4 MB RSS with 48 and
-#: 80.1 MB with 256.
+#: the parse takes 0.45 s in blocks of 48, 0.37-0.38 s in blocks of 256 or 512
+#: and 0.59 s in blocks of 4096, and `compute` peaks at 83.4 MB RSS with 48 and
+#: 83.7 MB with 256.
 _BLOCK_ROWS = 256
 
 
@@ -453,12 +453,7 @@ def _column(texts, convert, default) -> list:
     empty text is the default, if there is one."""
     if default is not MISSING and "" in texts:
         return [convert(t) if t else default for t in texts]
-    if convert is str:
-        return texts  # str(s) is s
-    if convert is int:  # years and counts repeat: convert each distinct text once
-        values = set(texts)
-        return list(map(dict(zip(values, map(int, values))).__getitem__, texts))
-    return list(map(convert, texts))
+    return texts if convert is str else list(map(convert, texts))  # str(s) is s
 
 
 def _convert_block(kind: str, texts: list) -> list | tuple:
@@ -468,9 +463,9 @@ def _convert_block(kind: str, texts: list) -> list | tuple:
     cls, extra_keys, empty, converters = _COMPILED[kind]
     if any(any(texts[i]) for i, _ in empty):
         raise ValueError(f"a field that must be empty for kind {kind} is not")
-    if extra_keys:  # each distinct 'extra' text is split once
-        values = {t: _extra_values(t, kind, extra_keys, 0) for t in set(texts[8])}
-        texts += zip(*map(values.__getitem__, texts[8]))
+    if extra_keys:
+        blank = [""] * len(extra_keys)
+        texts += zip(*[_extra_values(t, kind, extra_keys, 0) if t else blank for t in texts[8]])
     columns = [_column(texts[i], convert, default) for i, convert, default, _ in converters]
     return _assets_from_columns(columns) if cls is Asset else list(map(cls, *columns))
 
@@ -491,16 +486,16 @@ def parse_fleet_csv(text: str, reporting_year: int, perimeter_description: str) 
     lines and '#' comments are skipped; empty input yields an empty (still
     valid) fleet. The lines after the header are parsed in blocks of
     _BLOCK_ROWS, each converted a column at a time, one kind at a time. A
-    plain block (no quote, no NUL, ten fields a line, a known kind on each)
+    plain block (no quote, no NUL, ten fields a line, one known kind on all)
     is split on its commas in one go; any other goes through csv_rows. When
     a block holds an error, its rows are checked and converted one by one,
     in file order, so the error names the first bad row."""
-    block_rows, limit, known = _BLOCK_ROWS, csv.field_size_limit(), FLEET_SCHEMA.keys()
+    block_rows, limit = _BLOCK_ROWS, csv.field_size_limit()
     width = len(FLEET_CSV_COLUMNS)
     lines = text.splitlines()
     start = next((i for i, line in enumerate(lines) if line.lstrip()[:1] not in ("", "#")),
                  len(lines))
-    for rownum, header in csv_rows("\n".join(lines[start:start + 1]), first_line=start + 1):
+    for rownum, header in csv_rows("\n".join(lines[:start + 1])):  # the lines before are skipped
         if header != FLEET_CSV_COLUMNS:
             raise FleetParseError(f"expected header {','.join(FLEET_CSV_COLUMNS)!r}", row=rownum)
     items = {k: [] for k in FLEET_SCHEMA}
@@ -508,18 +503,15 @@ def parse_fleet_csv(text: str, reporting_year: int, perimeter_description: str) 
     for first in range(start + 1, len(lines), block_rows):
         block = lines[first:first + block_rows]
         joined = ",".join(block)
-        cells = kinds = None
+        cells = None
         if ('"' not in joined and "\0" not in joined and len(joined) <= limit
                 and set(map(str.count, block, repeat(","))) == {width - 1}):
             cells = joined.split(",")
-            kinds = set(cells[::width])
         try:
-            if kinds is None or not known >= kinds:
-                parts = _kind_columns([fields for _, fields in csv_rows("\n".join(block))])
-            elif len(kinds) == 1:
+            if cells and cells[0] in FLEET_SCHEMA and set(cells[::width]) == {cells[0]}:  # one kind
                 parts = {cells[0]: [cells[i::width] for i in range(1, width)]}
             else:
-                parts = _kind_columns([cells[i:i + width] for i in range(0, len(cells), width)])
+                parts = _kind_columns([fields for _, fields in csv_rows("\n".join(block))])
             for kind, texts in parts.items():
                 ids = seen_ids.get(kind)
                 if ids is not None and (len(set(texts[0])) < len(texts[0])
@@ -527,7 +519,11 @@ def parse_fleet_csv(text: str, reporting_year: int, perimeter_description: str) 
                     raise ValueError(f"duplicate {kind} id")
             converted = [(kind, _convert_block(kind, texts)) for kind, texts in parts.items()]
         except (FleetParseError, KeyError, ValueError):  # KeyError: a kind not in FLEET_SCHEMA
-            for rownum, fields in csv_rows("\n".join(block), first_line=first + 1):
+            def numbered(message, row):  # csv_rows numbers the block's first line 1
+                return FleetParseError(message, row + first)
+
+            for rownum, fields in csv_rows("\n".join(block), numbered):
+                rownum += first
                 if len(fields) != width:
                     raise FleetParseError(f"expected {width} fields, got {len(fields)}", row=rownum)
                 kind = fields[0]

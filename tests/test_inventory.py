@@ -447,6 +447,10 @@ class TestBlockParse:
             body(*asset_rows(60), "asset,a70,laptop,0,2015,,in_use,,,", *asset_rows(80)[60:]),
             62, "quantity must be >= 1, got 0",
             id="bad-row-before-a-duplicate-in-its-block"),
+        pytest.param(
+            body(*asset_rows(300), '"' + "y" * (_FIELD_LIMIT + 1) + '"'),
+            302, f"malformed CSV: field larger than field limit ({_FIELD_LIMIT})",
+            id="malformed-csv-in-a-later-block"),
     ])
     def test_first_bad_row_in_file_order(self, text, row, message):
         expected = (FleetParseError, f"row {row}: {message}", row)
