@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from operator import attrgetter
+from operator import itemgetter
 from typing import NamedTuple
 
 from .factors import (
@@ -28,7 +28,10 @@ from .factors import (
     gwp_value,
     lookup_factor,
 )
-from .inventory import Asset, CableBulk, ComputeCampaign, ExternalServiceEntry, Fleet, ServerRoom
+from .inventory import (
+    HOUR_PROFILES, STATUSES, Asset, CableBulk, ComputeCampaign, ExternalServiceEntry, Fleet,
+    ServerRoom,
+)
 
 #: Pseudo-group of declared external entries, kept apart from equipment groups.
 EXTERNAL_GROUP = "external"
@@ -87,80 +90,86 @@ def config_for(db: FactorDatabase, grid_override: float | None = None) -> Engine
     return EngineConfig(grid=GridFactor(db.default_grid_factor_kgco2e_per_kwh))
 
 
+def _hours_table(cat_id: str, config: EngineConfig) -> dict[tuple[str, str | None], float]:
+    """Yearly powered-on hours of a category's assets by (status, override); stored ones run 0."""
+    default = CATEGORIES[cat_id].hour_profile_default
+    return {
+        (status, override): 0.0 if status == "stored"
+        else config.work_year_hours if (override or default) == "work_year"
+        else config.continuous_hours
+        for status in STATUSES for override in (None, *HOUR_PROFILES)
+    }
+
+
+def _plan(cat_id: str, factor: EmissionFactor, config: EngineConfig, *flags: bool) -> tuple:
+    """A category's plan under a factor, flags being (own usage line?, S3
+    lines?, in the pool?); see asset_lines."""
+    return (*flags, _hours_table(cat_id, config), factor.typical_power_w, factor.rel_uncertainty,
+            factor.source.name, CATEGORIES[cat_id].group, factor.fab_transport_kgco2e,
+            factor.eol_kgco2e)
+
+
+def _lines(
+    assets: tuple[Asset, ...], plans: dict[str, tuple], year: int | None, grid: float
+) -> tuple[list[EmissionLine], list[EmissionLine]]:
+    """The lines of the assets in the order given, and the pool's among them.
+
+    Usage: quantity x power x hours / 1000 x grid, no line when zero; measured
+    power wins over the typical power and is exact. Fabrication and transport
+    count in the acquisition year, a vendor value winning over the factor as
+    exact; end of life counts in the disposal year."""
+    lines, pool_lines = [], []
+    append, new = lines.append, tuple.__new__
+    for id_, cat_id, qty, acquired, disposed, status, measured, vendor, override in assets:
+        usage, lifecycle, in_pool, hours, power, rel, source, group, fab, eol = plans[cat_id]
+        if usage:
+            kwh = qty * (power if measured is None else measured) * hours[status, override] / 1000.0
+            if kwh:
+                kg = kwh * grid
+                line = new(EmissionLine, (id_, "S2", "usage", kg, kg * rel, source, group)
+                           if measured is None
+                           else (id_, "S2", "usage", kg, 0.0, MEASURED_SOURCE, group))
+                append(line)
+                if in_pool:
+                    pool_lines.append(line)
+        if lifecycle:
+            if acquired == year:
+                kg, unc, src = ((qty * fab, qty * fab * rel, source) if vendor is None
+                                else (qty * vendor, 0.0, VENDOR_SOURCE))
+                append(new(EmissionLine, (id_, "S3", "fabrication_transport", kg, unc, src, group)))
+            if disposed == year:
+                kg = qty * eol
+                append(new(EmissionLine, (id_, "S3", "end_of_life", kg, kg * rel, source, group)))
+    return lines, pool_lines
+
+
+def _one_line(asset: Asset, factor: EmissionFactor, config: EngineConfig, phase: str, year=None):
+    """The asset's line of one phase under the factor, or None."""
+    plan = _plan(asset.category, factor, config, phase == "usage", phase != "usage", False)
+    lines, _ = _lines((asset,), {asset.category: plan}, year, config.grid.kgco2e_per_kwh)
+    return next((line for line in lines if line.phase == phase), None)
+
+
 def usage_hours(asset: Asset, config: EngineConfig) -> float:
     """Yearly powered-on hours for one asset; stored equipment runs zero."""
-    if asset.status == "stored":
-        return 0.0
-    profile = asset.hour_profile_override or CATEGORIES[asset.category].hour_profile_default
-    return config.work_year_hours if profile == "work_year" else config.continuous_hours
+    return _hours_table(asset.category, config)[asset.status, asset.hour_profile_override]
 
 
 def scope2_usage(asset: Asset, factor: EmissionFactor, config: EngineConfig) -> EmissionLine | None:
-    """Electricity consumption line for one asset, None when it draws nothing.
-
-    Measured power is trusted as-is (zero uncertainty); the factor's typical
-    power carries the factor's relative uncertainty.
-    """
-    measured = asset.measured_power_w is not None
-    power = asset.measured_power_w if measured else factor.typical_power_w
-    kwh = asset.quantity * power * usage_hours(asset, config) / 1000.0
-    if kwh == 0:
-        return None
-    kgco2e = kwh * config.grid.kgco2e_per_kwh
-    return EmissionLine(
-        asset.id,
-        "S2",
-        "usage",
-        kgco2e,
-        0.0 if measured else kgco2e * factor.rel_uncertainty,
-        MEASURED_SOURCE if measured else factor.source.name,
-        CATEGORIES[asset.category].group,
-    )
+    """Electricity consumption line for one asset, None when it draws nothing."""
+    return _one_line(asset, factor, config, "usage")
 
 
 def scope3_fabrication(
     asset: Asset, factor: EmissionFactor, reporting_year: int
 ) -> EmissionLine | None:
-    """Fabrication and transport line, only in the acquisition year.
-
-    A vendor-declared per-device value overrides the generic factor and is
-    treated as exact.
-    """
-    if asset.acquisition_year != reporting_year:
-        return None
-    group = CATEGORIES[asset.category].group
-    vendor = asset.vendor_fab_transport_kgco2e
-    if vendor is not None:
-        kgco2e = asset.quantity * vendor
-        return EmissionLine(
-            asset.id, "S3", "fabrication_transport", kgco2e, 0.0, VENDOR_SOURCE, group
-        )
-    kgco2e = asset.quantity * factor.fab_transport_kgco2e
-    return EmissionLine(
-        asset.id,
-        "S3",
-        "fabrication_transport",
-        kgco2e,
-        kgco2e * factor.rel_uncertainty,
-        factor.source.name,
-        group,
-    )
+    """Fabrication and transport line, only in the acquisition year."""
+    return _one_line(asset, factor, EngineConfig(), "fabrication_transport", reporting_year)
 
 
 def scope3_eol(asset: Asset, factor: EmissionFactor, reporting_year: int) -> EmissionLine | None:
     """End-of-life treatment line, only in the disposal year."""
-    if asset.disposal_year != reporting_year:
-        return None
-    kgco2e = asset.quantity * factor.eol_kgco2e
-    return EmissionLine(
-        asset.id,
-        "S3",
-        "end_of_life",
-        kgco2e,
-        kgco2e * factor.rel_uncertainty,
-        factor.source.name,
-        CATEGORIES[asset.category].group,
-    )
+    return _one_line(asset, factor, EngineConfig(), "end_of_life", reporting_year)
 
 
 def scope1_refrigerant(room: ServerRoom, gwp_table: tuple[GwpEntry, ...]) -> EmissionLine | None:
@@ -276,33 +285,21 @@ def asset_lines(
     and the subset of them that makes up the server-room pool.
 
     The fleet gives the reporting year and the rooms; a room meter
-    suppresses the pool's own usage lines.
+    suppresses the pool's own usage lines. A plan is built once per category:
+    whether it gets its own usage line, S3 lines and a place in the pool, its
+    hours table, the factor's typical power, relative uncertainty and source
+    name, its group, and the fabrication and end-of-life factors. The assets
+    are then evaluated in one pass, in the given order, with no function call
+    and no category lookup per asset.
     """
-    lines: list[EmissionLine] = []
     metered = any(r.measured_room_kwh_per_year is not None for r in fleet.rooms)
-    year = fleet.reporting_year
-    plans = {}  # category id -> (factor, own usage line?, S3 lines?, in the pool?)
-    for cat_id in dict.fromkeys(a.category for a in assets):
+    plans = {}
+    for cat_id in dict.fromkeys(map(itemgetter(1), assets)):
         scope_mask, in_pool = CATEGORIES[cat_id].scope_mask, cat_id in _POOL_CATEGORIES
         usage = "S2" in scope_mask and not (metered and in_pool)
-        plans[cat_id] = lookup_factor(db, cat_id), usage, "S3" in scope_mask, in_pool
-    pool_lines: list[EmissionLine] = []
-    for asset in assets:
-        factor, usage, lifecycle, in_pool = plans[asset.category]
-        if usage:
-            line = scope2_usage(asset, factor, config)
-            if line is not None:
-                lines.append(line)
-                if in_pool:
-                    pool_lines.append(line)
-        if lifecycle:
-            line = scope3_fabrication(asset, factor, year)
-            if line is not None:
-                lines.append(line)
-            line = scope3_eol(asset, factor, year)
-            if line is not None:
-                lines.append(line)
-    return lines, pool_lines
+        plans[cat_id] = _plan(cat_id, lookup_factor(db, cat_id), config, usage,
+                              "S3" in scope_mask, in_pool)
+    return _lines(assets, plans, fleet.reporting_year, config.grid.kgco2e_per_kwh)
 
 
 def compute_fleet(
@@ -349,18 +346,20 @@ def compute_fleet(
     for entry in fleet.external_services:
         lines.append(declared_external(entry))
 
-    lines.sort(key=attrgetter("subject_id", "scope", "phase"))
+    lines.sort(key=itemgetter(0, 1, 2))
     return lines
 
 
-def aggregate_uncertainty(lines: list[EmissionLine]) -> tuple[float, float]:
-    """Total kgco2e and its absolute uncertainty.
-
-    Lines sharing a factor_source are fully correlated (their uncertainties
-    add); distinct sources are independent (group sums combine in quadrature).
-    """
-    total = sum(l.kgco2e for l in lines)
+def combined_uncertainty(lines: list[EmissionLine]) -> float:
+    """Absolute uncertainty of the lines' total. Lines sharing a factor_source
+    are fully correlated (their uncertainties add); distinct sources are
+    independent (group sums combine in quadrature)."""
     groups: dict[str, float] = {}
     for l in lines:
         groups[l.factor_source] = groups.get(l.factor_source, 0.0) + l.abs_uncertainty_kgco2e
-    return total, math.sqrt(sum(g * g for g in groups.values()))
+    return math.sqrt(sum(g * g for g in groups.values()))
+
+
+def aggregate_uncertainty(lines: list[EmissionLine]) -> tuple[float, float]:
+    """Total kgco2e and its absolute uncertainty (see combined_uncertainty)."""
+    return sum(l.kgco2e for l in lines), combined_uncertainty(lines)

@@ -18,8 +18,8 @@ from .engine import (
     EXTERNAL_GROUP,
     EmissionLine,
     EngineConfig,
-    aggregate_uncertainty,
     asset_lines,
+    combined_uncertainty,
     compute_fleet,
 )
 from .errors import FleetParseError, ScenarioError
@@ -119,7 +119,7 @@ def aggregate(lines: list[EmissionLine], fleet: Fleet, factor_db_hash: str = "")
             external += line.kgco2e
         else:
             by_group[line.group] += line.kgco2e
-    _, uncertainty = aggregate_uncertainty(lines)
+    uncertainty = combined_uncertainty(lines)
     grand_total = sum(by_scope.values())
     if not (math.isfinite(grand_total) and math.isfinite(uncertainty)):
         # A line's uncertainty never exceeds its kgco2e (rel_uncertainty <= 1).

@@ -1,5 +1,6 @@
 """Tests for the emission engine: hour profiles, per-scope rules, composition."""
 
+import dataclasses
 import random
 from collections import Counter
 
@@ -35,7 +36,14 @@ from ecodiag.inventory import (
 )
 from fleet_strategies import fleets
 from oracle import oracle_totals
-from randgen import random_db, random_fleet
+from randgen import random_db, random_fleet, random_room
+from seed_engine import (
+    seed_asset_lines,
+    seed_scope2_usage,
+    seed_scope3_eol,
+    seed_scope3_fabrication,
+    seed_usage_hours,
+)
 
 REL = 1e-9
 
@@ -430,13 +438,13 @@ class TestComputeFleet:
 
     def test_usage_evaluated_at_most_once_per_asset(self, config, monkeypatch):
         calls = Counter()
-        real = engine.scope2_usage
+        real = engine.asset_lines
 
-        def counting(asset, *args):
-            calls[asset.id] += 1
-            return real(asset, *args)
+        def counting(fleet, assets, *args):
+            calls.update(a.id for a in assets)
+            return real(fleet, assets, *args)
 
-        monkeypatch.setattr(engine, "scope2_usage", counting)
+        monkeypatch.setattr(engine, "asset_lines", counting)
         # Two unmetered rooms with a UPS overhead: the pool is charged twice.
         fleet = Fleet(
             "p", 2019,
@@ -453,6 +461,73 @@ class TestComputeFleet:
             calls.clear()
             compute_fleet(fleet, db, config)
             assert max(calls.values(), default=1) == 1
+
+
+def edge_case_fleet(rng):
+    """A random fleet whose assets often sit on an edge of the engine's rules:
+    acquired or disposed of in the reporting year, stored, with either hour
+    override, a measured power of 0 or a vendor fabrication value. Its rooms
+    are kept, or replaced by one metered room or by unmetered ones."""
+    fleet = random_fleet(rng, max_entries=30)
+    year = fleet.reporting_year
+    bought = {"acquisition_year": year, "disposal_year": None}
+    edits = (
+        {}, bought, {"acquisition_year": year, "disposal_year": year},
+        {"acquisition_year": year - 3, "disposal_year": year}, {"status": "stored"},
+        {"hour_profile_override": "work_year"}, {"hour_profile_override": "continuous"},
+        {"measured_power_w": 0.0}, {"status": "stored", "measured_power_w": 0.0},
+        {**bought, "vendor_fab_transport_kgco2e": rng.uniform(0.0, 800.0)},
+    )
+    assets = tuple(a._replace(**rng.choice(edits)) for a in fleet.assets)
+    rooms = rng.choice((
+        fleet.rooms,
+        (ServerRoom("metered", measured_room_kwh_per_year=rng.uniform(0.0, 5e4)),),
+        tuple(dataclasses.replace(random_room(rng, i), measured_room_kwh_per_year=None)
+              for i in range(rng.randint(1, 3))),
+    ))
+    return dataclasses.replace(fleet, assets=assets, rooms=rooms)
+
+
+class TestSeedEngine:
+    """The per-category plans give the lines of the per-asset functions they
+    replace, with the same floats, in the same order."""
+
+    def test_asset_lines_equal_the_seed_loop(self):
+        rng = random.Random(16)
+        seen = Counter()
+        for _ in range(400):
+            db, fleet = random_db(rng), edge_case_fleet(rng)
+            config = EngineConfig(
+                grid=GridFactor(rng.uniform(0.01, 1.0)),
+                work_year_hours=rng.choice((1607.0, rng.uniform(1.0, 4000.0))),
+                continuous_hours=rng.choice((8760.0, rng.uniform(4000.0, 8784.0))),
+            )
+            lines = engine.asset_lines(fleet, fleet.assets, db, config)
+            expected = seed_asset_lines(fleet, fleet.assets, db, config)
+            assert lines == expected and repr(lines) == repr(expected)
+            half = fleet.assets[::2]
+            assert repr(engine.asset_lines(fleet, half, db, config)) == repr(
+                seed_asset_lines(fleet, half, db, config)
+            )
+            year = fleet.reporting_year
+            seen["metered"] += any(r.measured_room_kwh_per_year is not None for r in fleet.rooms)
+            seen["pool"] += bool(lines[1])
+            for a in fleet.assets:
+                factor = lookup_factor(db, a.category)
+                assert usage_hours(a, config) == seed_usage_hours(a, config)
+                for new, old, arg in (
+                    (scope2_usage, seed_scope2_usage, config),
+                    (scope3_fabrication, seed_scope3_fabrication, year),
+                    (scope3_eol, seed_scope3_eol, year),
+                ):
+                    assert repr(new(a, factor, arg)) == repr(old(a, factor, arg))
+                seen["acquired"] += a.acquisition_year == year
+                seen["disposed"] += a.disposal_year == year
+                seen["stored"] += a.status == "stored"
+                seen[a.hour_profile_override] += 1
+                seen["zero power"] += a.measured_power_w == 0.0
+                seen["vendor"] += a.vendor_fab_transport_kgco2e is not None
+        assert len(seen) == 10 and min(seen.values()) >= 100, seen
 
 
 class TestEmissionLine:

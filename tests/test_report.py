@@ -476,8 +476,9 @@ class TestScenarioVariantLines:
             ScenarioAction("add", new_asset=Asset("ws", "desktop", 1, 2019)),
         ]
         calls = []
-        usage = engine.scope2_usage
-        monkeypatch.setattr(engine, "scope2_usage", lambda *a: calls.append(a[0]) or usage(*a))
+        real = engine.asset_lines
+        monkeypatch.setattr("ecodiag.report.asset_lines",
+                            lambda f, assets, *a: calls.extend(assets) or real(f, assets, *a))
         evaluate_scenario(fleet, actions, ROOM_DB, config)
         assert [a.id for a in calls] == ["sr1", "srv-a", "pc", "srv-b", "srv-c", "ws"]
 
