@@ -101,12 +101,13 @@ def _hours_table(cat_id: str, config: EngineConfig) -> dict[tuple[str, str | Non
     }
 
 
-def _plan(cat_id: str, factor: EmissionFactor, config: EngineConfig, *flags: bool) -> tuple:
-    """A category's plan under a factor, flags being (own usage line?, S3
-    lines?, in the pool?); see asset_lines."""
-    return (*flags, _hours_table(cat_id, config), factor.typical_power_w, factor.rel_uncertainty,
-            factor.source.name, CATEGORIES[cat_id].group, factor.fab_transport_kgco2e,
-            factor.eol_kgco2e)
+def _plan(cat_id: str, factor: EmissionFactor, config: EngineConfig | None,
+          usage: bool, lifecycle: bool, in_pool: bool) -> tuple:
+    """A category's plan under a factor, laid out as _lines unpacks it (see
+    asset_lines); the hours table is built only when it has a usage line."""
+    return (usage, lifecycle, in_pool, _hours_table(cat_id, config) if usage else {},
+            factor.typical_power_w, factor.rel_uncertainty, factor.source.name,
+            CATEGORIES[cat_id].group, factor.fab_transport_kgco2e, factor.eol_kgco2e)
 
 
 def _lines(
@@ -143,10 +144,11 @@ def _lines(
     return lines, pool_lines
 
 
-def _one_line(asset: Asset, factor: EmissionFactor, config: EngineConfig, phase: str, year=None):
-    """The asset's line of one phase under the factor, or None."""
-    plan = _plan(asset.category, factor, config, phase == "usage", phase != "usage", False)
-    lines, _ = _lines((asset,), {asset.category: plan}, year, config.grid.kgco2e_per_kwh)
+def _one_line(asset: Asset, factor: EmissionFactor, phase: str, config=None, year=None):
+    """The asset's line of one phase under the factor, or None; usage needs the config."""
+    usage = phase == "usage"
+    plan = _plan(asset.category, factor, config, usage, not usage, False)
+    lines, _ = _lines((asset,), {asset.category: plan}, year, config and config.grid.kgco2e_per_kwh)
     return next((line for line in lines if line.phase == phase), None)
 
 
@@ -157,19 +159,18 @@ def usage_hours(asset: Asset, config: EngineConfig) -> float:
 
 def scope2_usage(asset: Asset, factor: EmissionFactor, config: EngineConfig) -> EmissionLine | None:
     """Electricity consumption line for one asset, None when it draws nothing."""
-    return _one_line(asset, factor, config, "usage")
+    return _one_line(asset, factor, "usage", config)
 
 
-def scope3_fabrication(
-    asset: Asset, factor: EmissionFactor, reporting_year: int
-) -> EmissionLine | None:
+def scope3_fabrication(asset: Asset, factor: EmissionFactor,
+                       reporting_year: int) -> EmissionLine | None:
     """Fabrication and transport line, only in the acquisition year."""
-    return _one_line(asset, factor, EngineConfig(), "fabrication_transport", reporting_year)
+    return _one_line(asset, factor, "fabrication_transport", year=reporting_year)
 
 
 def scope3_eol(asset: Asset, factor: EmissionFactor, reporting_year: int) -> EmissionLine | None:
     """End-of-life treatment line, only in the disposal year."""
-    return _one_line(asset, factor, EngineConfig(), "end_of_life", reporting_year)
+    return _one_line(asset, factor, "end_of_life", year=reporting_year)
 
 
 def scope1_refrigerant(room: ServerRoom, gwp_table: tuple[GwpEntry, ...]) -> EmissionLine | None:
@@ -297,8 +298,8 @@ def asset_lines(
     for cat_id in dict.fromkeys(map(itemgetter(1), assets)):
         scope_mask, in_pool = CATEGORIES[cat_id].scope_mask, cat_id in _POOL_CATEGORIES
         usage = "S2" in scope_mask and not (metered and in_pool)
-        plans[cat_id] = _plan(cat_id, lookup_factor(db, cat_id), config, usage,
-                              "S3" in scope_mask, in_pool)
+        plans[cat_id] = _plan(cat_id, lookup_factor(db, cat_id), config,
+                              usage, "S3" in scope_mask, in_pool)
     return _lines(assets, plans, fleet.reporting_year, config.grid.kgco2e_per_kwh)
 
 

@@ -438,13 +438,19 @@ class TestComputeFleet:
 
     def test_usage_evaluated_at_most_once_per_asset(self, config, monkeypatch):
         calls = Counter()
-        real = engine.asset_lines
+        real_lines, real_usage = engine.asset_lines, engine.scope2_usage
 
-        def counting(fleet, assets, *args):
+        def counting_lines(fleet, assets, *args):
             calls.update(a.id for a in assets)
-            return real(fleet, assets, *args)
+            return real_lines(fleet, assets, *args)
 
-        monkeypatch.setattr(engine, "asset_lines", counting)
+        def counting_usage(asset, *args):
+            calls[asset.id] += 1
+            return real_usage(asset, *args)
+
+        # Every evaluation path counts: the asset pass and the one-asset function.
+        monkeypatch.setattr(engine, "asset_lines", counting_lines)
+        monkeypatch.setattr(engine, "scope2_usage", counting_usage)
         # Two unmetered rooms with a UPS overhead: the pool is charged twice.
         fleet = Fleet(
             "p", 2019,

@@ -477,8 +477,14 @@ class TestScenarioVariantLines:
         ]
         calls = []
         real = engine.asset_lines
-        monkeypatch.setattr("ecodiag.report.asset_lines",
-                            lambda f, assets, *a: calls.extend(assets) or real(f, assets, *a))
+
+        def recording(f, assets, *args):
+            calls.extend(assets)
+            return real(f, assets, *args)
+
+        # Both names: compute_fleet falling back to a full pass would be counted too.
+        monkeypatch.setattr(engine, "asset_lines", recording)
+        monkeypatch.setattr("ecodiag.report.asset_lines", recording)
         evaluate_scenario(fleet, actions, ROOM_DB, config)
         assert [a.id for a in calls] == ["sr1", "srv-a", "pc", "srv-b", "srv-c", "ws"]
 
