@@ -15,7 +15,7 @@ import math
 import re
 from collections.abc import Callable
 from dataclasses import MISSING, dataclass, field
-from itertools import compress, repeat
+from itertools import compress, repeat, starmap
 from operator import ge, is_not
 from typing import NamedTuple
 
@@ -113,9 +113,9 @@ def _broken_asset_rule(columns) -> str | None:
 
 
 def _assets_from_columns(columns) -> tuple[Asset, ...]:
-    """The assets of field columns, checked once; ValueError if one breaks a rule."""
+    """The assets of field columns, checked once; the first bad one raises its ValueError."""
     if _broken_asset_rule(columns):
-        raise ValueError("an asset of the columns breaks a rule")
+        return tuple(starmap(Asset, zip(*columns)))
     return tuple(map(tuple.__new__, repeat(Asset), zip(*columns)))
 
 
@@ -123,9 +123,9 @@ class Asset(_AssetFields):
     """One inventory line: a quantity of identical devices of one category.
 
     An immutable tuple of its nine fields, equal to the plain tuple of them.
-    Asset(...) and _replace check every rule of _ASSET_RULES, and the parsers
-    check whole columns of them through _assets_from_columns; _make checks
-    none."""
+    Asset(...) and _replace check every rule of _ASSET_RULES; both parsers
+    check whole columns of assets through _assets_from_columns, which raises
+    the message Asset(...) gives the first bad one. _make checks none."""
 
     __slots__ = ()
 
@@ -158,6 +158,9 @@ class ServerRoom:
             raise ValueError(f"refrigerant_leak_kg_per_year must be >= 0, got {leak}")
         if leak > 0 and not self.refrigerant_fluid:
             raise ValueError("refrigerant_fluid required when leak > 0")
+        check_text_field(self.refrigerant_fluid or "", "refrigerant_fluid")
+        if ";" in (self.refrigerant_fluid or ""):  # it is a value of the fleet CSV's 'extra' cell
+            raise ValueError(f"refrigerant_fluid must not contain ';': {self.refrigerant_fluid!r}")
         frac = self.ups_overhead_fraction
         if not math.isfinite(frac) or not 0 <= frac <= 1:
             raise ValueError(f"ups_overhead_fraction must be in [0, 1], got {frac}")
@@ -376,8 +379,8 @@ FLEET_SCHEMA = {
 
 
 def _compile(cls: type, fields: tuple[FleetField, ...]):
-    """Per-row form of one kind: its class, its extra keys, its empty columns,
-    and per field (index of its text in the columns then the extra values,
+    """Column form of one kind: its class, its extra keys, its empty columns,
+    and per field (index of its texts in the columns then the extra values,
     type, default, field)."""
     names = cls._fields if cls is Asset else [x.name for x in dataclasses.fields(cls)]
     assert [f.attr for f in fields] == list(names)
@@ -392,50 +395,25 @@ def _compile(cls: type, fields: tuple[FleetField, ...]):
 _COMPILED = {kind: _compile(cls, fields) for kind, (cls, _, fields) in FLEET_SCHEMA.items()}
 
 
-def _extra_values(text: str, kind: str, keys: tuple[str, ...], rownum: int) -> list[str]:
-    """The value of each key in an 'extra' cell, "" where the key is absent."""
-    if not text:
-        return [""] * len(keys)
+def _extra_values(text: str, kind: str, keys: tuple[str, ...]) -> list[str]:
+    """The value of each key in a non-empty 'extra' cell, "" where the key is absent."""
     out: dict[str, str] = {}
     for part in text.split(";"):
         key, sep, value = part.partition("=")
         if not sep:
-            raise FleetParseError(f"extra field {part!r} is not key=value", row=rownum)
+            raise ValueError(f"extra field {part!r} is not key=value")
         if key not in keys:
-            raise FleetParseError(f"unknown extra key {key!r} for kind {kind}", row=rownum)
+            raise ValueError(f"unknown extra key {key!r} for kind {kind}")
         if key in out:
-            raise FleetParseError(f"duplicate extra key {key!r}", row=rownum)
+            raise ValueError(f"duplicate extra key {key!r}")
         out[key] = value
     return [out.get(key, "") for key in keys]
 
 
 def parse_fleet_row(kind: str, fields: list[str], rownum: int = 0):
-    """Build the object of one fleet-CSV row from the nine columns after 'kind'."""
+    """Build one fleet-CSV row's object from the nine columns after 'kind', as a one-row block."""
     try:
-        cls, extra_keys, empty, converters = _COMPILED[kind]
-    except KeyError:
-        raise FleetParseError(f"unknown kind: {kind!r}", row=rownum) from None
-    for i, name in empty:
-        if fields[i]:
-            message = f"field {name} must be empty for kind {kind}, got {fields[i]!r}"
-            raise FleetParseError(message, row=rownum)
-    if extra_keys:
-        fields = fields + _extra_values(fields[8], kind, extra_keys, rownum)
-    values = []
-    for i, convert, default, f in converters:
-        text = fields[i]
-        if not text and default is not MISSING:
-            values.append(default)
-            continue
-        try:
-            values.append(convert(text))  # str() keeps an empty text; int() and float() reject it
-        except ValueError:
-            if text:
-                what = EXPECTED[convert]
-                raise FleetParseError(f"field {f.key}: not {what}: {text!r}", row=rownum) from None
-            raise FleetParseError(f"field {f.key} is required for kind {kind}", row=rownum) from None
-    try:
-        return cls(*values)
+        return _convert_block(kind, [[text] for text in fields])[0]
     except ValueError as exc:
         raise FleetParseError(str(exc), row=rownum) from None
 
@@ -448,25 +426,38 @@ def parse_fleet_row(kind: str, fields: list[str], rownum: int = 0):
 _BLOCK_ROWS = 256
 
 
-def _column(texts, convert, default) -> list:
-    """The values of a column's texts as parse_fleet_row converts them: an
-    empty text is the default, if there is one."""
-    if default is not MISSING and "" in texts:
-        return [convert(t) if t else default for t in texts]
-    return texts if convert is str else list(map(convert, texts))  # str(s) is s
+def _column(texts, convert, default, f: FleetField, kind: str) -> list:
+    """The values of a field's column of texts, an empty text being the default
+    if there is one; ValueError names the field and its first bad text."""
+    try:
+        if default is not MISSING and "" in texts:
+            return [convert(t) if t else default for t in texts]
+        return texts if convert is str else list(map(convert, texts))  # str(s) is s
+    except ValueError:
+        for text in texts if default is MISSING else filter(None, texts):
+            try:
+                convert(text)  # int("") and float("") fail: the field is required
+            except ValueError:
+                if text:
+                    raise ValueError(f"field {f.key}: not {EXPECTED[convert]}: {text!r}") from None
+                raise ValueError(f"field {f.key} is required for kind {kind}") from None
+        raise
 
 
 def _convert_block(kind: str, texts: list) -> list | tuple:
-    """The objects of the rows of one kind of a block, in their order, from
-    the texts of their nine columns after 'kind', as parse_fleet_row builds
-    them; a bad row raises ValueError or FleetParseError, unnumbered."""
+    """The objects of the rows of one kind of a block, in their order, from the
+    texts of their nine columns after 'kind'. A bad row raises ValueError, with
+    the row's own message when it is the only row."""
+    if kind not in _COMPILED:
+        raise ValueError(f"unknown kind: {kind!r}")
     cls, extra_keys, empty, converters = _COMPILED[kind]
-    if any(any(texts[i]) for i, _ in empty):
-        raise ValueError(f"a field that must be empty for kind {kind} is not")
+    for i, name in empty:
+        if got := next(filter(None, texts[i]), ""):
+            raise ValueError(f"field {name} must be empty for kind {kind}, got {got!r}")
     if extra_keys:
         blank = [""] * len(extra_keys)
-        texts += zip(*[_extra_values(t, kind, extra_keys, 0) if t else blank for t in texts[8]])
-    columns = [_column(texts[i], convert, default) for i, convert, default, _ in converters]
+        texts += zip(*[_extra_values(t, kind, extra_keys) if t else blank for t in texts[8]])
+    columns = [_column(texts[i], *converter, kind) for i, *converter in converters]
     return _assets_from_columns(columns) if cls is Asset else list(map(cls, *columns))
 
 
@@ -488,8 +479,8 @@ def parse_fleet_csv(text: str, reporting_year: int, perimeter_description: str) 
     _BLOCK_ROWS, each converted a column at a time, one kind at a time. A
     plain block (no quote, no NUL, ten fields a line, one known kind on all)
     is split on its commas in one go; any other goes through csv_rows. When
-    a block holds an error, its rows are checked and converted one by one,
-    in file order, so the error names the first bad row."""
+    a block holds an error, its rows are checked one by one, in file order,
+    each through parse_fleet_row, so the error names the first bad row."""
     block_rows, limit = _BLOCK_ROWS, csv.field_size_limit()
     width = len(FLEET_CSV_COLUMNS)
     lines = text.splitlines()
@@ -518,7 +509,7 @@ def parse_fleet_csv(text: str, reporting_year: int, perimeter_description: str) 
                                         or not ids.isdisjoint(texts[0])):
                     raise ValueError(f"duplicate {kind} id")
             converted = [(kind, _convert_block(kind, texts)) for kind, texts in parts.items()]
-        except (FleetParseError, KeyError, ValueError):  # KeyError: a kind not in FLEET_SCHEMA
+        except (FleetParseError, ValueError):
             def numbered(message, row):  # csv_rows numbers the block's first line 1
                 return FleetParseError(message, row + first)
 

@@ -8,7 +8,7 @@ import tracemalloc
 from collections import Counter
 
 import pytest
-from hypothesis import HealthCheck, example, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import make_db, make_factor
@@ -33,9 +33,11 @@ from ecodiag.inventory import (
     render_fleet_csv,
     validate_fleet,
 )
+from ecodiag.report import ScenarioAction, parse_actions_csv
 from ecodiag.samples import sample_fleet, sample_fleet_csv
 from fleet_strategies import _WORDS, boundary_texts, fleets
 from randgen import random_asset, random_campaign, random_db, random_fleet, random_room
+from seed_fleet_row import seed_parse_fleet_row
 from seed_glpi import seed_parse_glpi_export
 
 HEADER = (
@@ -248,7 +250,8 @@ class TestRenderRoundTrip:
 
 
 def row_walk_parse(text: str, reporting_year: int, perimeter_description: str) -> Fleet:
-    """parse_fleet_csv as it was before block conversion, kept verbatim as the reference."""
+    """parse_fleet_csv as it was before block conversion, kept verbatim as the
+    reference, on the row converter kept in seed_fleet_row."""
     rows: dict[str, list] = {kind: [] for kind in FLEET_SCHEMA}
     seen_ids = {kind: set() for kind in ("asset", "room", "campaign", "external")}
     lines = csv_rows(text)
@@ -266,7 +269,7 @@ def row_walk_parse(text: str, reporting_year: int, perimeter_description: str) -
             if rest[0] in ids:
                 raise FleetParseError(f"duplicate {kind} id: {rest[0]}", row=rownum)
             ids.add(rest[0])
-        item = parse_fleet_row(kind, rest, rownum)
+        item = seed_parse_fleet_row(kind, rest, rownum)
         rows[kind].append(item)
 
     collections = {attr: tuple(rows[kind]) for kind, (_, attr, _) in FLEET_SCHEMA.items()}
@@ -513,6 +516,60 @@ class TestBlockParse:
         assert parsed == fleet
         del parsed
         assert peak <= 1.1 * traced(row_walk_parse)[1]
+
+
+@st.composite
+def fleet_rows(draw):
+    """A kind and the nine cells after it: format words under one of the five
+    kinds, or a rendered row of a valid fleet with one of its ten cells
+    replaced by a word or, on some draws, kept."""
+    rows = render_fleet_csv(draw(fleets())).splitlines()[1:]
+    if rows and draw(st.booleans()):
+        cells = next(csv.reader([draw(st.sampled_from(rows))]))
+        i = draw(st.integers(0, len(cells) - 1))
+        cells[i] = draw(st.sampled_from(_WORDS) | st.just(cells[i]))
+        return cells[0], cells[1:]
+    words = st.lists(st.sampled_from(_WORDS), min_size=9, max_size=9)
+    return draw(st.sampled_from(sorted(FLEET_SCHEMA))), draw(words)
+
+
+def row_outcome(parse, *args):
+    """The type and value of what parse returns, or the type, text and row of
+    the FleetParseError it raises."""
+    try:
+        value = parse(*args)
+    except FleetParseError as exc:
+        return type(exc), str(exc), exc.row
+    return type(value), value
+
+
+class TestParseFleetRow:
+    """parse_fleet_row, a one-row call of the column converter, builds what
+    the row converter it replaced built and raises the same errors, on its own
+    and in scenario action rows."""
+
+    @given(fleet_rows(), st.none() | st.integers(1, 10**6))
+    @settings(max_examples=500, derandomize=True, database=None, deadline=None)
+    def test_agrees_with_the_seed_row_converter(self, row, rownum):
+        kind, cells = row
+        rownums = () if rownum is None else (rownum,)  # None: the default row 0
+        assert row_outcome(parse_fleet_row, kind, list(cells), *rownums) == row_outcome(
+            seed_parse_fleet_row, kind, list(cells), *rownums
+        )
+
+    @given(fleet_rows(), st.sampled_from(["add", "replace"]), st.integers(0, 3))
+    @settings(max_examples=300, derandomize=True, database=None, deadline=None)
+    def test_action_rows_agree_with_the_seed_row_converter(self, row, op, comments):
+        cells = row[1]
+        target = "srv-old" if op == "replace" else ""
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator="\n").writerow([op, target, *cells])
+        line = buf.getvalue()
+        assume(len(line.splitlines()) == 1 and "\0" not in line)  # one row that csv reads back
+        expected = row_outcome(seed_parse_fleet_row, "asset", list(cells), comments + 1)
+        if expected[0] is not FleetParseError:
+            expected = (tuple, (ScenarioAction(op, target or None, expected[1]),))
+        assert row_outcome(parse_actions_csv, "# plan\n" * comments + line) == expected
 
 
 GLPI_HEADER = "name,type,model,purchase_date,status"
@@ -1030,6 +1087,10 @@ class TestDomainInvariants:
     def test_room_leak_requires_fluid(self):
         with pytest.raises(ValueError, match="refrigerant_fluid required"):
             ServerRoom("sr", refrigerant_leak_kg_per_year=0.5)
+        # Either fluid would render a fleet-CSV row that does not parse back.
+        for fluid, rule in (("R4;10A", "';'"), ("R\x85", "control characters")):
+            with pytest.raises(ValueError, match=f"refrigerant_fluid must not contain {rule}"):
+                ServerRoom("sr", refrigerant_fluid=fluid, refrigerant_leak_kg_per_year=1)
 
     def test_ups_fraction_bounded(self):
         with pytest.raises(ValueError, match="ups_overhead_fraction"):
