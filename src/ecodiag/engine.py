@@ -102,37 +102,34 @@ def _hours_table(cat_id: str, config: EngineConfig) -> dict[tuple[str, str | Non
 
 
 def _plan(cat_id: str, factor: EmissionFactor, config: EngineConfig | None,
-          usage: bool, lifecycle: bool, in_pool: bool) -> tuple:
+          usage: bool, lifecycle: bool) -> tuple:
     """A category's plan under a factor, laid out as _lines unpacks it (see
     asset_lines); the hours table is built only when it has a usage line."""
-    return (usage, lifecycle, in_pool, _hours_table(cat_id, config) if usage else {},
+    return (usage, lifecycle, _hours_table(cat_id, config) if usage else {},
             factor.typical_power_w, factor.rel_uncertainty, factor.source.name,
             CATEGORIES[cat_id].group, factor.fab_transport_kgco2e, factor.eol_kgco2e)
 
 
 def _lines(
     assets: tuple[Asset, ...], plans: dict[str, tuple], year: int | None, grid: float
-) -> tuple[list[EmissionLine], list[EmissionLine]]:
-    """The lines of the assets in the order given, and the pool's among them.
+) -> list[EmissionLine]:
+    """The lines of the assets in the order given.
 
     Usage: quantity x power x hours / 1000 x grid, no line when zero; measured
     power wins over the typical power and is exact. Fabrication and transport
     count in the acquisition year, a vendor value winning over the factor as
     exact; end of life counts in the disposal year."""
-    lines, pool_lines = [], []
+    lines = []
     append, new = lines.append, tuple.__new__
     for id_, cat_id, qty, acquired, disposed, status, measured, vendor, override in assets:
-        usage, lifecycle, in_pool, hours, power, rel, source, group, fab, eol = plans[cat_id]
+        usage, lifecycle, hours, power, rel, source, group, fab, eol = plans[cat_id]
         if usage:
             kwh = qty * (power if measured is None else measured) * hours[status, override] / 1000.0
             if kwh:
                 kg = kwh * grid
-                line = new(EmissionLine, (id_, "S2", "usage", kg, kg * rel, source, group)
+                append(new(EmissionLine, (id_, "S2", "usage", kg, kg * rel, source, group)
                            if measured is None
-                           else (id_, "S2", "usage", kg, 0.0, MEASURED_SOURCE, group))
-                append(line)
-                if in_pool:
-                    pool_lines.append(line)
+                           else (id_, "S2", "usage", kg, 0.0, MEASURED_SOURCE, group)))
         if lifecycle:
             if acquired == year:
                 kg, unc, src = ((qty * fab, qty * fab * rel, source) if vendor is None
@@ -141,14 +138,14 @@ def _lines(
             if disposed == year:
                 kg = qty * eol
                 append(new(EmissionLine, (id_, "S3", "end_of_life", kg, kg * rel, source, group)))
-    return lines, pool_lines
+    return lines
 
 
 def _one_line(asset: Asset, factor: EmissionFactor, phase: str, config=None, year=None):
     """The asset's line of one phase under the factor, or None; usage needs the config."""
     usage = phase == "usage"
-    plan = _plan(asset.category, factor, config, usage, not usage, False)
-    lines, _ = _lines((asset,), {asset.category: plan}, year, config and config.grid.kgco2e_per_kwh)
+    plan = _plan(asset.category, factor, config, usage, not usage)
+    lines = _lines((asset,), {asset.category: plan}, year, config and config.grid.kgco2e_per_kwh)
     return next((line for line in lines if line.phase == phase), None)
 
 
@@ -281,25 +278,23 @@ def declared_external(entry: ExternalServiceEntry) -> EmissionLine:
 
 def asset_lines(
     fleet: Fleet, assets: tuple[Asset, ...], db: FactorDatabase, config: EngineConfig
-) -> tuple[list[EmissionLine], list[EmissionLine]]:
-    """The emission lines of some of the fleet's assets, in the given order,
-    and the subset of them that makes up the server-room pool.
+) -> list[EmissionLine]:
+    """The emission lines of some of the fleet's assets, in the given order.
 
     The fleet gives the reporting year and the rooms; a room meter
-    suppresses the pool's own usage lines. A plan is built once per category:
-    whether it gets its own usage line, S3 lines and a place in the pool, its
-    hours table, the factor's typical power, relative uncertainty and source
-    name, its group, and the fabrication and end-of-life factors. The assets
-    are then evaluated in one pass, in the given order, with no function call
-    and no category lookup per asset.
+    suppresses the server-room pool's own usage lines. A plan is built once
+    per category: whether it gets its own usage line and S3 lines, its hours
+    table, the factor's typical power, relative uncertainty and source name,
+    its group, and the fabrication and end-of-life factors. The assets are
+    then evaluated in one pass, in the given order, with no function call and
+    no category lookup per asset.
     """
     metered = any(r.measured_room_kwh_per_year is not None for r in fleet.rooms)
     plans = {}
     for cat_id in dict.fromkeys(map(itemgetter(1), assets)):
-        scope_mask, in_pool = CATEGORIES[cat_id].scope_mask, cat_id in _POOL_CATEGORIES
-        usage = "S2" in scope_mask and not (metered and in_pool)
-        plans[cat_id] = _plan(cat_id, lookup_factor(db, cat_id), config,
-                              usage, "S3" in scope_mask, in_pool)
+        scope_mask = CATEGORIES[cat_id].scope_mask
+        usage = "S2" in scope_mask and not (metered and cat_id in _POOL_CATEGORIES)
+        plans[cat_id] = _plan(cat_id, lookup_factor(db, cat_id), config, usage, "S3" in scope_mask)
     return _lines(assets, plans, fleet.reporting_year, config.grid.kgco2e_per_kwh)
 
 
@@ -307,28 +302,26 @@ def compute_fleet(
     fleet: Fleet,
     db: FactorDatabase,
     config: EngineConfig,
-    asset_part: tuple[list[EmissionLine], list[EmissionLine]] | None = None,
+    lines: list[EmissionLine] | None = None,
 ) -> list[EmissionLine]:
     """Compute every emission line for a fleet under a merged factor database.
 
-    asset_part, when given, stands for asset_lines(fleet, fleet.assets, db,
-    config) and is not modified. Output is sorted by (subject_id, scope,
-    phase) so identical inputs always produce identical output.
+    lines, when given, are the asset lines to use in place of asset_lines(fleet,
+    fleet.assets, db, config) and are not modified; the fleet supplies the rest:
+    year, rooms, campaigns, cables, external services. Output is sorted by
+    (subject_id, scope, phase) so identical inputs always give identical output.
     """
-    if asset_part is None:
-        lines, pool_lines = asset_lines(fleet, fleet.assets, db, config)
-    else:
-        lines, pool_lines = list(asset_part[0]), asset_part[1]
+    lines = asset_lines(fleet, fleet.assets, db, config) if lines is None else list(lines)
     metered = any(r.measured_room_kwh_per_year is not None for r in fleet.rooms)
 
-    # Every pool category has S2 in its scope, so without a room meter
-    # pool_lines holds each pool asset's non-None usage line, in fleet order.
+    # The pool's usage lines are the asset lines of the server_room group in S2.
     pool = None
     if not metered and any(r.ups_overhead_fraction != 0 for r in fleet.rooms):
         pool_kgco2e = pool_uncertainty = 0.0
-        for line in pool_lines:
-            pool_kgco2e += line.kgco2e
-            pool_uncertainty += line.abs_uncertainty_kgco2e
+        for line in lines:
+            if line.group == "server_room" and line.scope == "S2":
+                pool_kgco2e += line.kgco2e
+                pool_uncertainty += line.abs_uncertainty_kgco2e
         pool = pool_kgco2e, pool_uncertainty
     for room in fleet.rooms:
         line = scope1_refrigerant(room, db.gwp_table)

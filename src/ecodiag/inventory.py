@@ -158,6 +158,8 @@ class ServerRoom:
             raise ValueError(f"refrigerant_leak_kg_per_year must be >= 0, got {leak}")
         if leak > 0 and not self.refrigerant_fluid:
             raise ValueError("refrigerant_fluid required when leak > 0")
+        if self.refrigerant_fluid == "":
+            raise ValueError("refrigerant_fluid must be None or non-empty")
         check_text_field(self.refrigerant_fluid or "", "refrigerant_fluid")
         if ";" in (self.refrigerant_fluid or ""):  # it is a value of the fleet CSV's 'extra' cell
             raise ValueError(f"refrigerant_fluid must not contain ';': {self.refrigerant_fluid!r}")

@@ -187,18 +187,21 @@ def compare_years(reports: list[Report]) -> YearComparison:
     )
 
 
-def apply_scenario(fleet: Fleet, actions: list[ScenarioAction]) -> Fleet:
-    """Apply actions to a copy of the fleet; the baseline is never touched.
+def _edits(fleet: Fleet, actions: list[ScenarioAction]) -> tuple[set[str], dict[str, Asset]]:
+    """Walk the actions once: the ids of the baseline assets they drop, and the
+    assets they add by id in append order (a re-added id moves to the end).
 
     A replacement's new asset is acquired now: its acquisition year is forced
     to the reporting year so its fabrication is charged to the variant.
     """
-    # Insertion-ordered: kept assets stay in fleet order, new ones are
-    # appended in action order, and a re-added id goes to the end.
-    assets = {a.id: a for a in fleet.assets}
+    live, dropped, added = {a.id for a in fleet.assets}, set(), {}
     for action in actions:
-        if action.op != "add" and assets.pop(action.target_asset_id, None) is None:
-            raise ScenarioError(f"unknown target asset id: {action.target_asset_id}")
+        target = action.target_asset_id
+        if action.op != "add" and added.pop(target, None) is None:
+            if target not in live:
+                raise ScenarioError(f"unknown target asset id: {target}")
+            live.remove(target)
+            dropped.add(target)
         if action.op == "remove":
             continue
         new = action.new_asset
@@ -207,10 +210,18 @@ def apply_scenario(fleet: Fleet, actions: list[ScenarioAction]) -> Fleet:
                 new = new._replace(acquisition_year=fleet.reporting_year)
             except ValueError as exc:
                 raise ScenarioError(f"replacement asset {new.id}: {exc}") from None
-        if new.id in assets:
+        if new.id in live or new.id in added:
             raise ScenarioError(f"added asset id already exists: {new.id}")
-        assets[new.id] = new
-    return dataclasses.replace(fleet, assets=tuple(assets.values()))
+        added[new.id] = new
+    return dropped, added
+
+
+def apply_scenario(fleet: Fleet, actions: list[ScenarioAction]) -> Fleet:
+    """Apply actions to a copy of the fleet; the baseline is never touched.
+    The kept assets stay in fleet order and the new ones follow (see _edits)."""
+    dropped, added = _edits(fleet, actions)
+    kept = tuple(a for a in fleet.assets if a.id not in dropped)
+    return dataclasses.replace(fleet, assets=kept + tuple(added.values()))
 
 
 def evaluate_scenario(
@@ -228,29 +239,19 @@ def evaluate_scenario(
     to be finite. Both reports carry factor_db_hash, the identity of the
     factor set.
 
-    Only the added and replacement assets are evaluated for the variant: the
-    kept assets' lines are the baseline's own, so both reports are exactly
-    those of a full compute of each fleet.
+    The actions are walked once, before any line is computed, and no variant
+    fleet is built: the variant differs only in its assets, so it reuses the
+    kept assets' baseline lines and evaluates only the new ones. Both reports
+    are exactly those of a full compute of each fleet.
     """
-    variant_fleet = apply_scenario(fleet, actions)
-    lines, pool_lines = part = asset_lines(fleet, fleet.assets, db, config)
-    baseline_lines = compute_fleet(fleet, db, config, part)
-
-    # apply_scenario keeps the assets whose id no action targets, in fleet
-    # order, and appends the new ones; an added id was free when added, so
-    # only the new assets carry one.
-    dropped = {a.target_asset_id for a in actions if a.op != "add"}
-    added_ids = {a.new_asset.id for a in actions if a.new_asset is not None}
-    tail = variant_fleet.assets[max(0, len(variant_fleet.assets) - len(added_ids)):]
-    new_assets = tuple(a for a in tail if a.id in added_ids)
-    new_lines, new_pool_lines = asset_lines(variant_fleet, new_assets, db, config)
-    variant_part = (
-        [l for l in lines if l.subject_id not in dropped] + new_lines,
-        [l for l in pool_lines if l.subject_id not in dropped] + new_pool_lines,
-    )
-    variant_lines = compute_fleet(variant_fleet, db, config, variant_part)
+    dropped, added = _edits(fleet, actions)
+    lines = asset_lines(fleet, fleet.assets, db, config)
+    baseline_lines = compute_fleet(fleet, db, config, lines)
+    new_lines = asset_lines(fleet, tuple(added.values()), db, config)
+    kept_lines = [l for l in lines if l.subject_id not in dropped]
+    variant_lines = compute_fleet(fleet, db, config, kept_lines + new_lines)
     baseline = aggregate(baseline_lines, fleet, factor_db_hash)
-    variant = aggregate(variant_lines, variant_fleet, factor_db_hash)
+    variant = aggregate(variant_lines, fleet, factor_db_hash)
 
     # In subject_id order, as they come in the sorted variant lines.
     added_fabrication = sum(

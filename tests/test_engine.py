@@ -338,6 +338,11 @@ class TestDeclaredExternal:
         assert line.abs_uncertainty_kgco2e == 0.0
 
 
+def pool_of(lines):
+    """The server-room pool among asset lines, as compute_fleet sums it."""
+    return [l for l in lines if l.group == "server_room" and l.scope == "S2"]
+
+
 class TestComputeFleet:
     def test_empty_fleet(self, config):
         assert compute_fleet(Fleet("p", 2019), make_db(), config) == []
@@ -362,11 +367,13 @@ class TestComputeFleet:
         for _ in range(20):
             db = random_db(rng)
             fleet = random_fleet(rng)
-            lines, pool_lines = engine.asset_lines(fleet, fleet.assets, db, config)
-            kept = list(lines), list(pool_lines)
+            lines = engine.asset_lines(fleet, fleet.assets, db, config)
+            kept = list(lines)
             full = compute_fleet(fleet, db, config)
-            assert compute_fleet(fleet, db, config, (lines, pool_lines)) == full
-            assert (lines, pool_lines) == kept
+            assert compute_fleet(fleet, db, config, lines) == full
+            assert lines == kept
+            seed_lines, seed_pool_lines = seed_asset_lines(fleet, fleet.assets, db, config)
+            assert lines == seed_lines and pool_of(lines) == seed_pool_lines
 
     def test_deterministic_and_sorted(self, config):
         rng = random.Random(7)
@@ -509,15 +516,17 @@ class TestSeedEngine:
                 continuous_hours=rng.choice((8760.0, rng.uniform(4000.0, 8784.0))),
             )
             lines = engine.asset_lines(fleet, fleet.assets, db, config)
-            expected = seed_asset_lines(fleet, fleet.assets, db, config)
+            expected, expected_pool = seed_asset_lines(fleet, fleet.assets, db, config)
             assert lines == expected and repr(lines) == repr(expected)
+            assert repr(pool_of(lines)) == repr(expected_pool)
             half = fleet.assets[::2]
-            assert repr(engine.asset_lines(fleet, half, db, config)) == repr(
-                seed_asset_lines(fleet, half, db, config)
-            )
+            half_lines = engine.asset_lines(fleet, half, db, config)
+            expected, expected_pool = seed_asset_lines(fleet, half, db, config)
+            assert repr(half_lines) == repr(expected)
+            assert repr(pool_of(half_lines)) == repr(expected_pool)
             year = fleet.reporting_year
             seen["metered"] += any(r.measured_room_kwh_per_year is not None for r in fleet.rooms)
-            seen["pool"] += bool(lines[1])
+            seen["pool"] += bool(pool_of(lines))
             for a in fleet.assets:
                 factor = lookup_factor(db, a.category)
                 assert usage_hours(a, config) == seed_usage_hours(a, config)

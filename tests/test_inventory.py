@@ -1085,8 +1085,12 @@ class TestDomainInvariants:
         ]
 
     def test_room_leak_requires_fluid(self):
-        with pytest.raises(ValueError, match="refrigerant_fluid required"):
-            ServerRoom("sr", refrigerant_leak_kg_per_year=0.5)
+        for fluid in (None, ""):
+            with pytest.raises(ValueError, match="refrigerant_fluid required"):
+                ServerRoom("sr", refrigerant_fluid=fluid, refrigerant_leak_kg_per_year=0.5)
+        # An empty fluid would render as no fluid and parse back as None.
+        with pytest.raises(ValueError, match="refrigerant_fluid must be None or non-empty"):
+            ServerRoom("sr", refrigerant_fluid="")
         # Either fluid would render a fleet-CSV row that does not parse back.
         for fluid, rule in (("R4;10A", "';'"), ("R\x85", "control characters")):
             with pytest.raises(ValueError, match=f"refrigerant_fluid must not contain {rule}"):

@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -31,6 +32,7 @@ from ecodiag.report import (
 from fleet_strategies import fleets
 from randgen import random_asset, random_db, random_fleet
 from seed_renderers import seed_render
+from seed_scenario import seed_apply_scenario
 
 REL = 1e-9
 
@@ -289,6 +291,71 @@ class TestApplyScenario:
             ScenarioAction("add", "x", Asset("pc2", "laptop", 5, 2019))
 
 
+def outcome(call):
+    """What a call gives: its result, or the type and message of its error."""
+    try:
+        return call()
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def random_actions(rng, fleet):
+    """0-8 actions whose targets are baseline ids, ids added earlier in the
+    sequence or an unknown id, and whose new assets take a fresh id, the
+    target's own id, a baseline id or an added one; some replacements are
+    disposed of before the reporting year."""
+    year, baseline, added, actions = fleet.reporting_year, [a.id for a in fleet.assets], [], []
+    for k in range(rng.randint(0, 8)):
+        op, target, new = rng.choice(("remove", "replace", "add")), None, None
+        if op != "add":
+            ids = rng.choice((baseline, added)) or baseline + added
+            target = "ghost" if not ids or rng.random() < 0.05 else rng.choice(ids)
+        if op != "remove":
+            new = random_asset(rng, 3000 + k, year)
+            new = (new._replace(disposal_year=None) if rng.random() < 0.8
+                   else new._replace(acquisition_year=year - 2, disposal_year=year - 1))
+            taken = rng.choice(baseline + added + [new.id])
+            new_id = rng.choice((new.id, new.id, target or new.id, taken))
+            new = new._replace(id=new_id)
+            added.append(new_id)
+        actions.append(ScenarioAction(op, target, new))
+    return actions
+
+
+class TestActionsWalk:
+    def test_agrees_with_the_seed_on_random_action_orders(self):
+        rng = random.Random(18)
+        seen = Counter()
+        for _ in range(2000):
+            db = random_db(rng)
+            config = EngineConfig(grid=GridFactor(db.default_grid_factor_kgco2e_per_kwh))
+            fleet = random_fleet(rng, max_entries=10)
+            actions = random_actions(rng, fleet)
+            try:
+                variant = seed_apply_scenario(fleet, actions)
+            except ScenarioError as exc:
+                expected = ScenarioError, str(exc)
+                assert outcome(lambda: apply_scenario(fleet, actions)) == expected
+                assert outcome(lambda: evaluate_scenario(fleet, actions, db, config)) == expected
+                kind = str(exc).split()[0]  # unknown, added or replacement
+                if kind == "unknown":
+                    kind = "ghost" if str(exc).endswith(": ghost") else "id no longer there"
+                seen[kind] += 1
+                continue
+            assert apply_scenario(fleet, actions).assets == variant.assets
+            result = evaluate_scenario(fleet, actions, db, config)
+            assert result.variant == aggregate(compute_fleet(variant, db, config), variant)
+            ids = {a.id for a in fleet.assets}
+            seen["applied"] += 1
+            seen["baseline id added back"] += any(
+                a.new_asset is not None and a.new_asset.id in ids for a in actions
+            )
+            seen["added asset removed"] += any(
+                a.op != "add" and a.target_asset_id not in ids for a in actions
+            )
+        assert len(seen) == 7 and min(seen.values()) >= 50, seen
+
+
 class TestEvaluateScenario:
     def test_server_replacement_payback(self, config):
         new = Asset("srv-new", "server", 1, 2019, measured_power_w=200.0)
@@ -369,7 +436,7 @@ class TestEvaluateScenario:
                 new = random_asset(rng, 2000 + k, fleet.reporting_year)
                 actions.insert(rng.randint(0, len(actions)), ScenarioAction("add", new_asset=new))
             result = evaluate_scenario(fleet, actions, db, config)
-            variant = apply_scenario(fleet, actions)
+            variant = seed_apply_scenario(fleet, actions)
             assert result.variant == aggregate(compute_fleet(variant, db, config), variant)
             assert result.baseline == aggregate(compute_fleet(fleet, db, config), fleet)
 
@@ -386,7 +453,7 @@ def variant_lines_checked(fleet, actions, db, config, monkeypatch):
     monkeypatch.setattr("ecodiag.report.compute_fleet", recording)
     result = evaluate_scenario(fleet, actions, db, config)
     monkeypatch.undo()
-    variant = apply_scenario(fleet, actions)
+    variant = seed_apply_scenario(fleet, actions)
     full = compute_fleet(variant, db, config)
     assert computed[1] == full
     assert result.variant == aggregate(full, variant)
@@ -487,6 +554,26 @@ class TestScenarioVariantLines:
         monkeypatch.setattr("ecodiag.report.asset_lines", recording)
         evaluate_scenario(fleet, actions, ROOM_DB, config)
         assert [a.id for a in calls] == ["sr1", "srv-a", "pc", "srv-b", "srv-c", "ws"]
+
+    def test_no_variant_fleet_is_built(self, config, monkeypatch):
+        fleet = server_fleet(ServerRoom("room", ups_overhead_fraction=0.2))
+        actions = [
+            ScenarioAction("remove", "pc"),
+            ScenarioAction("replace", "srv-a", Asset("srv-c", "server", 1, 2019)),
+            ScenarioAction("add", new_asset=Asset("ws", "desktop", 1, 2019)),
+        ]
+        built = []
+        real = Fleet.__post_init__
+
+        def counting(self):
+            built.append(self)
+            real(self)
+
+        monkeypatch.setattr(Fleet, "__post_init__", counting)
+        evaluate_scenario(fleet, actions, ROOM_DB, config)
+        assert built == []
+        apply_scenario(fleet, actions)  # the count sees a Fleet being built
+        assert len(built) == 1
 
 
 class TestParseActionsCsv:
