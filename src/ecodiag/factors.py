@@ -258,17 +258,21 @@ def gwp_value(gwp_table: tuple[GwpEntry, ...], fluid: str) -> float:
     raise UnknownFluidError(fluid)
 
 
+def splits_plainly(line: str) -> bool:
+    """Whether splitting a line on its commas gives what csv.reader reads of it:
+    the line holds no '"' and no NUL and fits the csv field size limit."""
+    return '"' not in line and "\0" not in line and len(line) <= csv.field_size_limit()
+
+
 def csv_rows(text: str, error: type[FactorParseError | FleetParseError] = FleetParseError):
     """Yield (line number, fields) for every line that is not blank or a '#' comment;
     a malformed line raises error(message, line number).
-    A line without '"' or NUL, within the csv field size limit, is split on
-    commas: csv.reader makes the same of it."""
-    limit = csv.field_size_limit()
+    A line that splits_plainly is split on its commas."""
     for rownum, raw in enumerate(text.splitlines(), start=1):
         head = raw.lstrip()
         if not head or head[0] == "#":
             continue
-        if '"' not in raw and "\0" not in raw and len(raw) <= limit:
+        if splits_plainly(raw):
             yield rownum, raw.split(",")
             continue
         try:

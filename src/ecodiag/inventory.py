@@ -30,6 +30,7 @@ from .factors import (
     check_text_field,
     csv_rows,
     lookup_factor,
+    splits_plainly,
 )
 
 logger = logging.getLogger(__name__)
@@ -464,10 +465,10 @@ def _convert_block(kind: str, texts: list) -> list | tuple:
 
 
 def _kind_columns(rows: list) -> dict[str, list]:
-    """Per kind of the rows (each with 'kind' first), the texts of the nine
-    columns after 'kind' of its rows, in their order."""
-    if not {len(FLEET_CSV_COLUMNS)}.issuperset(map(len, rows)):
-        raise ValueError("a row has the wrong number of fields")
+    """Per kind of the rows (each with 'kind' first), the texts of the nine columns
+    after 'kind', in their order; the first row without ten fields raises ValueError."""
+    if got := next((n for n in map(len, rows) if n != len(FLEET_CSV_COLUMNS)), None):
+        raise ValueError(f"expected {len(FLEET_CSV_COLUMNS)} fields, got {got}")
     kinds = {row[0] for row in rows}
     return {kind: list(zip(*[row for row in rows if row[0] == kind]))[1:] for kind in kinds}
 
@@ -479,11 +480,10 @@ def parse_fleet_csv(text: str, reporting_year: int, perimeter_description: str) 
     lines and '#' comments are skipped; empty input yields an empty (still
     valid) fleet. The lines after the header are parsed in blocks of
     _BLOCK_ROWS, each converted a column at a time, one kind at a time. A
-    plain block (no quote, no NUL, ten fields a line, one known kind on all)
-    is split on its commas in one go; any other goes through csv_rows. When
-    a block holds an error, its rows are checked one by one, in file order,
-    each through parse_fleet_row, so the error names the first bad row."""
-    block_rows, limit = _BLOCK_ROWS, csv.field_size_limit()
+    plain block (one that splits_plainly, ten fields a line, one known kind on
+    all) is split on its commas in one go; any other goes through csv_rows.
+    When a block holds an error, the same code reads it again in blocks of
+    one line, in file order, so the error names the first bad row."""
     width = len(FLEET_CSV_COLUMNS)
     lines = text.splitlines()
     start = next((i for i, line in enumerate(lines) if line.lstrip()[:1] not in ("", "#")),
@@ -493,43 +493,38 @@ def parse_fleet_csv(text: str, reporting_year: int, perimeter_description: str) 
             raise FleetParseError(f"expected header {','.join(FLEET_CSV_COLUMNS)!r}", row=rownum)
     items = {k: [] for k in FLEET_SCHEMA}
     seen_ids = {kind: set() for kind in ("asset", "room", "campaign", "external")}
-    for first in range(start + 1, len(lines), block_rows):
+    first, block_rows = start + 1, _BLOCK_ROWS
+    while first < len(lines):
         block = lines[first:first + block_rows]
         joined = ",".join(block)
         cells = None
-        if ('"' not in joined and "\0" not in joined and len(joined) <= limit
-                and set(map(str.count, block, repeat(","))) == {width - 1}):
+        if splits_plainly(joined) and set(map(str.count, block, repeat(","))) == {width - 1}:
             cells = joined.split(",")
         try:
             if cells and cells[0] in FLEET_SCHEMA and set(cells[::width]) == {cells[0]}:  # one kind
                 parts = {cells[0]: [cells[i::width] for i in range(1, width)]}
             else:
-                parts = _kind_columns([fields for _, fields in csv_rows("\n".join(block))])
+                rows = csv_rows("\n".join(block), lambda message, _: ValueError(message))
+                parts = _kind_columns([fields for _, fields in rows])
             for kind, texts in parts.items():
-                ids = seen_ids.get(kind)
-                if ids is not None and (len(set(texts[0])) < len(texts[0])
-                                        or not ids.isdisjoint(texts[0])):
-                    raise ValueError(f"duplicate {kind} id")
+                ids, col = seen_ids.get(kind), texts[0]
+                if ids is not None and (len(set(col)) < len(col) or not ids.isdisjoint(col)):
+                    dup = next(i for n, i in enumerate(col) if i in ids or i in col[:n])
+                    raise ValueError(f"duplicate {kind} id: {dup}")
             converted = [(kind, _convert_block(kind, texts)) for kind, texts in parts.items()]
-        except (FleetParseError, ValueError):
-            def numbered(message, row):  # csv_rows numbers the block's first line 1
-                return FleetParseError(message, row + first)
-
-            for rownum, fields in csv_rows("\n".join(block), numbered):
-                rownum += first
-                if len(fields) != width:
-                    raise FleetParseError(f"expected {width} fields, got {len(fields)}", row=rownum)
-                kind = fields[0]
-                if (ids := seen_ids.get(kind)) is not None:
-                    if fields[1] in ids:
-                        raise FleetParseError(f"duplicate {kind} id: {fields[1]}", row=rownum)
-                    ids.add(fields[1])
-                parse_fleet_row(kind, fields[1:], rownum)
-            raise
+        except ValueError as exc:
+            if block_rows == 1:
+                raise FleetParseError(str(exc), row=first + 1) from None
+            # Read the block again a line at a time. Each check above fails on a block only
+            # if it fails on one of its lines read alone in file order (a repeated id at its
+            # second occurrence: each line read adds its id to seen_ids), so no full block follows.
+            block_rows = 1
+            continue
         for kind, objects in converted:
             items[kind] += objects
             if kind in seen_ids:
                 seen_ids[kind].update(parts[kind][0])
+        first += block_rows
     del lines  # before the Fleet's tuples are built, which would raise the peak
 
     # seen_ids is freed after the Fleet is built: freed before, it raises glibc's mmap

@@ -282,7 +282,7 @@ def evaluate_scenario(
 
 
 def parse_actions_csv(text: str) -> tuple[ScenarioAction, ...]:
-    """Parse scenario actions: rows 'op,target_id,<asset fields...>'.
+    """Parse scenario actions: rows 'op,target_id,<asset fields...>', the first may be a header.
 
     The asset fields reuse the fleet-CSV asset column order (id, category,
     quantity, acquisition_year, disposal_year, status, measured_power_w,
@@ -292,8 +292,8 @@ def parse_actions_csv(text: str) -> tuple[ScenarioAction, ...]:
     known against a fleet, so that check lives in apply_scenario.
     """
     actions: list[ScenarioAction] = []
-    for rownum, fields in csv_rows(text):
-        if fields[0] == "op":
+    for n, (rownum, fields) in enumerate(csv_rows(text)):
+        if n == 0 and fields[0] == "op":
             continue
         op, asset = fields[0], None
         target = fields[1] if len(fields) > 1 else None

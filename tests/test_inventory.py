@@ -454,6 +454,19 @@ class TestBlockParse:
             body(*asset_rows(300), '"' + "y" * (_FIELD_LIMIT + 1) + '"'),
             302, f"malformed CSV: field larger than field limit ({_FIELD_LIMIT})",
             id="malformed-csv-in-a-later-block"),
+        pytest.param(
+            body(*asset_rows(298), "asset,a298,laptop,1,2015,,in_use,,", *asset_rows(400)[299:]),
+            300, "expected 10 fields, got 9",
+            id="nine-fields-inside-the-second-block"),
+        pytest.param(
+            body(*asset_rows(300), "#" + ",x" * 9, "", "asset,a300,laptop,0,2015,,in_use,,,",
+                 *asset_rows(400)[301:]),
+            304, "quantity must be >= 1, got 0",
+            id="comment-and-blank-line-before-the-bad-row"),
+        pytest.param(
+            body(*asset_rows(256), "asset,a255,laptop,1,2015,,in_use,,,", *asset_rows(400)[256:]),
+            258, "duplicate asset id: a255",
+            id="last-id-of-a-block-repeated-first-in-the-next"),
     ])
     def test_first_bad_row_in_file_order(self, text, row, message):
         expected = (FleetParseError, f"row {row}: {message}", row)
@@ -473,31 +486,45 @@ class TestBlockParse:
             FleetParseError, expected, 102
         )
 
+    @staticmethod
+    def record_conversions(mp):
+        """Make _convert_block record the rows of each call, as (kind, *cells),
+        in a list that is returned."""
+        calls, convert = [], inventory._convert_block
+
+        def recording(kind, texts):
+            calls.append([(kind, *cells) for cells in zip(*texts)])
+            return convert(kind, texts)
+        mp.setattr(inventory, "_convert_block", recording)
+        return calls
+
     @given(untidy_valid_fleet_texts())
     @settings(max_examples=25, derandomize=True, database=None, deadline=None)
     def test_valid_fleet_converts_no_row_alone(self, text):
         expected = outcome(row_walk_parse, text)
         assert isinstance(expected, Fleet)
-        calls = []
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(inventory, "parse_fleet_row", lambda *a: calls.append(a[2]))
+            calls = self.record_conversions(mp)
             assert outcome(parse_fleet_csv, text) == expected
-        assert calls == []
+        data_rows = [tuple(fields) for _, fields in csv_rows(text)][1:]
+        assert sorted(row for call in calls for row in call) == sorted(data_rows)
+        lines, size = text.splitlines()[1:], inventory._BLOCK_ROWS
+        kinds_per_block = [{fields[0] for _, fields in csv_rows("\n".join(lines[i:i + size]))}
+                           for i in range(0, len(lines), size)]
+        assert len(calls) <= sum(map(len, kinds_per_block))
         self.check_against_row_walk(text)
 
     def test_error_path_converts_only_the_pending_rows(self, monkeypatch):
         rows = asset_rows(4999)
         rows[::500] = [f"room,sr{i},,,,,,,,ups_overhead=0.1" for i in range(10)]
         text = body(*rows, "asset,last,laptop,0,2015,,in_use,,,")
-        calls = []
-        row = inventory.parse_fleet_row
-        monkeypatch.setattr(
-            inventory, "parse_fleet_row", lambda *a: calls.append(a[2]) or row(*a)
-        )
+        calls = self.record_conversions(monkeypatch)
         assert outcome(parse_fleet_csv, text) == (
             FleetParseError, "row 5001: quantity must be >= 1, got 0", 5001
         )
-        assert len(calls) <= inventory._BLOCK_ROWS + 1
+        # A full block converts its assets in one call, so an asset converted alone was read again.
+        assets_alone = [call for call in calls if len(call) == 1 and call[0][0] == "asset"]
+        assert 0 < len(assets_alone) <= inventory._BLOCK_ROWS
 
     def test_peak_memory_stays_near_the_row_walk(self):
         rng = random.Random(5)

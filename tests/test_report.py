@@ -596,6 +596,11 @@ class TestParseActionsCsv:
         actions = parse_actions_csv("# plan\nop,target_id\nremove,x\n")
         assert len(actions) == 1
 
+    def test_op_row_after_the_first_is_an_unknown_op(self):
+        with pytest.raises(FleetParseError) as info:
+            parse_actions_csv("remove,a\nop,x\nremove,b\n")
+        assert str(info.value) == "row 2: unknown op 'op' (expected remove|add|replace)"
+
     def test_unknown_op_is_parse_error(self):
         with pytest.raises(FleetParseError, match="unknown op 'upgrade'"):
             parse_actions_csv("upgrade,x\n")
