@@ -19,6 +19,7 @@ from .factors import FactorDatabase, GridFactor, load_factor_db, merge_factors, 
 from .inventory import (
     Fleet,
     Issue,
+    blocking_issues,
     parse_fleet_csv,
     parse_glpi_export,
     parse_mapping_rules,
@@ -208,8 +209,7 @@ def cmd_compare(args) -> int:
 def cmd_scenario(args) -> int:
     db, db_id = _load_db(args)
     fleet = _load_fleet(args)
-    issues = validate_fleet(fleet, db)
-    errors = [i for i in issues if i.severity == "error"]
+    errors = blocking_issues(fleet, db)
     if errors:
         sys.stderr.write(_issue_lines(errors))
         return 2

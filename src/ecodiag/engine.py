@@ -14,8 +14,10 @@ Rules in force:
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
-from operator import itemgetter
+from functools import reduce
+from operator import add, itemgetter
 from typing import NamedTuple
 
 from .factors import (
@@ -35,6 +37,9 @@ from .inventory import (
 
 #: Pseudo-group of declared external entries, kept apart from equipment groups.
 EXTERNAL_GROUP = "external"
+
+#: Emission lines are kept in the order of this key: subject, scope, phase.
+_KEY = itemgetter(0, 1, 2)
 
 #: Categories whose assets make up the server-room pool. Assets are not tied
 #: to a specific room; every server_room-group asset belongs to the pool.
@@ -113,7 +118,8 @@ def _plan(cat_id: str, factor: EmissionFactor, config: EngineConfig | None,
 def _lines(
     assets: tuple[Asset, ...], plans: dict[str, tuple], year: int | None, grid: float
 ) -> list[EmissionLine]:
-    """The lines of the assets in the order given.
+    """The lines of the assets in the order given, each asset's in key order:
+    usage, end of life, then fabrication and transport.
 
     Usage: quantity x power x hours / 1000 x grid, no line when zero; measured
     power wins over the typical power and is exact. Fabrication and transport
@@ -131,13 +137,13 @@ def _lines(
                            if measured is None
                            else (id_, "S2", "usage", kg, 0.0, MEASURED_SOURCE, group)))
         if lifecycle:
+            if disposed == year:
+                kg = qty * eol
+                append(new(EmissionLine, (id_, "S3", "end_of_life", kg, kg * rel, source, group)))
             if acquired == year:
                 kg, unc, src = ((qty * fab, qty * fab * rel, source) if vendor is None
                                 else (qty * vendor, 0.0, VENDOR_SOURCE))
                 append(new(EmissionLine, (id_, "S3", "fabrication_transport", kg, unc, src, group)))
-            if disposed == year:
-                kg = qty * eol
-                append(new(EmissionLine, (id_, "S3", "end_of_life", kg, kg * rel, source, group)))
     return lines
 
 
@@ -195,7 +201,7 @@ def _room_lines(
     per-asset usage lines of the server-room pool (compute_fleet applies the
     suppression). Otherwise the UPS overhead fraction is charged on top of
     pool, the pool's (kgco2e, uncertainty), inheriting its uncertainty; a
-    pool of None charges no overhead, as when some room is metered.
+    pool of None or of zero charges no overhead.
     """
     if room.measured_room_kwh_per_year is not None:
         return [
@@ -298,50 +304,83 @@ def asset_lines(
     return _lines(assets, plans, fleet.reporting_year, config.grid.kgco2e_per_kwh)
 
 
+def asset_part(
+    fleet: Fleet, assets: tuple[Asset, ...], db: FactorDatabase, config: EngineConfig
+) -> tuple[list[EmissionLine], list[EmissionLine]]:
+    """The assets' lines in key order, and the server-room pool among them in
+    the order of the assets.
+
+    An asset's lines come in key order and ids are unique among assets, so one
+    stable sort by subject gives the key order. The pool is the S2 lines of
+    the server_room group, which a room meter suppresses; it is left empty
+    when no room has a UPS overhead fraction to charge on it.
+    """
+    lines = asset_lines(fleet, assets, db, config)
+    pool = []
+    if any(r.ups_overhead_fraction != 0 for r in fleet.rooms):
+        pool = [line for line in lines if line.group == "server_room" and line.scope == "S2"]
+    lines.sort(key=itemgetter(0))
+    return lines, pool
+
+
+def merge_lines(lines: list[EmissionLine], others: list[EmissionLine]) -> list[EmissionLine]:
+    """A new list of the lines, in key order, with the others merged in.
+
+    The others are sorted stably by key first, and each goes after the lines
+    of an equal key: the same list as a stable sort of lines + others.
+    """
+    merged, start = [], 0
+    for line in sorted(others, key=_KEY):
+        end = bisect_right(lines, _KEY(line), start, key=_KEY)
+        merged += lines[start:end]
+        merged.append(line)
+        start = end
+    merged += lines[start:]
+    return merged
+
+
 def compute_fleet(
     fleet: Fleet,
     db: FactorDatabase,
     config: EngineConfig,
-    lines: list[EmissionLine] | None = None,
+    part: tuple[list[EmissionLine], list[EmissionLine]] | None = None,
 ) -> list[EmissionLine]:
     """Compute every emission line for a fleet under a merged factor database.
 
-    lines, when given, are the asset lines to use in place of asset_lines(fleet,
-    fleet.assets, db, config) and are not modified; the fleet supplies the rest:
-    year, rooms, campaigns, cables, external services. Output is sorted by
-    (subject_id, scope, phase) so identical inputs always give identical output.
+    part, when given, stands for asset_part(fleet, assets, db, config) over
+    the assets to report, which need not be fleet.assets, and is not
+    modified; the fleet supplies the rest: year, rooms, campaigns, cables,
+    external services.
+    Output is sorted by (subject_id, scope, phase), lines of an equal key in
+    the order assets, rooms, campaigns, cables, external services, so
+    identical inputs always give identical output.
     """
-    lines = asset_lines(fleet, fleet.assets, db, config) if lines is None else list(lines)
-    metered = any(r.measured_room_kwh_per_year is not None for r in fleet.rooms)
+    lines, pool_lines = asset_part(fleet, fleet.assets, db, config) if part is None else part
 
-    # The pool's usage lines are the asset lines of the server_room group in S2.
-    pool = None
-    if not metered and any(r.ups_overhead_fraction != 0 for r in fleet.rooms):
-        pool_kgco2e = pool_uncertainty = 0.0
-        for line in lines:
-            if line.group == "server_room" and line.scope == "S2":
-                pool_kgco2e += line.kgco2e
-                pool_uncertainty += line.abs_uncertainty_kgco2e
-        pool = pool_kgco2e, pool_uncertainty
+    # The pool is summed in the order of the assets; an empty one charges nothing.
+    pool_kgco2e = pool_uncertainty = 0.0
+    for line in pool_lines:
+        pool_kgco2e += line.kgco2e
+        pool_uncertainty += line.abs_uncertainty_kgco2e
+    others = []
     for room in fleet.rooms:
         line = scope1_refrigerant(room, db.gwp_table)
         if line is not None:
-            lines.append(line)
-        lines.extend(_room_lines(room, pool, config))
+            others.append(line)
+        others.extend(_room_lines(room, (pool_kgco2e, pool_uncertainty), config))
 
     for campaign in fleet.campaigns:
-        lines.append(scope2_campaign(campaign, config))
+        others.append(scope2_campaign(campaign, config))
 
     for bulk in fleet.cable_bulks:
         line = scope3_cables(bulk, lookup_factor(db, bulk.category))
         if line is not None:
-            lines.append(line)
+            others.append(line)
 
     for entry in fleet.external_services:
-        lines.append(declared_external(entry))
+        others.append(declared_external(entry))
 
-    lines.sort(key=itemgetter(0, 1, 2))
-    return lines
+    return merge_lines(lines, others)
 
 
 def combined_uncertainty(lines: list[EmissionLine]) -> float:
@@ -351,9 +390,9 @@ def combined_uncertainty(lines: list[EmissionLine]) -> float:
     groups: dict[str, float] = {}
     for l in lines:
         groups[l.factor_source] = groups.get(l.factor_source, 0.0) + l.abs_uncertainty_kgco2e
-    return math.sqrt(sum(g * g for g in groups.values()))
+    return math.sqrt(reduce(add, (g * g for g in groups.values()), 0.0))
 
 
 def aggregate_uncertainty(lines: list[EmissionLine]) -> tuple[float, float]:
     """Total kgco2e and its absolute uncertainty (see combined_uncertainty)."""
-    return sum(l.kgco2e for l in lines), combined_uncertainty(lines)
+    return reduce(add, (l.kgco2e for l in lines), 0.0), combined_uncertainty(lines)

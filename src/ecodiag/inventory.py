@@ -706,25 +706,23 @@ def _first_bad_asset(rownums: tuple[int, ...], columns) -> FleetParseError | Non
 def validate_fleet(
     fleet: Fleet, db: FactorDatabase, age_warning_years: int = 10
 ) -> list[Issue]:
-    """Check a fleet against a merged factor database.
+    """Check a fleet against a merged factor database: the blocking issues,
+    then the per-asset warnings (see blocking_issues and asset_warnings)."""
+    return blocking_issues(fleet, db) + asset_warnings(fleet, db, age_warning_years)
 
-    Errors block computation (missing factor, unknown refrigerant, campaign
-    without an energy declaration); warnings flag data worth a second look.
-    """
+
+def blocking_issues(fleet: Fleet, db: FactorDatabase) -> list[Issue]:
+    """The errors that block computation: a missing factor, an unknown
+    refrigerant, a campaign without an energy declaration."""
     issues: list[Issue] = []
-    gwp_fluids = {g.fluid for g in db.gwp_table}
-
     used = sorted({a.category for a in fleet.assets} | {b.category for b in fleet.cable_bulks})
-    zero_power = set()  # categories whose usage rests on a zero typical power
     for cat_id in used:
         try:
-            factor = lookup_factor(db, cat_id)
+            lookup_factor(db, cat_id)
         except MissingFactorError:
             issues.append(Issue("error", cat_id, f"missing factor: {cat_id}"))
-            continue
-        if factor.typical_power_w == 0 and "S2" in category(cat_id).scope_mask:
-            zero_power.add(cat_id)
 
+    gwp_fluids = {g.fluid for g in db.gwp_table}
     for room in fleet.rooms:
         if room.refrigerant_leak_kg_per_year > 0 and room.refrigerant_fluid not in gwp_fluids:
             issues.append(
@@ -739,7 +737,19 @@ def validate_fleet(
                     "campaign declares neither kwh nor (core_hours, watts_per_core)",
                 )
             )
+    return issues
 
+
+def asset_warnings(
+    fleet: Fleet, db: FactorDatabase, age_warning_years: int = 10
+) -> list[Issue]:
+    """Warnings that flag asset data worth a second look; none blocks computation."""
+    issues: list[Issue] = []
+    # Categories whose usage rests on a zero typical power.
+    zero_power = {
+        cat_id for cat_id in {f.category for f in db.factors}
+        if lookup_factor(db, cat_id).typical_power_w == 0 and "S2" in category(cat_id).scope_mask
+    }
     year = fleet.reporting_year
     for asset in fleet.assets:
         age = year - asset.acquisition_year

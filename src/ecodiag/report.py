@@ -11,16 +11,19 @@ import hashlib
 import json
 import math
 import sys
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from operator import attrgetter
+from functools import reduce
+from operator import add, itemgetter
 
 from .engine import (
     EXTERNAL_GROUP,
     EmissionLine,
     EngineConfig,
-    asset_lines,
+    asset_part,
     combined_uncertainty,
     compute_fleet,
+    merge_lines,
 )
 from .errors import FleetParseError, ScenarioError
 from .factors import GROUPS, SCOPES, FactorDatabase, csv_rows
@@ -120,7 +123,7 @@ def aggregate(lines: list[EmissionLine], fleet: Fleet, factor_db_hash: str = "")
         else:
             by_group[line.group] += line.kgco2e
     uncertainty = combined_uncertainty(lines)
-    grand_total = sum(by_scope.values())
+    grand_total = reduce(add, by_scope.values(), 0.0)
     if not (math.isfinite(grand_total) and math.isfinite(uncertainty)):
         # A line's uncertainty never exceeds its kgco2e (rel_uncertainty <= 1).
         bad = next((l.subject_id for l in lines if not math.isfinite(l.kgco2e)), None)
@@ -216,6 +219,20 @@ def _edits(fleet: Fleet, actions: list[ScenarioAction]) -> tuple[set[str], dict[
     return dropped, added
 
 
+def _without(lines: list[EmissionLine], ids: set[str]) -> list[EmissionLine]:
+    """A new list of the lines, in key order, without the runs of the given
+    subject ids, each found by bisecting on the subject id."""
+    subject = itemgetter(0)
+    runs = sorted((bisect_left(lines, i, key=subject), bisect_right(lines, i, key=subject))
+                  for i in ids)
+    kept, start = [], 0
+    for lo, hi in runs:
+        kept += lines[start:lo]
+        start = hi
+    kept += lines[start:]
+    return kept
+
+
 def apply_scenario(fleet: Fleet, actions: list[ScenarioAction]) -> Fleet:
     """Apply actions to a copy of the fleet; the baseline is never touched.
     The kept assets stay in fleet order and the new ones follow (see _edits)."""
@@ -240,24 +257,27 @@ def evaluate_scenario(
     factor set.
 
     The actions are walked once, before any line is computed, and no variant
-    fleet is built: the variant differs only in its assets, so it reuses the
-    kept assets' baseline lines and evaluates only the new ones. Both reports
-    are exactly those of a full compute of each fleet.
+    fleet is built: the variant differs only in its assets. Its asset lines
+    are the baseline's, sorted once, without the runs of the dropped ids and
+    with the new assets' lines merged in; its pool is the baseline's without
+    the dropped ids, followed by the new assets'. Only the new assets are
+    evaluated, and both reports are exactly those of a full compute of each
+    fleet.
     """
     dropped, added = _edits(fleet, actions)
-    lines = asset_lines(fleet, fleet.assets, db, config)
-    baseline_lines = compute_fleet(fleet, db, config, lines)
-    new_lines = asset_lines(fleet, tuple(added.values()), db, config)
-    kept_lines = [l for l in lines if l.subject_id not in dropped]
-    variant_lines = compute_fleet(fleet, db, config, kept_lines + new_lines)
+    lines, pool = asset_part(fleet, fleet.assets, db, config)
+    baseline_lines = compute_fleet(fleet, db, config, (lines, pool))
+    new_lines, new_pool = asset_part(fleet, tuple(added.values()), db, config)
+    variant_lines = compute_fleet(fleet, db, config, (
+        merge_lines(_without(lines, dropped), new_lines),
+        [l for l in pool if l.subject_id not in dropped] + new_pool,
+    ))
     baseline = aggregate(baseline_lines, fleet, factor_db_hash)
     variant = aggregate(variant_lines, fleet, factor_db_hash)
 
     # In subject_id order, as they come in the sorted variant lines.
-    added_fabrication = sum(
-        l.kgco2e
-        for l in sorted(new_lines, key=attrgetter("subject_id"))
-        if l.phase == "fabrication_transport"
+    added_fabrication = reduce(
+        add, (l.kgco2e for l in new_lines if l.phase == "fabrication_transport"), 0.0
     )
     savings = baseline.totals_by_scope["S2"] - variant.totals_by_scope["S2"]
     # No payback without savings, nor from savings so small that it overflows.

@@ -1,6 +1,6 @@
 import pytest
 
-from ecodiag import samples
+from ecodiag import engine, report, samples
 from ecodiag.engine import EngineConfig
 from ecodiag.factors import (
     EmissionFactor,
@@ -37,3 +37,23 @@ def sample_db():
 @pytest.fixture
 def sample_fleet():
     return samples.sample_fleet()
+
+
+def neumaier_sum(values, start=0):
+    """sum() as Python 3.12 adds floats: with Neumaier's compensation."""
+    total, compensation = float(start), 0.0
+    for value in values:
+        t = total + value
+        if abs(total) >= abs(value):
+            compensation += (total - t) + value
+        else:
+            compensation += (value - t) + total
+        total = t
+    return total + compensation
+
+
+@pytest.fixture
+def compensated_sum(monkeypatch):
+    """The engine and the report run with neumaier_sum as their sum()."""
+    for module in (engine, report):
+        monkeypatch.setattr(module, "sum", neumaier_sum, raising=False)

@@ -6,6 +6,7 @@ equivalent to "was acquired this year" for scope-3-capable equipment.
 """
 from __future__ import annotations
 
+import dataclasses
 import random
 
 from ecodiag.factors import (
@@ -130,5 +131,58 @@ def random_fleet(
         ),
         cable_bulks=tuple(
             CableBulk(cat, rng.randint(0, 200)) for cat in cable_cats
+        ),
+    )
+
+
+#: Ids shared by every kind of entry in colliding_fleet.
+SHARED_IDS = ("n0", "n1", "n2", "n3")
+
+
+def colliding_asset(rng: random.Random, index: int, reporting_year: int, taken) -> Asset:
+    """A random asset often acquired or disposed of in the reporting year, whose
+    id is often a shared id or a cable category, never one of taken."""
+    asset = random_asset(rng, index, reporting_year)
+    ids = [i for i in (*SHARED_IDS, "cable_cat5", "cable_hdmi") if i not in taken]
+    if ids and rng.random() < 0.5:
+        asset = asset._replace(id=rng.choice(ids))
+    if rng.random() < 0.3:
+        asset = asset._replace(acquisition_year=reporting_year, disposal_year=None)
+    if rng.random() < 0.3:
+        year = min(asset.acquisition_year, reporting_year)
+        asset = asset._replace(acquisition_year=year, disposal_year=reporting_year)
+    return asset
+
+
+def colliding_fleet(rng: random.Random, max_assets: int = 20) -> Fleet:
+    """A random fleet whose rooms, campaigns and external entries take their ids
+    from SHARED_IDS, and whose assets often take one of those ids or a cable
+    category (see colliding_asset). Its rooms are often metered or charge a
+    UPS overhead."""
+    reporting_year = rng.randint(2015, 2030)
+    assets: list[Asset] = []
+    for i in range(rng.randint(0, max_assets)):
+        assets.append(colliding_asset(rng, i, reporting_year, {a.id for a in assets}))
+
+    def shared(n):
+        return rng.sample(SHARED_IDS, rng.randint(0, n))
+
+    return Fleet(
+        perimeter_description="randomized test perimeter",
+        reporting_year=reporting_year,
+        assets=tuple(assets),
+        rooms=tuple(
+            dataclasses.replace(random_room(rng, i), id=id_) for i, id_ in enumerate(shared(2))
+        ),
+        campaigns=tuple(
+            dataclasses.replace(random_campaign(rng, i), id=id_) for i, id_ in enumerate(shared(2))
+        ),
+        external_services=tuple(
+            ExternalServiceEntry(id_, rng.uniform(0.0, 500.0), rng.choice(("S2", "S3")))
+            for id_ in shared(2)
+        ),
+        cable_bulks=tuple(
+            CableBulk(cat, rng.randint(0, 200))
+            for cat in rng.sample(("cable_cat5", "cable_hdmi"), rng.randint(0, 2))
         ),
     )

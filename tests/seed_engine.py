@@ -1,13 +1,22 @@
 """The engine's per-asset loop and one-asset functions as they were before
-asset_lines ran through per-category plans, kept verbatim as the reference
-that the engine is compared against."""
+asset_lines ran through per-category plans, and compute_fleet as it was
+before each asset's lines came in key order and only the other lines were
+merged into them, kept verbatim as the reference that the engine is compared
+against. seed_compute_fleet runs over the seed's asset lines."""
 from __future__ import annotations
+
+from operator import itemgetter
 
 from ecodiag.engine import (
     MEASURED_SOURCE,
     VENDOR_SOURCE,
     EmissionLine,
     EngineConfig,
+    _room_lines,
+    declared_external,
+    scope1_refrigerant,
+    scope2_campaign,
+    scope3_cables,
 )
 from ecodiag.factors import CATEGORIES, EmissionFactor, FactorDatabase, lookup_factor
 from ecodiag.inventory import Asset, Fleet
@@ -129,3 +138,56 @@ def seed_asset_lines(
             if line is not None:
                 lines.append(line)
     return lines, pool_lines
+
+
+def seed_key_order(assets: tuple[Asset, ...], lines: list[EmissionLine]) -> list[EmissionLine]:
+    """The seed's lines of the assets with each asset's lines in key order, the
+    assets still in the order given."""
+    position = {a.id: n for n, a in enumerate(assets)}
+    return sorted(lines, key=lambda l: (position[l.subject_id], l.scope, l.phase))
+
+
+def seed_compute_fleet(
+    fleet: Fleet,
+    db: FactorDatabase,
+    config: EngineConfig,
+    lines: list[EmissionLine] | None = None,
+) -> list[EmissionLine]:
+    """Compute every emission line for a fleet under a merged factor database.
+
+    lines, when given, are the asset lines to use in place of asset_lines(fleet,
+    fleet.assets, db, config) and are not modified; the fleet supplies the rest:
+    year, rooms, campaigns, cables, external services. Output is sorted by
+    (subject_id, scope, phase) so identical inputs always give identical output.
+    """
+    lines = seed_asset_lines(fleet, fleet.assets, db, config)[0] if lines is None else list(lines)
+    metered = any(r.measured_room_kwh_per_year is not None for r in fleet.rooms)
+
+    # The pool's usage lines are the asset lines of the server_room group in S2.
+    pool = None
+    if not metered and any(r.ups_overhead_fraction != 0 for r in fleet.rooms):
+        pool_kgco2e = pool_uncertainty = 0.0
+        for line in lines:
+            if line.group == "server_room" and line.scope == "S2":
+                pool_kgco2e += line.kgco2e
+                pool_uncertainty += line.abs_uncertainty_kgco2e
+        pool = pool_kgco2e, pool_uncertainty
+    for room in fleet.rooms:
+        line = scope1_refrigerant(room, db.gwp_table)
+        if line is not None:
+            lines.append(line)
+        lines.extend(_room_lines(room, pool, config))
+
+    for campaign in fleet.campaigns:
+        lines.append(scope2_campaign(campaign, config))
+
+    for bulk in fleet.cable_bulks:
+        line = scope3_cables(bulk, lookup_factor(db, bulk.category))
+        if line is not None:
+            lines.append(line)
+
+    for entry in fleet.external_services:
+        lines.append(declared_external(entry))
+
+    lines.sort(key=itemgetter(0, 1, 2))
+    return lines

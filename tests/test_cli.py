@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings
 
-from ecodiag import cli, samples
+from ecodiag import cli, inventory, samples
 from ecodiag import aggregate, compute_fleet, config_for, load_factor_db, merge_factors, render
 from ecodiag.cli import main
 from ecodiag.errors import EcodiagError
@@ -394,6 +394,38 @@ class TestScenario:
         assert main(self.base(workdir)) == 1
         assert "unknown op" in capsys.readouterr().err
 
+    def test_builds_no_warning(self, workdir, capsys, monkeypatch):
+        built = []
+        real = inventory.Issue
+
+        def recording(*args):
+            built.append(real(*args))
+            return built[-1]
+
+        monkeypatch.setattr(inventory, "Issue", recording)
+        # The sample fleet holds assets older than ten years: compute warns.
+        (workdir / "actions.csv").write_text("remove,crt-stock\n", encoding="utf-8")
+        assert main(self.base(workdir)) == 0
+        assert built == [] and capsys.readouterr().err == ""
+        assert main(compute_args(workdir)) == 0
+        assert {i.severity for i in built} == {"warning"}
+        assert "warning: srv-old: asset age 14 years" in capsys.readouterr().err
+
+    def test_blocking_issues_exit_two_with_only_the_errors(self, workdir, capsys):
+        text = (workdir / "factors.txt").read_text(encoding="utf-8")
+        kept = [l for l in text.splitlines() if not l.startswith(("laptop,", "server,"))]
+        (workdir / "factors.txt").write_text("\n".join(kept) + "\n", encoding="utf-8")
+        with (workdir / "fleet.csv").open("a", encoding="utf-8") as fleet:
+            fleet.write("room,cold,,,,,,,,fluid=R999;leak_kg=1\ncampaign,idle,,,,,,,,\n")
+        (workdir / "actions.csv").write_text("remove,crt-stock\n", encoding="utf-8")
+        assert main(self.base(workdir)) == 2
+        assert capsys.readouterr() == ("", (
+            "error: laptop: missing factor: laptop\n"
+            "error: server: missing factor: server\n"
+            "error: cold: unknown refrigerant fluid: R999\n"
+            "error: idle: campaign declares neither kwh nor (core_hours, watts_per_core)\n"
+        ))
+
 
 GOLDEN = REPO / "tests" / "golden"
 
@@ -426,6 +458,12 @@ class TestGoldenOutputs:
         args = compute_args(workdir, "--actions", str(GOLDEN / "actions_2019.csv"))
         args[0] = "scenario"
         assert self.run(workdir, args, ext) == (GOLDEN / f"scenario_2019.{ext}").read_bytes()
+
+
+@pytest.mark.usefixtures("compensated_sum")
+class TestGoldenOutputsUnderACompensatedSum(TestGoldenOutputs):
+    """The golden outputs do not depend on how the interpreter's sum() adds
+    floats: the engine and the report add them left to right themselves."""
 
 
 class TestTotalsOverflow:

@@ -36,9 +36,11 @@ from ecodiag.inventory import (
 )
 from fleet_strategies import fleets
 from oracle import oracle_totals
-from randgen import random_db, random_fleet, random_room
+from randgen import colliding_fleet, random_db, random_fleet, random_room
 from seed_engine import (
     seed_asset_lines,
+    seed_compute_fleet,
+    seed_key_order,
     seed_scope2_usage,
     seed_scope3_eol,
     seed_scope3_fabrication,
@@ -367,13 +369,18 @@ class TestComputeFleet:
         for _ in range(20):
             db = random_db(rng)
             fleet = random_fleet(rng)
-            lines = engine.asset_lines(fleet, fleet.assets, db, config)
-            kept = list(lines)
+            part = engine.asset_part(fleet, fleet.assets, db, config)
+            kept = tuple(map(list, part))
             full = compute_fleet(fleet, db, config)
-            assert compute_fleet(fleet, db, config, lines) == full
-            assert lines == kept
+            assert compute_fleet(fleet, db, config, part) == full
+            assert part == kept
+            lines = engine.asset_lines(fleet, fleet.assets, db, config)
             seed_lines, seed_pool_lines = seed_asset_lines(fleet, fleet.assets, db, config)
-            assert lines == seed_lines and pool_of(lines) == seed_pool_lines
+            assert lines == seed_key_order(fleet.assets, seed_lines)
+            assert pool_of(lines) == seed_pool_lines
+            assert part[0] == sorted(seed_lines, key=lambda l: (l.subject_id, l.scope, l.phase))
+            charged = any(r.ups_overhead_fraction != 0 for r in fleet.rooms)
+            assert part[1] == (seed_pool_lines if charged else [])
 
     def test_deterministic_and_sorted(self, config):
         rng = random.Random(7)
@@ -517,12 +524,13 @@ class TestSeedEngine:
             )
             lines = engine.asset_lines(fleet, fleet.assets, db, config)
             expected, expected_pool = seed_asset_lines(fleet, fleet.assets, db, config)
+            expected = seed_key_order(fleet.assets, expected)
             assert lines == expected and repr(lines) == repr(expected)
             assert repr(pool_of(lines)) == repr(expected_pool)
             half = fleet.assets[::2]
             half_lines = engine.asset_lines(fleet, half, db, config)
             expected, expected_pool = seed_asset_lines(fleet, half, db, config)
-            assert repr(half_lines) == repr(expected)
+            assert repr(half_lines) == repr(seed_key_order(half, expected))
             assert repr(pool_of(half_lines)) == repr(expected_pool)
             year = fleet.reporting_year
             seen["metered"] += any(r.measured_room_kwh_per_year is not None for r in fleet.rooms)
@@ -543,6 +551,40 @@ class TestSeedEngine:
                 seen["zero power"] += a.measured_power_w == 0.0
                 seen["vendor"] += a.vendor_fab_transport_kgco2e is not None
         assert len(seen) == 10 and min(seen.values()) >= 100, seen
+
+
+class TestSeedComputeFleet:
+    """compute_fleet sorts the asset lines by subject alone and merges the
+    other lines in; it gives the list of the seed's stable sort of every line
+    by (subject, scope, phase), float for float."""
+
+    def test_equals_the_seed_on_fleets_with_shared_ids(self):
+        rng = random.Random(20)
+        seen = Counter()
+        for _ in range(400):
+            db, fleet = random_db(rng), colliding_fleet(rng)
+            config = EngineConfig(grid=GridFactor(db.default_grid_factor_kgco2e_per_kwh))
+            lines = compute_fleet(fleet, db, config)
+            expected = seed_compute_fleet(fleet, db, config)
+            assert lines == expected and repr(lines) == repr(expected)
+            ids = {a.id for a in fleet.assets}
+            seen["asset id = room id"] += bool(ids & {r.id for r in fleet.rooms})
+            seen["asset id = campaign id"] += bool(ids & {c.id for c in fleet.campaigns})
+            seen["asset id = external id"] += bool(ids & {x.id for x in fleet.external_services})
+            seen["asset id = cable id"] += bool(ids & {b.category for b in fleet.cable_bulks})
+            seen["room id = campaign id"] += bool(
+                {r.id for r in fleet.rooms} & {c.id for c in fleet.campaigns}
+            )
+            year = fleet.reporting_year
+            seen["acquired"] += any(a.acquisition_year == year for a in fleet.assets)
+            seen["disposed"] += any(a.disposal_year == year for a in fleet.assets)
+            metered = any(r.measured_room_kwh_per_year is not None for r in fleet.rooms)
+            seen["metered room"] += metered
+            seen["UPS overhead"] += not metered and any(
+                l.factor_source.startswith("room_overhead:") for l in lines
+            )
+            seen["lines of an equal key"] += len({l[:3] for l in lines}) < len(lines)
+        assert len(seen) == 10 and min(seen.values()) >= 30, seen
 
 
 class TestEmissionLine:

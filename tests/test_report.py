@@ -9,9 +9,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_db, make_factor
+from conftest import make_db, make_factor, neumaier_sum
 from ecodiag import engine
-from ecodiag.engine import EmissionLine, EngineConfig, GridFactor, compute_fleet, config_for
+from ecodiag.engine import (
+    EXTERNAL_GROUP, EmissionLine, EngineConfig, GridFactor, compute_fleet, config_for,
+)
 from ecodiag.errors import FleetParseError, ScenarioError
 from ecodiag.factors import GROUPS
 from ecodiag.inventory import Asset, CableBulk, ExternalServiceEntry, Fleet, ServerRoom
@@ -30,7 +32,10 @@ from ecodiag.report import (
     render,
 )
 from fleet_strategies import fleets
-from randgen import random_asset, random_db, random_fleet
+from randgen import (
+    SHARED_IDS, colliding_asset, colliding_fleet, random_asset, random_db, random_fleet,
+)
+from seed_engine import seed_compute_fleet
 from seed_renderers import seed_render
 from seed_scenario import seed_apply_scenario
 
@@ -441,6 +446,87 @@ class TestEvaluateScenario:
             assert result.baseline == aggregate(compute_fleet(fleet, db, config), fleet)
 
 
+def test_variant_lines_equal_the_seed_on_fleets_with_shared_ids(monkeypatch):
+    """The variant's lines, merged into the baseline's sorted lines, are the
+    seed compute of the variant fleet, float for float, on fleets whose ids
+    coincide across kinds."""
+    rng = random.Random(31)
+    computed = []
+
+    def recording(*args):
+        computed.append(compute_fleet(*args))
+        return computed[-1]
+
+    monkeypatch.setattr("ecodiag.report.compute_fleet", recording)
+    seen = Counter()
+    for _ in range(300):
+        db, fleet = random_db(rng), colliding_fleet(rng)
+        config = EngineConfig(grid=GridFactor(db.default_grid_factor_kgco2e_per_kwh))
+        year, live = fleet.reporting_year, [a.id for a in fleet.assets]
+        rng.shuffle(live)
+        actions = []
+        for k, target in enumerate(live[: rng.randint(0, len(live))]):
+            if rng.random() < 0.5:
+                actions.append(ScenarioAction("remove", target))
+            else:
+                taken = set(live) | {a.new_asset.id for a in actions if a.new_asset}
+                new = colliding_asset(rng, 1000 + k, year, taken)._replace(disposal_year=None)
+                actions.append(ScenarioAction("replace", target, new))
+        for k in range(rng.randint(0, 3)):
+            taken = set(live) | {a.new_asset.id for a in actions if a.new_asset}
+            new = colliding_asset(rng, 2000 + k, year, taken)
+            actions.insert(rng.randint(0, len(actions)), ScenarioAction("add", new_asset=new))
+        computed.clear()
+        evaluate_scenario(fleet, actions, db, config)
+        variant = seed_apply_scenario(fleet, actions)
+        expected = seed_compute_fleet(variant, db, config)
+        assert computed[1] == expected and repr(computed[1]) == repr(expected)
+        assert repr(computed[0]) == repr(seed_compute_fleet(fleet, db, config))
+        seen["removed"] += any(a.op == "remove" for a in actions)
+        new_ids = {a.new_asset.id for a in actions if a.new_asset} & {a.id for a in variant.assets}
+        seen["new asset sharing an id"] += bool(new_ids & {*SHARED_IDS, "cable_cat5", "cable_hdmi"})
+        seen["UPS overhead"] += any(l.factor_source.startswith("room_overhead:") for l in expected)
+    assert len(seen) == 3 and min(seen.values()) >= 30, seen
+
+
+class TestFloatSumsUnderACompensatedSum:
+    """Every float sum of the engine and the report adds left to right, as
+    sum() did before Python 3.12: 2**54 + 1.5 rounds back to 2**54 at each
+    step, where a compensated sum keeps the halves and gives 2**54 + 4."""
+
+    BIG = 2.0**54
+
+    def lines(self):
+        return [
+            EmissionLine("a", "S1", "fugitive", self.BIG, 2.0**27, "big", "server_room"),
+            EmissionLine("b", "S2", "usage", 1.5, 0.0, "measured", "office"),
+            EmissionLine("c", "S3", "declared", 1.5, 0.0, "declared", EXTERNAL_GROUP),
+            # 2**54 + 1000 under the root would add 3.7e-6 to the uncertainty.
+            *(EmissionLine(f"d{i}", "S2", "usage", 0.0, 1.0, f"src{i}", "office")
+              for i in range(1000)),
+        ]
+
+    def test_the_compensated_sum_differs(self):
+        assert neumaier_sum([self.BIG, 1.5, 1.5]) == self.BIG + 4 != sum([self.BIG, 1.5, 1.5])
+
+    def test_aggregate_and_aggregate_uncertainty(self, compensated_sum):
+        lines = self.lines()
+        assert engine.aggregate_uncertainty(lines) == (self.BIG, 2.0**27)
+        result = aggregate(lines, Fleet("p", 2019))
+        assert (result.grand_total_kgco2e, result.abs_uncertainty_kgco2e) == (self.BIG, 2.0**27)
+
+    def test_added_fabrication(self, config, compensated_sum):
+        fleet = Fleet("p", 2019, assets=(Asset("old", "laptop", 1, 2015, measured_power_w=500.0),))
+        actions = [ScenarioAction("remove", "old")] + [
+            ScenarioAction("add", new_asset=Asset(id_, "laptop", 1, 2019, measured_power_w=0.0,
+                                                  vendor_fab_transport_kgco2e=fab))
+            for id_, fab in (("n1", self.BIG), ("n2", 1.5), ("n3", 1.5))
+        ]
+        result = evaluate_scenario(fleet, actions, make_db(make_factor()), config)
+        savings = result.baseline.totals_by_scope["S2"] - result.variant.totals_by_scope["S2"]
+        assert result.payback_years == self.BIG / savings
+
+
 def variant_lines_checked(fleet, actions, db, config, monkeypatch):
     """The variant's lines from evaluate_scenario, checked equal (lines and
     report) to a full compute of the variant fleet."""
@@ -549,9 +635,9 @@ class TestScenarioVariantLines:
             calls.extend(assets)
             return real(f, assets, *args)
 
-        # Both names: compute_fleet falling back to a full pass would be counted too.
+        # asset_part and compute_fleet both call it by this name, so a full
+        # pass inside compute_fleet would be counted too.
         monkeypatch.setattr(engine, "asset_lines", recording)
-        monkeypatch.setattr("ecodiag.report.asset_lines", recording)
         evaluate_scenario(fleet, actions, ROOM_DB, config)
         assert [a.id for a in calls] == ["sr1", "srv-a", "pc", "srv-b", "srv-c", "ws"]
 
