@@ -15,8 +15,8 @@ import math
 import re
 from collections.abc import Callable
 from dataclasses import MISSING, dataclass, field
-from itertools import compress, repeat, starmap
-from operator import ge, is_not
+from itertools import compress, repeat
+from operator import ge, is_not, itemgetter
 from typing import NamedTuple
 
 from .errors import FleetParseError, MissingFactorError
@@ -114,19 +114,26 @@ def _broken_asset_rule(columns) -> str | None:
 
 
 def _assets_from_columns(columns) -> tuple[Asset, ...]:
-    """The assets of field columns, checked once; the first bad one raises its ValueError."""
-    if _broken_asset_rule(columns):
-        return tuple(starmap(Asset, zip(*columns)))
-    return tuple(map(tuple.__new__, repeat(Asset), zip(*columns)))
+    """The assets of field columns, checked once; the first that Asset(...) rejects
+    raises its ValueError, with the asset's index in the columns as ``index``."""
+    if not _broken_asset_rule(columns):
+        return tuple(map(tuple.__new__, repeat(Asset), zip(*columns)))
+    for index, values in enumerate(zip(*columns)):
+        try:
+            Asset(*values)
+        except ValueError as exc:
+            exc.index = index
+            raise
 
 
 class Asset(_AssetFields):
     """One inventory line: a quantity of identical devices of one category.
 
     An immutable tuple of its nine fields, equal to the plain tuple of them.
-    Asset(...) and _replace check every rule of _ASSET_RULES; both parsers
-    check whole columns of assets through _assets_from_columns, which raises
-    the message Asset(...) gives the first bad one. _make checks none."""
+    Asset(...) and _replace check every rule of _ASSET_RULES; both parsers check
+    whole columns of assets through _assets_from_columns, which raises the error
+    Asset(...) gives the first bad one, with its index. Both share each repeated
+    category, status, hour profile and year as one object. _make checks none."""
 
     __slots__ = ()
 
@@ -292,6 +299,8 @@ class MappingRule:
             raise ValueError("pattern must be non-empty")
         if self.target_category not in ASSET_CATEGORIES:
             raise ValueError(f"unknown or non-asset category: {self.target_category}")
+        # The taxonomy's own text, so rules naming one category give one object.
+        object.__setattr__(self, "target_category", category(self.target_category).id)
         pattern = self.pattern.lower()
         if any(ch in pattern for ch in "*?["):
             test = re.compile(fnmatch.translate(pattern)).match
@@ -416,22 +425,33 @@ def _extra_values(text: str, kind: str, keys: tuple[str, ...]) -> list[str]:
 def parse_fleet_row(kind: str, fields: list[str], rownum: int = 0):
     """Build one fleet-CSV row's object from the nine columns after 'kind', as a one-row block."""
     try:
-        return _convert_block(kind, [[text] for text in fields])[0]
+        return _convert_block(kind, [[text] for text in fields], {})[0]
     except ValueError as exc:
         raise FleetParseError(str(exc), row=rownum) from None
 
 
 #: Consecutive lines parsed together; an error converts at most this many rows
 #: one at a time. Measured on a 100k-row fleet (CPython 3.11, 2-core Xeon VM):
-#: the parse takes 0.45 s in blocks of 48, 0.37-0.38 s in blocks of 256 or 512
-#: and 0.59 s in blocks of 4096, and `compute` peaks at 83.4 MB RSS with 48 and
-#: 83.7 MB with 256.
+#: the parse takes 0.31 s in blocks of 48, 0.26-0.27 s in blocks of 256 or 512
+#: and 0.48 s in blocks of 4096, and `compute` peaks at 62.8 MB RSS with 48 and
+#: 63.0 MB with 256.
 _BLOCK_ROWS = 256
 
 
-def _column(texts, convert, default, f: FleetField, kind: str) -> list:
+def _column(texts, convert, default, f: FleetField, kind: str, memos: dict | None) -> list:
     """The values of a field's column of texts, an empty text being the default
-    if there is one; ValueError names the field and its first bad text."""
+    if there is one; ValueError names the field and its first bad text. A field
+    that is neither an id (ids never repeat) nor a float (equal floats may differ
+    in sign) converts through its memo in memos, so equal values are one object."""
+    if memos is not None and f.key != "id" and convert is not float:
+        memo = memos.setdefault(f, {})  # each text and value seen -> the value's one object
+        each = itemgetter(*texts) if len(texts) > 1 else lambda memo: (memo[texts[0]],)
+        try:
+            return each(memo)
+        except KeyError:  # a text new to the memo
+            for text, value in zip(texts, _column(texts, convert, default, f, kind, None)):
+                memo[text] = memo.setdefault(value, value)
+            return each(memo)
     try:
         if default is not MISSING and "" in texts:
             return [convert(t) if t else default for t in texts]
@@ -447,10 +467,11 @@ def _column(texts, convert, default, f: FleetField, kind: str) -> list:
         raise
 
 
-def _convert_block(kind: str, texts: list) -> list | tuple:
+def _convert_block(kind: str, texts: list, memos: dict) -> list | tuple:
     """The objects of the rows of one kind of a block, in their order, from the
-    texts of their nine columns after 'kind'. A bad row raises ValueError, with
-    the row's own message when it is the only row."""
+    texts of their nine columns after 'kind', through the memos of one parse
+    (see _column). A bad row raises ValueError, with the row's own message when
+    it is the only row."""
     if kind not in _COMPILED:
         raise ValueError(f"unknown kind: {kind!r}")
     cls, extra_keys, empty, converters = _COMPILED[kind]
@@ -460,7 +481,7 @@ def _convert_block(kind: str, texts: list) -> list | tuple:
     if extra_keys:
         blank = [""] * len(extra_keys)
         texts += zip(*[_extra_values(t, kind, extra_keys) if t else blank for t in texts[8]])
-    columns = [_column(texts[i], *converter, kind) for i, *converter in converters]
+    columns = [_column(texts[i], *converter, kind, memos) for i, *converter in converters]
     return _assets_from_columns(columns) if cls is Asset else list(map(cls, *columns))
 
 
@@ -493,6 +514,7 @@ def parse_fleet_csv(text: str, reporting_year: int, perimeter_description: str) 
             raise FleetParseError(f"expected header {','.join(FLEET_CSV_COLUMNS)!r}", row=rownum)
     items = {k: [] for k in FLEET_SCHEMA}
     seen_ids = {kind: set() for kind in ("asset", "room", "campaign", "external")}
+    memos: dict[FleetField, dict] = {}  # see _column
     first, block_rows = start + 1, _BLOCK_ROWS
     while first < len(lines):
         block = lines[first:first + block_rows]
@@ -511,7 +533,8 @@ def parse_fleet_csv(text: str, reporting_year: int, perimeter_description: str) 
                 if ids is not None and (len(set(col)) < len(col) or not ids.isdisjoint(col)):
                     dup = next(i for n, i in enumerate(col) if i in ids or i in col[:n])
                     raise ValueError(f"duplicate {kind} id: {dup}")
-            converted = [(kind, _convert_block(kind, texts)) for kind, texts in parts.items()]
+            converted = [(kind, _convert_block(kind, texts, memos))
+                         for kind, texts in parts.items()]
         except ValueError as exc:
             if block_rows == 1:
                 raise FleetParseError(str(exc), row=first + 1) from None
@@ -528,7 +551,7 @@ def parse_fleet_csv(text: str, reporting_year: int, perimeter_description: str) 
     del lines  # before the Fleet's tuples are built, which would raise the peak
 
     # seen_ids is freed after the Fleet is built: freed before, it raises glibc's mmap
-    # threshold, and the Fleet's big arrays go to a heap that keeps them (+5.5 MB RSS).
+    # threshold, and the Fleet's big arrays go to a heap that keeps them (+4.5 MB RSS).
     collections = {attr: tuple(items[kind]) for kind, (_, attr, _) in FLEET_SCHEMA.items()}
     try:
         return Fleet(perimeter_description, reporting_year, **collections)
@@ -633,9 +656,11 @@ def parse_glpi_export(
     next_suffix: dict[str, int] = {}
     records: list[tuple] = []  # (row number, id, category, year, status) of each asset
     unknown_statuses: list[tuple[int, str]] = []
-    # What depends on one or two cells alone is worked out once per distinct text.
+    # What depends on one or two cells alone is worked out once per distinct text,
+    # and each year is one object however its dates are written.
     pair_rules = functools.cache(_pair_walker(rules))
-    year_of = functools.cache(_year_from_date)
+    one_year: dict = {}
+    year_of = functools.cache(lambda text: one_year.setdefault(y := _year_from_date(text), y))
     status_of = functools.cache(lambda label: GLPI_STATUS_ALIASES.get(label.strip().lower()))
     rows = _glpi_rows(text)
     # An empty export has no header row, so no column is missing.
@@ -684,8 +709,8 @@ def parse_glpi_export(
     columns = (ids, categories, (1,) * len(ids), years, nones, statuses, nones, nones, nones)
     try:
         assets, bad = _assets_from_columns(columns), None
-    except ValueError:
-        assets, bad = (), _first_bad_asset(rownums, columns)
+    except ValueError as exc:
+        assets, bad = (), FleetParseError(str(exc), row=rownums[exc.index])
     for rownum, status in unknown_statuses:
         if bad is None or rownum <= bad.row:
             logger.warning("GLPI row %d: unknown status %r, assuming in_use", rownum, status)
@@ -694,18 +719,7 @@ def parse_glpi_export(
     return Fleet(perimeter_description, reporting_year, assets=assets), tuple(unmapped)
 
 
-def _first_bad_asset(rownums: tuple[int, ...], columns) -> FleetParseError | None:
-    """The error of the first row of the columns that Asset rejects."""
-    for rownum, values in zip(rownums, zip(*columns)):
-        try:
-            Asset(*values)
-        except ValueError as exc:
-            return FleetParseError(str(exc), row=rownum)
-
-
-def validate_fleet(
-    fleet: Fleet, db: FactorDatabase, age_warning_years: int = 10
-) -> list[Issue]:
+def validate_fleet(fleet: Fleet, db: FactorDatabase, age_warning_years: int = 10) -> list[Issue]:
     """Check a fleet against a merged factor database: the blocking issues,
     then the per-asset warnings (see blocking_issues and asset_warnings)."""
     return blocking_issues(fleet, db) + asset_warnings(fleet, db, age_warning_years)
@@ -725,24 +739,16 @@ def blocking_issues(fleet: Fleet, db: FactorDatabase) -> list[Issue]:
     gwp_fluids = {g.fluid for g in db.gwp_table}
     for room in fleet.rooms:
         if room.refrigerant_leak_kg_per_year > 0 and room.refrigerant_fluid not in gwp_fluids:
-            issues.append(
-                Issue("error", room.id, f"unknown refrigerant fluid: {room.refrigerant_fluid}")
-            )
+            issues.append(Issue("error", room.id,
+                                f"unknown refrigerant fluid: {room.refrigerant_fluid}"))
     for campaign in fleet.campaigns:
         if not campaign.has_energy_declaration:
-            issues.append(
-                Issue(
-                    "error",
-                    campaign.id,
-                    "campaign declares neither kwh nor (core_hours, watts_per_core)",
-                )
-            )
+            issues.append(Issue("error", campaign.id,
+                                "campaign declares neither kwh nor (core_hours, watts_per_core)"))
     return issues
 
 
-def asset_warnings(
-    fleet: Fleet, db: FactorDatabase, age_warning_years: int = 10
-) -> list[Issue]:
+def asset_warnings(fleet: Fleet, db: FactorDatabase, age_warning_years: int = 10) -> list[Issue]:
     """Warnings that flag asset data worth a second look; none blocks computation."""
     issues: list[Issue] = []
     # Categories whose usage rests on a zero typical power.
@@ -754,21 +760,15 @@ def asset_warnings(
     for asset in fleet.assets:
         age = year - asset.acquisition_year
         if age > age_warning_years:
-            issues.append(
-                Issue("warning", asset.id, f"asset age {age} years (replacement candidate)")
-            )
-        # The engine has no partial years: such an asset still counts a full
-        # year of usage.
+            issues.append(Issue("warning", asset.id,
+                                f"asset age {age} years (replacement candidate)"))
+        # The engine has no partial years: such an asset still counts a full year of usage.
         if asset.acquisition_year > year:
-            issues.append(
-                Issue("warning", asset.id, f"acquired in {asset.acquisition_year}, after "
-                      f"reporting year {year}: a full year of usage is still charged")
-            )
+            issues.append(Issue("warning", asset.id, f"acquired in {asset.acquisition_year}, after "
+                                f"reporting year {year}: a full year of usage is still charged"))
         elif asset.disposal_year is not None and asset.disposal_year < year:
-            issues.append(
-                Issue("warning", asset.id, f"disposed of in {asset.disposal_year}, before "
-                      f"reporting year {year}: a full year of usage is still charged")
-            )
+            issues.append(Issue("warning", asset.id, f"disposed of in {asset.disposal_year}, before"
+                                f" reporting year {year}: a full year of usage is still charged"))
         if (asset.status == "in_use" and asset.measured_power_w is None
                 and asset.category in zero_power):
             issues.append(Issue("warning", asset.id,

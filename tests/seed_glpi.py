@@ -1,5 +1,6 @@
 """The GLPI import as it was before its per-value work was memoized, kept
-verbatim as the reference that parse_glpi_export is compared against."""
+verbatim as the reference that parse_glpi_export is compared against, with
+the first-bad-row helper it calls, which the import no longer has."""
 from __future__ import annotations
 
 import csv
@@ -14,7 +15,6 @@ from ecodiag.inventory import (
     MappingRule,
     UnmappedRecord,
     _broken_asset_rule,
-    _first_bad_asset,
     logger,
 )
 
@@ -40,6 +40,15 @@ def _glpi_rows(text: str):
                 rownum += 1
     except csv.Error as exc:
         raise FleetParseError(f"malformed CSV: {exc}", row=rownum) from None
+
+
+def _first_bad_asset(rownums: tuple[int, ...], columns) -> FleetParseError | None:
+    """The error of the first row of the columns that Asset rejects."""
+    for rownum, values in zip(rownums, zip(*columns)):
+        try:
+            Asset(*values)
+        except ValueError as exc:
+            return FleetParseError(str(exc), row=rownum)
 
 
 def seed_parse_glpi_export(

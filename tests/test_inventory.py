@@ -3,6 +3,7 @@
 import csv
 import fnmatch
 import io
+import math
 import random
 import tracemalloc
 from collections import Counter
@@ -492,9 +493,9 @@ class TestBlockParse:
         in a list that is returned."""
         calls, convert = [], inventory._convert_block
 
-        def recording(kind, texts):
+        def recording(kind, texts, memos):
             calls.append([(kind, *cells) for cells in zip(*texts)])
-            return convert(kind, texts)
+            return convert(kind, texts, memos)
         mp.setattr(inventory, "_convert_block", recording)
         return calls
 
@@ -597,6 +598,99 @@ class TestParseFleetRow:
         if expected[0] is not FleetParseError:
             expected = (tuple, (ScenarioAction(op, target or None, expected[1]),))
         assert row_outcome(parse_actions_csv, "# plan\n" * comments + line) == expected
+
+
+SHARED_FIELDS = ("category", "status", "hour_profile_override", "acquisition_year",
+                 "disposal_year")
+
+
+def objects_per_value(assets, attr: str) -> tuple[int, int]:
+    """The number of distinct objects and of distinct values of a field of the assets."""
+    values = [getattr(a, attr) for a in assets]
+    return len({id(v) for v in values}), len(set(values))
+
+
+class TestSharedValues:
+    """A parsed fleet holds one object per value of each repeated field; the
+    values, their types and signs, and the errors stay as they were."""
+
+    @pytest.mark.parametrize("block_rows", [1, 7, inventory._BLOCK_ROWS])
+    def test_fleet_csv_holds_one_object_per_value(self, block_rows, monkeypatch):
+        monkeypatch.setattr(inventory, "_BLOCK_ROWS", block_rows)
+        rng = random.Random(21)
+        assets = tuple(random_asset(rng, i, 2020) for i in range(600))
+        fleet = Fleet("p", 2020, assets=assets)
+        parsed = parse_fleet_csv(render_fleet_csv(fleet), 2020, "p")
+        assert parsed == fleet
+        for attr in SHARED_FIELDS:
+            objects, values = objects_per_value(parsed.assets, attr)
+            assert objects == values < len(assets), attr
+
+    def test_years_written_differently_are_one_object(self):
+        fleet = parse("\n".join(["asset,a1,laptop,1,2019,,in_use,,,",
+                                 "asset,a2,laptop,1,02019,+2019,in_use,,,",
+                                 "asset,a3,laptop,1, 2019,2019 ,in_use,,,"]))
+        assert objects_per_value(fleet.assets, "acquisition_year") == (1, 1)
+        assert objects_per_value(fleet.assets, "disposal_year") == (2, 2)  # None and 2019
+
+    def test_glpi_export_holds_one_object_per_value(self):
+        # Two rules name each category, and each year is written three ways.
+        rules = parse_mapping_rules("type,laptop,laptop\nmodel,latitude,laptop\n"
+                                    "type,server,server\nmodel,poweredge,server\n")
+        rng = random.Random(4)
+        rows = []
+        for k in range(600):
+            kind, model = rng.choice((("Laptop", "X"), ("PC", "Latitude"), ("Server", "Y"),
+                                      ("Box", "PowerEdge")))
+            year = rng.randint(2010, 2019)
+            date = rng.choice((f"{year}", f"{year}-0{rng.randint(1, 9)}-11",
+                               f"1{rng.randint(0, 9)}/0{rng.randint(1, 9)}/{year}"))
+            status = rng.choice(("used", "stock", "en service", "odd"))
+            rows.append(f"pc-{k},{kind},{model},{date},{status}")
+        text = "\n".join([GLPI_HEADER, *rows])
+        fleet, unmapped = parse_glpi_export(text, rules, 2019, "Lab X")
+        assert (fleet, unmapped) == seed_parse_glpi_export(text, rules, 2019, "Lab X")
+        assert len(fleet.assets) == 600
+        for attr in SHARED_FIELDS:
+            objects, values = objects_per_value(fleet.assets, attr)
+            assert objects == values, attr
+
+    def test_round_trip_keeps_types_and_signs(self):
+        text = body(
+            "asset,laptop,laptop,2019,2019,2019,in_use,-0.0,1.0,",
+            "asset,a1,laptop,1,2019,,stored,0.0,-0.0,hours=continuous",
+            "asset,a2,server,1,2018,2019,in_use,1.0,1.0,hours=continuous",
+            "room,in_use,,,,,,,,fluid=2019;leak_kg=1.0",
+            "cable,,cable_hdmi,1,,,,,,",
+        ) + "\n"
+        fleet = parse_fleet_csv(text, 2019, "Lab X")
+        assert render_fleet_csv(fleet) == text
+        first, second, third = fleet.assets
+        assert [type(v) for v in first] == [str, str, int, int, int, str, float, float, type(None)]
+        assert math.copysign(1, first.measured_power_w) == -1
+        assert math.copysign(1, second.measured_power_w) == 1
+        assert math.copysign(1, second.vendor_fab_transport_kgco2e) == -1
+        assert third.quantity == 1 and type(third.quantity) is int
+        assert type(third.measured_power_w) is float
+        assert fleet.rooms[0].refrigerant_fluid == "2019"
+        assert fleet.cable_bulks[0].count_acquired_this_year == 1
+
+    @pytest.mark.parametrize("column,text,message", [
+        (2, "lapt0p", "unknown or non-asset category: lapt0p"),
+        (6, "broken", "status must be one of ('in_use', 'stored'), got 'broken'"),
+        (4, "20l9", "field acquisition_year: not an integer: '20l9'"),
+        (5, "2O21", "field disposal_year: not an integer: '2O21'"),
+        (4, "", "field acquisition_year is required for kind asset"),
+    ])
+    def test_bad_value_mid_block_keeps_its_message_and_row(self, column, text, message):
+        rng = random.Random(8)
+        fleet = Fleet("p", 2020, assets=tuple(random_asset(rng, i, 2020) for i in range(600)))
+        rows = [row.split(",") for row in render_fleet_csv(fleet).splitlines()[1:]]
+        rows[400][column] = text  # the middle of the second block, whose values repeat the first's
+        text = body(*map(",".join, rows))
+        expected = (FleetParseError, f"row 402: {message}", 402)
+        assert outcome(parse_fleet_csv, text) == expected
+        assert outcome(row_walk_parse, text) == expected
 
 
 GLPI_HEADER = "name,type,model,purchase_date,status"
