@@ -147,14 +147,6 @@ def _lines(
     return lines
 
 
-def _one_line(asset: Asset, factor: EmissionFactor, phase: str, config=None, year=None):
-    """The asset's line of one phase under the factor, or None; usage needs the config."""
-    usage = phase == "usage"
-    plan = _plan(asset.category, factor, config, usage, not usage)
-    lines = _lines((asset,), {asset.category: plan}, year, config and config.grid.kgco2e_per_kwh)
-    return next((line for line in lines if line.phase == phase), None)
-
-
 def usage_hours(asset: Asset, config: EngineConfig) -> float:
     """Yearly powered-on hours for one asset; stored equipment runs zero."""
     return _hours_table(asset.category, config)[asset.status, asset.hour_profile_override]
@@ -162,18 +154,8 @@ def usage_hours(asset: Asset, config: EngineConfig) -> float:
 
 def scope2_usage(asset: Asset, factor: EmissionFactor, config: EngineConfig) -> EmissionLine | None:
     """Electricity consumption line for one asset, None when it draws nothing."""
-    return _one_line(asset, factor, "usage", config)
-
-
-def scope3_fabrication(asset: Asset, factor: EmissionFactor,
-                       reporting_year: int) -> EmissionLine | None:
-    """Fabrication and transport line, only in the acquisition year."""
-    return _one_line(asset, factor, "fabrication_transport", year=reporting_year)
-
-
-def scope3_eol(asset: Asset, factor: EmissionFactor, reporting_year: int) -> EmissionLine | None:
-    """End-of-life treatment line, only in the disposal year."""
-    return _one_line(asset, factor, "end_of_life", year=reporting_year)
+    plans = {asset.category: _plan(asset.category, factor, config, True, False)}
+    return next(iter(_lines((asset,), plans, None, config.grid.kgco2e_per_kwh)), None)
 
 
 def scope1_refrigerant(room: ServerRoom, gwp_table: tuple[GwpEntry, ...]) -> EmissionLine | None:

@@ -11,10 +11,9 @@ import hashlib
 import json
 import math
 import sys
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import reduce
-from operator import add, itemgetter
+from operator import add
 
 from .engine import (
     EXTERNAL_GROUP,
@@ -62,7 +61,6 @@ class YearComparison:
     grand_totals: tuple[float, ...]
     deltas_kgco2e: tuple[float, ...]
     deltas_pct: tuple[float | None, ...]
-    per_scope_deltas: dict
     warnings: tuple[str, ...] = ()
 
 
@@ -179,13 +177,6 @@ def compare_years(reports: list[Report]) -> YearComparison:
         grand_totals=grand,
         deltas_kgco2e=deltas,
         deltas_pct=pcts,
-        per_scope_deltas={
-            s: tuple(
-                ordered[i + 1].totals_by_scope[s] - ordered[i].totals_by_scope[s]
-                for i in range(len(ordered) - 1)
-            )
-            for s in SCOPES
-        },
         warnings=tuple(warnings),
     )
 
@@ -219,20 +210,6 @@ def _edits(fleet: Fleet, actions: list[ScenarioAction]) -> tuple[set[str], dict[
     return dropped, added
 
 
-def _without(lines: list[EmissionLine], ids: set[str]) -> list[EmissionLine]:
-    """A new list of the lines, in key order, without the runs of the given
-    subject ids, each found by bisecting on the subject id."""
-    subject = itemgetter(0)
-    runs = sorted((bisect_left(lines, i, key=subject), bisect_right(lines, i, key=subject))
-                  for i in ids)
-    kept, start = [], 0
-    for lo, hi in runs:
-        kept += lines[start:lo]
-        start = hi
-    kept += lines[start:]
-    return kept
-
-
 def apply_scenario(fleet: Fleet, actions: list[ScenarioAction]) -> Fleet:
     """Apply actions to a copy of the fleet; the baseline is never touched.
     The kept assets stay in fleet order and the new ones follow (see _edits)."""
@@ -258,18 +235,18 @@ def evaluate_scenario(
 
     The actions are walked once, before any line is computed, and no variant
     fleet is built: the variant differs only in its assets. Its asset lines
-    are the baseline's, sorted once, without the runs of the dropped ids and
-    with the new assets' lines merged in; its pool is the baseline's without
-    the dropped ids, followed by the new assets'. Only the new assets are
-    evaluated, and both reports are exactly those of a full compute of each
-    fleet.
+    are the baseline's, sorted once, filtered to the subjects the actions do
+    not drop, with the new assets' lines merged in; its pool is the
+    baseline's, filtered the same way, followed by the new assets'. Only the
+    new assets are evaluated, and both reports are exactly those of a full
+    compute of each fleet.
     """
     dropped, added = _edits(fleet, actions)
     lines, pool = asset_part(fleet, fleet.assets, db, config)
     baseline_lines = compute_fleet(fleet, db, config, (lines, pool))
     new_lines, new_pool = asset_part(fleet, tuple(added.values()), db, config)
     variant_lines = compute_fleet(fleet, db, config, (
-        merge_lines(_without(lines, dropped), new_lines),
+        merge_lines([l for l in lines if l.subject_id not in dropped], new_lines),
         [l for l in pool if l.subject_id not in dropped] + new_pool,
     ))
     baseline = aggregate(baseline_lines, fleet, factor_db_hash)
@@ -309,7 +286,8 @@ def parse_actions_csv(text: str) -> tuple[ScenarioAction, ...]:
     vendor_fab_kgco2e, extra). remove rows may stop after the target id.
     Structural problems, and the shape rules ScenarioAction enforces, raise
     FleetParseError with the row number; whether a target exists is only
-    known against a fleet, so that check lives in apply_scenario.
+    known against a fleet, so that check lives in _edits, which both
+    evaluate_scenario and apply_scenario run.
     """
     actions: list[ScenarioAction] = []
     for n, (rownum, fields) in enumerate(csv_rows(text)):

@@ -20,8 +20,6 @@ from ecodiag.engine import (
     scope2_campaign,
     scope2_usage,
     scope3_cables,
-    scope3_eol,
-    scope3_fabrication,
     usage_hours,
 )
 from ecodiag.errors import UnknownFluidError
@@ -42,8 +40,6 @@ from seed_engine import (
     seed_compute_fleet,
     seed_key_order,
     seed_scope2_usage,
-    seed_scope3_eol,
-    seed_scope3_fabrication,
     seed_usage_hours,
 )
 
@@ -111,19 +107,24 @@ class TestScope2Usage:
         assert line.kgco2e == pytest.approx(191.233, rel=REL)
 
 
+def s3_lines(a, factor, year):
+    """The S3 lines of the asset, computed alone in a fleet of the given year."""
+    fleet = Fleet("p", year, assets=(a,))
+    lines = engine.asset_lines(fleet, fleet.assets, make_db(factor), EngineConfig())
+    return [line for line in lines if line.scope == "S3"]
+
+
 class TestScope3Fabrication:
     def test_acquired_this_year(self):
-        line = scope3_fabrication(
-            asset(quantity=2, acquisition_year=2019), make_factor(fab=300.0), 2019
-        )
+        [line] = s3_lines(asset(quantity=2, acquisition_year=2019), make_factor(fab=300.0), 2019)
         assert line.kgco2e == 600.0
         assert line.phase == "fabrication_transport"
 
     def test_acquired_earlier_no_line(self):
-        assert scope3_fabrication(asset(acquisition_year=2015), make_factor(), 2019) is None
+        assert s3_lines(asset(acquisition_year=2015), make_factor(), 2019) == []
 
     def test_vendor_value_wins_and_is_exact(self):
-        line = scope3_fabrication(
+        [line] = s3_lines(
             asset(acquisition_year=2019, vendor_fab_transport_kgco2e=250.0),
             make_factor(fab=300.0),
             2019,
@@ -132,23 +133,21 @@ class TestScope3Fabrication:
         assert line.abs_uncertainty_kgco2e == 0.0
 
     def test_factor_value_carries_uncertainty(self):
-        line = scope3_fabrication(asset(acquisition_year=2019), make_factor(fab=300.0, unc=0.3), 2019)
+        [line] = s3_lines(asset(acquisition_year=2019), make_factor(fab=300.0, unc=0.3), 2019)
         assert line.abs_uncertainty_kgco2e == pytest.approx(90.0, rel=REL)
 
 
 class TestScope3Eol:
     def test_disposed_this_year(self):
-        line = scope3_eol(
-            asset(quantity=4, disposal_year=2019), make_factor(eol=2.5), 2019
-        )
+        [line] = s3_lines(asset(quantity=4, disposal_year=2019), make_factor(eol=2.5), 2019)
         assert line.kgco2e == 10.0
         assert line.phase == "end_of_life"
 
     def test_no_disposal_no_line(self):
-        assert scope3_eol(asset(), make_factor(), 2019) is None
+        assert s3_lines(asset(), make_factor(), 2019) == []
 
     def test_other_year_no_line(self):
-        assert scope3_eol(asset(disposal_year=2018), make_factor(), 2019) is None
+        assert s3_lines(asset(disposal_year=2018), make_factor(), 2019) == []
 
 
 class TestScope1Refrigerant:
@@ -538,12 +537,9 @@ class TestSeedEngine:
             for a in fleet.assets:
                 factor = lookup_factor(db, a.category)
                 assert usage_hours(a, config) == seed_usage_hours(a, config)
-                for new, old, arg in (
-                    (scope2_usage, seed_scope2_usage, config),
-                    (scope3_fabrication, seed_scope3_fabrication, year),
-                    (scope3_eol, seed_scope3_eol, year),
-                ):
-                    assert repr(new(a, factor, arg)) == repr(old(a, factor, arg))
+                assert repr(scope2_usage(a, factor, config)) == repr(
+                    seed_scope2_usage(a, factor, config)
+                )
                 seen["acquired"] += a.acquisition_year == year
                 seen["disposed"] += a.disposal_year == year
                 seen["stored"] += a.status == "stored"

@@ -194,11 +194,6 @@ class TestCompareYears:
         )
         assert any("perimeter mismatch" in w for w in cmp.warnings)
 
-    def test_per_scope_deltas(self):
-        cmp = compare_years([simple_report(2018, 1000.0), simple_report(2019, 900.0)])
-        assert cmp.per_scope_deltas["S2"] == (-100.0,)
-        assert cmp.per_scope_deltas["S1"] == (0.0,)
-
     def test_three_year_series(self):
         cmp = compare_years(
             [simple_report(2018, 1000.0), simple_report(2019, 900.0), simple_report(2020, 990.0)]
@@ -327,6 +322,28 @@ def random_actions(rng, fleet):
     return actions
 
 
+def readd_dropped(rng, new, actions, target=None):
+    """new, or one time in three new under the id of a baseline asset that the
+    actions, or a replacement of target, drop and that no action adds back."""
+    dropped = {a.target_asset_id for a in actions if a.op != "add"}
+    if target is not None:
+        dropped.add(target)
+    free = sorted(dropped - {a.new_asset.id for a in actions if a.new_asset})
+    return new._replace(id=rng.choice(free)) if free and rng.random() < 1 / 3 else new
+
+
+def insert_add(rng, actions, new):
+    """Insert an add of new at a random place after the action dropping its id, if any."""
+    start = next((i + 1 for i, a in enumerate(actions) if a.target_asset_id == new.id), 0)
+    actions.insert(rng.randint(start, len(actions)), ScenarioAction("add", new_asset=new))
+
+
+def readded_ops(fleet, actions):
+    """The ops of the actions whose new asset takes the id of a baseline asset."""
+    ids = {a.id for a in fleet.assets}
+    return {a.op for a in actions if a.new_asset is not None and a.new_asset.id in ids}
+
+
 class TestActionsWalk:
     def test_agrees_with_the_seed_on_random_action_orders(self):
         rng = random.Random(18)
@@ -422,6 +439,7 @@ class TestEvaluateScenario:
 
     def test_variant_equals_a_full_recompute_on_random_fleets(self):
         rng = random.Random(23)
+        seen = Counter()
         for _ in range(40):
             db = random_db(rng)
             config = EngineConfig(grid=GridFactor(db.default_grid_factor_kgco2e_per_kwh))
@@ -435,15 +453,17 @@ class TestEvaluateScenario:
                 else:
                     new = random_asset(rng, 1000 + k, fleet.reporting_year)
                     # A replacement is acquired this year, so it cannot be disposed before.
-                    new = new._replace(disposal_year=None)
+                    new = readd_dropped(rng, new._replace(disposal_year=None), actions, target)
                     actions.append(ScenarioAction("replace", target, new))
             for k in range(rng.randint(0, 3)):
                 new = random_asset(rng, 2000 + k, fleet.reporting_year)
-                actions.insert(rng.randint(0, len(actions)), ScenarioAction("add", new_asset=new))
+                insert_add(rng, actions, readd_dropped(rng, new, actions))
             result = evaluate_scenario(fleet, actions, db, config)
             variant = seed_apply_scenario(fleet, actions)
             assert result.variant == aggregate(compute_fleet(variant, db, config), variant)
             assert result.baseline == aggregate(compute_fleet(fleet, db, config), fleet)
+            seen.update(f"id re-added by {op}" for op in readded_ops(fleet, actions))
+        assert len(seen) == 2 and min(seen.values()) >= 5, seen
 
 
 def test_variant_lines_equal_the_seed_on_fleets_with_shared_ids(monkeypatch):
@@ -471,11 +491,12 @@ def test_variant_lines_equal_the_seed_on_fleets_with_shared_ids(monkeypatch):
             else:
                 taken = set(live) | {a.new_asset.id for a in actions if a.new_asset}
                 new = colliding_asset(rng, 1000 + k, year, taken)._replace(disposal_year=None)
+                new = readd_dropped(rng, new, actions, target)
                 actions.append(ScenarioAction("replace", target, new))
         for k in range(rng.randint(0, 3)):
             taken = set(live) | {a.new_asset.id for a in actions if a.new_asset}
             new = colliding_asset(rng, 2000 + k, year, taken)
-            actions.insert(rng.randint(0, len(actions)), ScenarioAction("add", new_asset=new))
+            insert_add(rng, actions, readd_dropped(rng, new, actions))
         computed.clear()
         evaluate_scenario(fleet, actions, db, config)
         variant = seed_apply_scenario(fleet, actions)
@@ -486,7 +507,8 @@ def test_variant_lines_equal_the_seed_on_fleets_with_shared_ids(monkeypatch):
         new_ids = {a.new_asset.id for a in actions if a.new_asset} & {a.id for a in variant.assets}
         seen["new asset sharing an id"] += bool(new_ids & {*SHARED_IDS, "cable_cat5", "cable_hdmi"})
         seen["UPS overhead"] += any(l.factor_source.startswith("room_overhead:") for l in expected)
-    assert len(seen) == 3 and min(seen.values()) >= 30, seen
+        seen.update(f"id re-added by {op}" for op in readded_ops(fleet, actions))
+    assert len(seen) == 5 and min(seen.values()) >= 30, seen
 
 
 class TestFloatSumsUnderACompensatedSum:
