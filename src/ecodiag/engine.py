@@ -18,7 +18,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from functools import reduce
 from operator import add, itemgetter
-from typing import NamedTuple
+from typing import ClassVar, NamedTuple
 
 from .factors import (
     CATEGORIES,
@@ -75,17 +75,11 @@ class EmissionLine(NamedTuple):
 
 @dataclass(frozen=True)
 class EngineConfig:
-    """Computation constants: grid intensity and the two yearly hour profiles."""
+    """Computation constants: grid intensity and the two fixed yearly hour profiles."""
 
     grid: GridFactor = GridFactor(DEFAULT_GRID_FACTOR)
-    work_year_hours: float = WORK_YEAR_HOURS
-    continuous_hours: float = CONTINUOUS_HOURS
-
-    def __post_init__(self):
-        if not 0 < self.work_year_hours <= self.continuous_hours <= 8784:
-            raise ValueError(
-                "hour profiles must satisfy 0 < work_year_hours <= continuous_hours <= 8784"
-            )
+    work_year_hours: ClassVar[float] = WORK_YEAR_HOURS
+    continuous_hours: ClassVar[float] = CONTINUOUS_HOURS
 
 
 def config_for(db: FactorDatabase, grid_override: float | None = None) -> EngineConfig:
@@ -145,11 +139,6 @@ def _lines(
                                 else (qty * vendor, 0.0, VENDOR_SOURCE))
                 append(new(EmissionLine, (id_, "S3", "fabrication_transport", kg, unc, src, group)))
     return lines
-
-
-def usage_hours(asset: Asset, config: EngineConfig) -> float:
-    """Yearly powered-on hours for one asset; stored equipment runs zero."""
-    return _hours_table(asset.category, config)[asset.status, asset.hour_profile_override]
 
 
 def scope2_usage(asset: Asset, factor: EmissionFactor, config: EngineConfig) -> EmissionLine | None:
@@ -373,8 +362,3 @@ def combined_uncertainty(lines: list[EmissionLine]) -> float:
     for l in lines:
         groups[l.factor_source] = groups.get(l.factor_source, 0.0) + l.abs_uncertainty_kgco2e
     return math.sqrt(reduce(add, (g * g for g in groups.values()), 0.0))
-
-
-def aggregate_uncertainty(lines: list[EmissionLine]) -> tuple[float, float]:
-    """Total kgco2e and its absolute uncertainty (see combined_uncertainty)."""
-    return reduce(add, (l.kgco2e for l in lines), 0.0), combined_uncertainty(lines)

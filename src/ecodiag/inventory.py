@@ -40,6 +40,8 @@ HOUR_PROFILES = ("work_year", "continuous")
 #: Largest count a float holds with every integer up to it exact; the engine
 #: multiplies counts as floats.
 MAX_COUNT = 2**53
+#: An asset older than this many years gets a replacement-candidate warning.
+AGE_WARNING_YEARS = 10
 
 #: GLPI status text normalized to the two inventory statuses. Unknown labels
 #: fall back to in_use so electricity is over- rather than under-counted.
@@ -308,9 +310,6 @@ class MappingRule:
             def test(value: str) -> bool:
                 return pattern in value
         object.__setattr__(self, "_test", test)
-
-    def matches(self, record: dict[str, str]) -> bool:
-        return bool(self._test((record.get(self.match_field) or "").lower()))
 
 
 @dataclass(frozen=True)
@@ -719,10 +718,10 @@ def parse_glpi_export(
     return Fleet(perimeter_description, reporting_year, assets=assets), tuple(unmapped)
 
 
-def validate_fleet(fleet: Fleet, db: FactorDatabase, age_warning_years: int = 10) -> list[Issue]:
+def validate_fleet(fleet: Fleet, db: FactorDatabase) -> list[Issue]:
     """Check a fleet against a merged factor database: the blocking issues,
     then the per-asset warnings (see blocking_issues and asset_warnings)."""
-    return blocking_issues(fleet, db) + asset_warnings(fleet, db, age_warning_years)
+    return blocking_issues(fleet, db) + asset_warnings(fleet, db)
 
 
 def blocking_issues(fleet: Fleet, db: FactorDatabase) -> list[Issue]:
@@ -748,7 +747,7 @@ def blocking_issues(fleet: Fleet, db: FactorDatabase) -> list[Issue]:
     return issues
 
 
-def asset_warnings(fleet: Fleet, db: FactorDatabase, age_warning_years: int = 10) -> list[Issue]:
+def asset_warnings(fleet: Fleet, db: FactorDatabase) -> list[Issue]:
     """Warnings that flag asset data worth a second look; none blocks computation."""
     issues: list[Issue] = []
     # Categories whose usage rests on a zero typical power.
@@ -759,7 +758,7 @@ def asset_warnings(fleet: Fleet, db: FactorDatabase, age_warning_years: int = 10
     year = fleet.reporting_year
     for asset in fleet.assets:
         age = year - asset.acquisition_year
-        if age > age_warning_years:
+        if age > AGE_WARNING_YEARS:
             issues.append(Issue("warning", asset.id,
                                 f"asset age {age} years (replacement candidate)"))
         # The engine has no partial years: such an asset still counts a full year of usage.

@@ -1,7 +1,7 @@
 import pytest
 
 from ecodiag import engine, report, samples
-from ecodiag.engine import EngineConfig
+from ecodiag.engine import EngineConfig, GridFactor
 from ecodiag.factors import (
     EmissionFactor,
     FactorDatabase,
@@ -10,6 +10,7 @@ from ecodiag.factors import (
     load_factor_db,
     merge_factors,
 )
+from ecodiag.inventory import Fleet
 
 
 def make_source(name="sample-base", year=2019, kind="public_base", neutral=True, peer=False):
@@ -22,6 +23,16 @@ def make_factor(category="laptop", fab=300.0, eol=2.5, power=30.0, unc=0.30, sou
 
 def make_db(*factors, gwps=(GwpEntry("R410A", 2088.0),), grid=0.119):
     return FactorDatabase(tuple(factors), tuple(gwps), grid)
+
+
+def charged_hours(asset):
+    """The yearly hours the engine charges one unit of the asset: its usage
+    line alone in a fleet, at a measured 1000 W and a grid of 1.0, where the
+    kgCO2e equal the hours; no usage line means 0."""
+    fleet = Fleet("p", 2019, assets=(asset._replace(quantity=1, measured_power_w=1000.0),))
+    config = EngineConfig(grid=GridFactor(1.0))
+    lines = engine.asset_lines(fleet, fleet.assets, make_db(make_factor(asset.category)), config)
+    return next((line.kgco2e for line in lines if line.phase == "usage"), 0.0)
 
 
 @pytest.fixture

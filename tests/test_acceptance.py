@@ -14,12 +14,13 @@ from pathlib import Path
 
 import pytest
 
+from conftest import charged_hours
 from ecodiag import samples
 from ecodiag.cli import main
-from ecodiag.engine import EngineConfig, GridFactor, aggregate_uncertainty, compute_fleet, usage_hours
+from ecodiag.engine import EngineConfig, GridFactor, compute_fleet
 from ecodiag.factors import CATEGORIES, DEFAULT_GRID_FACTOR, load_factor_db, merge_factors
 from ecodiag.inventory import Asset, Fleet, parse_fleet_csv, render_fleet_csv
-from ecodiag.report import ScenarioAction, evaluate_scenario, parse_report_json, render
+from ecodiag.report import ScenarioAction, aggregate, evaluate_scenario, parse_report_json, render
 from oracle import oracle_totals
 from randgen import random_db, random_fleet
 
@@ -47,17 +48,16 @@ def config_for_db(db) -> EngineConfig:
 
 def test_constant_fidelity():
     with criterion("constant fidelity: 1607 h / 8760 h profiles, grid 0.119"):
-        config = EngineConfig()
         for cat in CATEGORIES.values():
             if cat.group in ("bulk", "compute"):
                 continue
             asset = Asset("a", cat.id, 1, 2019)
             expected = 1607.0 if cat.hour_profile_default == "work_year" else 8760.0
-            assert usage_hours(asset, config) == expected
+            assert charged_hours(asset) == expected
             if cat.group == "office":
-                assert usage_hours(asset, config) == 1607.0
+                assert charged_hours(asset) == 1607.0
             if cat.group == "server_room":
-                assert usage_hours(asset, config) == 8760.0
+                assert charged_hours(asset) == 8760.0
         assert DEFAULT_GRID_FACTOR == 0.119
         assert EngineConfig().grid.kgco2e_per_kwh == 0.119
         sample = load_factor_db(samples.SAMPLE_FACTOR_FILE)
@@ -147,14 +147,16 @@ def test_oracle_equivalence():
             config = config_for_db(db)
             lines = compute_fleet(fleet, db, config)
             expected = oracle_totals(fleet, db, config)
-            total, uncertainty = aggregate_uncertainty(lines)
+            totals = aggregate(lines, fleet)
             by_scope = {s: 0.0 for s in ("S1", "S2", "S3")}
             for line in lines:
                 by_scope[line.scope] += line.kgco2e
             for scope in by_scope:
                 assert by_scope[scope] == pytest.approx(expected[scope], rel=REL, abs=1e-12)
-            assert total == pytest.approx(expected["total"], rel=REL, abs=1e-12)
-            assert uncertainty == pytest.approx(expected["uncertainty"], rel=REL, abs=1e-12)
+            assert totals.grand_total_kgco2e == pytest.approx(expected["total"], rel=REL, abs=1e-12)
+            assert totals.abs_uncertainty_kgco2e == pytest.approx(
+                expected["uncertainty"], rel=REL, abs=1e-12
+            )
             assert fabrication_subtotal(lines) == pytest.approx(
                 expected["fabrication"], rel=REL, abs=1e-12
             )
@@ -176,10 +178,14 @@ def test_linearity_and_grid_scaling():
                 for j in range(a.quantity)
             )
             exploded = dataclasses.replace(fleet, assets=exploded_assets)
-            total_n, unc_n = aggregate_uncertainty(compute_fleet(fleet, db, config))
-            total_1, unc_1 = aggregate_uncertainty(compute_fleet(exploded, db, config))
-            assert total_n == pytest.approx(total_1, rel=REL, abs=1e-12)
-            assert unc_n == pytest.approx(unc_1, rel=REL, abs=1e-12)
+            totals_n = aggregate(compute_fleet(fleet, db, config), fleet)
+            totals_1 = aggregate(compute_fleet(exploded, db, config), exploded)
+            assert totals_n.grand_total_kgco2e == pytest.approx(
+                totals_1.grand_total_kgco2e, rel=REL, abs=1e-12
+            )
+            assert totals_n.abs_uncertainty_kgco2e == pytest.approx(
+                totals_1.abs_uncertainty_kgco2e, rel=REL, abs=1e-12
+            )
 
         for _ in range(50):
             db = random_db(rng)

