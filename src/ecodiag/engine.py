@@ -13,11 +13,11 @@ Rules in force:
 """
 from __future__ import annotations
 
-import math
 from bisect import bisect_right
+from collections.abc import Iterator
 from dataclasses import dataclass
-from functools import reduce
-from operator import add, itemgetter
+from itertools import chain, compress
+from operator import itemgetter, not_
 from typing import ClassVar, NamedTuple
 
 from .factors import (
@@ -169,40 +169,23 @@ def _room_lines(
     """Room-level electricity lines.
 
     A whole-room meter wins over everything: its single line replaces the
-    per-asset usage lines of the server-room pool (compute_fleet applies the
+    per-asset usage lines of the server-room pool (asset_lines applies the
     suppression). Otherwise the UPS overhead fraction is charged on top of
     pool, the pool's (kgco2e, uncertainty), inheriting its uncertainty; a
     pool of None or of zero charges no overhead.
     """
     if room.measured_room_kwh_per_year is not None:
-        return [
-            EmissionLine(
-                subject_id=room.id,
-                scope="S2",
-                phase="usage",
-                kgco2e=room.measured_room_kwh_per_year * config.grid.kgco2e_per_kwh,
-                abs_uncertainty_kgco2e=0.0,
-                factor_source=MEASURED_SOURCE,
-                group="server_room",
-            )
-        ]
+        kgco2e = room.measured_room_kwh_per_year * config.grid.kgco2e_per_kwh
+        return [EmissionLine(room.id, "S2", "usage", kgco2e, 0.0, MEASURED_SOURCE, "server_room")]
     if pool is None:
         return []
     pool_kgco2e, pool_uncertainty = pool
     overhead = room.ups_overhead_fraction * pool_kgco2e
     if overhead == 0:
         return []
-    return [
-        EmissionLine(
-            subject_id=room.id,
-            scope="S2",
-            phase="usage",
-            kgco2e=overhead,
-            abs_uncertainty_kgco2e=room.ups_overhead_fraction * pool_uncertainty,
-            factor_source=f"room_overhead:{room.id}",
-            group="server_room",
-        )
-    ]
+    return [EmissionLine(room.id, "S2", "usage", overhead,
+                         room.ups_overhead_fraction * pool_uncertainty,
+                         f"room_overhead:{room.id}", "server_room")]
 
 
 def scope2_campaign(campaign: ComputeCampaign, config: EngineConfig) -> EmissionLine:
@@ -295,13 +278,11 @@ def asset_part(
 
 
 def merge_lines(lines: list[EmissionLine], others: list[EmissionLine]) -> list[EmissionLine]:
-    """A new list of the lines, in key order, with the others merged in.
-
-    The others are sorted stably by key first, and each goes after the lines
-    of an equal key: the same list as a stable sort of lines + others.
-    """
+    """A new list of the lines, in key order, with the others, in key order
+    too, merged in; each goes after the lines of an equal key: the same list
+    as a stable sort of lines + others."""
     merged, start = [], 0
-    for line in sorted(others, key=_KEY):
+    for line in others:
         end = bisect_right(lines, _KEY(line), start, key=_KEY)
         merged += lines[start:end]
         merged.append(line)
@@ -310,55 +291,76 @@ def merge_lines(lines: list[EmissionLine], others: list[EmissionLine]) -> list[E
     return merged
 
 
-def compute_fleet(
-    fleet: Fleet,
-    db: FactorDatabase,
-    config: EngineConfig,
-    part: tuple[list[EmissionLine], list[EmissionLine]] | None = None,
-) -> list[EmissionLine]:
-    """Compute every emission line for a fleet under a merged factor database.
+#: Assets evaluated at a time by fleet_lines: one chunk of lines, about 0.6 MB.
+_CHUNK_ASSETS = 4096
 
-    part, when given, stands for asset_part(fleet, assets, db, config) over
-    the assets to report, which need not be fleet.assets, and is not
-    modified; the fleet supplies the rest: year, rooms, campaigns, cables,
-    external services.
-    Output is sorted by (subject_id, scope, phase), lines of an equal key in
-    the order assets, rooms, campaigns, cables, external services, so
-    identical inputs always give identical output.
-    """
-    lines, pool_lines = asset_part(fleet, fleet.assets, db, config) if part is None else part
+
+def fleet_lines(fleet: Fleet, db: FactorDatabase, config: EngineConfig,
+                part: tuple[list, list] | None = None) -> Iterator[EmissionLine]:
+    """The lines of compute_fleet(fleet, db, config, part), as they are computed.
+
+    Without part, the server-room pool's assets, when a room charges an
+    overhead on it, are evaluated first, in fleet order, to sum the pool; the
+    others then _CHUNK_ASSETS at a time in id order, which is key order since
+    ids are unique among assets. The pool's lines and the room, campaign,
+    cable and external lines are merged into each chunk by key, so only they
+    and one chunk of asset lines are held at once."""
+    return chain.from_iterable(_line_chunks(fleet, db, config, part))
+
+
+def _line_chunks(fleet, db, config, part):
+    """The lists of lines that fleet_lines chains."""
+    subject, pooled = itemgetter(0), []  # the lines of the pool's assets
+    if part is None:
+        assets = fleet.assets
+        if any(r.ups_overhead_fraction != 0 for r in fleet.rooms):
+            in_pool = list(map(_POOL_CATEGORIES.__contains__, map(itemgetter(1), assets)))
+            pooled = asset_lines(fleet, tuple(compress(assets, in_pool)), db, config)
+            assets = list(compress(assets, map(not_, in_pool)))
+            del in_pool
+        pool = [line for line in pooled if line.scope == "S2"]
+        pooled.sort(key=subject)
+        assets = sorted(assets, key=subject)
+        chunks = (asset_lines(fleet, assets[i:i + _CHUNK_ASSETS], db, config)
+                  for i in range(0, len(assets), _CHUNK_ASSETS))
+    else:
+        pool, chunks = part[1], (part[0],)
 
     # The pool is summed in the order of the assets; an empty one charges nothing.
     pool_kgco2e = pool_uncertainty = 0.0
-    for line in pool_lines:
+    for line in pool:
         pool_kgco2e += line.kgco2e
         pool_uncertainty += line.abs_uncertainty_kgco2e
-    others = []
+    others = []  # lines of an equal key go: assets, rooms, campaigns, cables, external services
     for room in fleet.rooms:
-        line = scope1_refrigerant(room, db.gwp_table)
-        if line is not None:
-            others.append(line)
-        others.extend(_room_lines(room, (pool_kgco2e, pool_uncertainty), config))
+        others += [scope1_refrigerant(room, db.gwp_table),
+                   *_room_lines(room, (pool_kgco2e, pool_uncertainty), config)]
+    others += [scope2_campaign(c, config) for c in fleet.campaigns]
+    others += [scope3_cables(b, lookup_factor(db, b.category)) for b in fleet.cable_bulks]
+    others += map(declared_external, fleet.external_services)
+    others = sorted(filter(None, others), key=_KEY)
+    done = pool_done = 0
+    for chunk in chunks:
+        if chunk:
+            last = chunk[-1]
+            # Ids are unique among assets, so the pool's lines up to the chunk's last
+            # subject merge in by subject alone: sorted merges the two sorted runs.
+            end = bisect_right(pooled, last.subject_id, pool_done, key=subject)
+            chunk = sorted(chunk + pooled[pool_done:end], key=subject) if end > pool_done else chunk
+            pool_done = end
+            end = bisect_right(others, _KEY(last), done, key=_KEY)
+            yield merge_lines(chunk, others[done:end]) if end > done else chunk
+            done = end
+        del chunk  # before the next chunk is computed
+    yield merge_lines(pooled[pool_done:], others[done:])
 
-    for campaign in fleet.campaigns:
-        others.append(scope2_campaign(campaign, config))
 
-    for bulk in fleet.cable_bulks:
-        line = scope3_cables(bulk, lookup_factor(db, bulk.category))
-        if line is not None:
-            others.append(line)
-
-    for entry in fleet.external_services:
-        others.append(declared_external(entry))
-
-    return merge_lines(lines, others)
-
-
-def combined_uncertainty(lines: list[EmissionLine]) -> float:
-    """Absolute uncertainty of the lines' total. Lines sharing a factor_source
-    are fully correlated (their uncertainties add); distinct sources are
-    independent (group sums combine in quadrature)."""
-    groups: dict[str, float] = {}
-    for l in lines:
-        groups[l.factor_source] = groups.get(l.factor_source, 0.0) + l.abs_uncertainty_kgco2e
-    return math.sqrt(reduce(add, (g * g for g in groups.values()), 0.0))
+def compute_fleet(fleet: Fleet, db: FactorDatabase, config: EngineConfig,
+                  part: tuple[list, list] | None = None) -> list[EmissionLine]:
+    """Every emission line of a fleet under a merged factor database, sorted by
+    (subject_id, scope, phase), lines of an equal key in the order assets,
+    rooms, campaigns, cables, external services, so identical inputs always
+    give identical output. part, when given, stands for asset_part(fleet,
+    assets, db, config) over the assets to report, which need not be
+    fleet.assets, and is not modified; the fleet supplies the rest."""
+    return list(fleet_lines(fleet, db, config, part))

@@ -9,7 +9,9 @@ import csv
 import io
 import math
 import re
+from collections.abc import Iterator
 from dataclasses import dataclass, field
+from itertools import chain
 from operator import attrgetter
 
 from .errors import FactorParseError, FleetParseError, MissingFactorError, UnknownFluidError
@@ -264,11 +266,28 @@ def splits_plainly(line: str) -> bool:
     return '"' not in line and "\0" not in line and len(line) <= csv.field_size_limit()
 
 
+#: Characters text_lines splits at a time: a few blocks of fleet-CSV lines
+#: (the fleet parse takes as long with 4 KiB as with 128 KiB).
+_SLICE_CHARS = 1 << 15
+
+
+def text_lines(text: str) -> Iterator[str]:
+    """The lines of text.splitlines(), split a slice of about _SLICE_CHARS
+    characters at a time, each cut just after a '\n' (which never splits a
+    '\r\n' pair), so that the lines of a long text are never all held at once."""
+    def slices(start=0):
+        while start < len(text):
+            end = text.find("\n", start + _SLICE_CHARS) + 1 or len(text)
+            yield text[start:end]
+            start = end
+    return chain.from_iterable(map(str.splitlines, slices()))
+
+
 def csv_rows(text: str, error: type[FactorParseError | FleetParseError] = FleetParseError):
     """Yield (line number, fields) for every line that is not blank or a '#' comment;
     a malformed line raises error(message, line number).
     A line that splits_plainly is split on its commas."""
-    for rownum, raw in enumerate(text.splitlines(), start=1):
+    for rownum, raw in enumerate(text_lines(text), start=1):
         head = raw.lstrip()
         if not head or head[0] == "#":
             continue

@@ -15,7 +15,7 @@ import math
 import re
 from collections.abc import Callable
 from dataclasses import MISSING, dataclass, field
-from itertools import compress, repeat
+from itertools import compress, islice, repeat
 from operator import ge, is_not, itemgetter
 from typing import NamedTuple
 
@@ -31,6 +31,7 @@ from .factors import (
     csv_rows,
     lookup_factor,
     splits_plainly,
+    text_lines,
 )
 
 logger = logging.getLogger(__name__)
@@ -430,10 +431,10 @@ def parse_fleet_row(kind: str, fields: list[str], rownum: int = 0):
 
 
 #: Consecutive lines parsed together; an error converts at most this many rows
-#: one at a time. Measured on a 100k-row fleet (CPython 3.11, 2-core Xeon VM):
-#: the parse takes 0.31 s in blocks of 48, 0.26-0.27 s in blocks of 256 or 512
-#: and 0.48 s in blocks of 4096, and `compute` peaks at 62.8 MB RSS with 48 and
-#: 63.0 MB with 256.
+#: one at a time. Measured on a 100k-row fleet (CPython 3.11, 2-core Xeon VM,
+#: medians of 9 in a slow and a fast spell): the parse takes 0.27-0.39 s in
+#: blocks of 48, 0.19-0.29 s in blocks of 256 or 512 and 0.30-0.47 s in blocks
+#: of 4096, and `compute` peaks at 54.1 MB RSS up to 512 and 55.6 MB with 4096.
 _BLOCK_ROWS = 256
 
 
@@ -468,29 +469,60 @@ def _column(texts, convert, default, f: FleetField, kind: str, memos: dict | Non
 
 def _convert_block(kind: str, texts: list, memos: dict) -> list | tuple:
     """The objects of the rows of one kind of a block, in their order, from the
-    texts of their nine columns after 'kind', through the memos of one parse
-    (see _column). A bad row raises ValueError, with the row's own message when
-    it is the only row."""
+    texts of their nine columns after 'kind', through the memos of one parse:
+    per field (see _column) and per kind for its 'extra' texts. A bad row
+    raises ValueError, with the row's own message when it is the only row."""
     if kind not in _COMPILED:
         raise ValueError(f"unknown kind: {kind!r}")
     cls, extra_keys, empty, converters = _COMPILED[kind]
     for i, name in empty:
         if got := next(filter(None, texts[i]), ""):
             raise ValueError(f"field {name} must be empty for kind {kind}, got {got!r}")
-    if extra_keys:
-        blank = [""] * len(extra_keys)
-        texts += zip(*[_extra_values(t, kind, extra_keys) if t else blank for t in texts[8]])
+    if extra_keys:  # each 'extra' text is split once per parse, through the kind's memo
+        values = memos.setdefault(kind, {"": [""] * len(extra_keys)})
+        for text in set(texts[8]).difference(values):
+            values[text] = _extra_values(text, kind, extra_keys)
+        texts += zip(*map(values.__getitem__, texts[8]))
     columns = [_column(texts[i], *converter, kind, memos) for i, *converter in converters]
     return _assets_from_columns(columns) if cls is Asset else list(map(cls, *columns))
 
 
-def _kind_columns(rows: list) -> dict[str, list]:
-    """Per kind of the rows (each with 'kind' first), the texts of the nine columns
-    after 'kind', in their order; the first row without ten fields raises ValueError."""
-    if got := next((n for n in map(len, rows) if n != len(FLEET_CSV_COLUMNS)), None):
-        raise ValueError(f"expected {len(FLEET_CSV_COLUMNS)} fields, got {got}")
-    kinds = {row[0] for row in rows}
-    return {kind: list(zip(*[row for row in rows if row[0] == kind]))[1:] for kind in kinds}
+def _block_objects(block: list[str], memos: dict) -> list[tuple[str, list | tuple]]:
+    """(kind, objects) per kind of the rows of a block of lines, through the memos
+    of one parse. A plain block (one that splits_plainly, ten fields a line, one
+    known kind on all) is split on its commas in one go; any other goes through
+    csv_rows. A bad row raises ValueError."""
+    width = len(FLEET_CSV_COLUMNS)
+    joined, cells = ",".join(block), None
+    if splits_plainly(joined) and set(map(str.count, block, repeat(","))) == {width - 1}:
+        cells = joined.split(",")
+    if cells and cells[0] in FLEET_SCHEMA and set(cells[::width]) == {cells[0]}:  # one kind
+        parts = {cells[0]: [cells[i::width] for i in range(1, width)]}
+    else:
+        rows = [f for _, f in csv_rows("\n".join(block), lambda message, _: ValueError(message))]
+        if got := next((n for n in map(len, rows) if n != width), None):
+            raise ValueError(f"expected {width} fields, got {got}")
+        parts = {kind: list(zip(*[row for row in rows if row[0] == kind]))[1:]
+                 for kind in {row[0] for row in rows}}
+    return [(kind, _convert_block(kind, texts, memos)) for kind, texts in parts.items()]
+
+
+def _first_duplicate(text: str, last: float = math.inf) -> FleetParseError | None:
+    """The error of the first row of a fleet CSV, up to row last, whose kind and
+    id an earlier row has, if any; csv_rows stops at a malformed row."""
+    seen = {kind: set() for kind in ("asset", "room", "campaign", "external")}
+    try:
+        for rownum, fields in islice(csv_rows(text), 1, None):  # after the header
+            if rownum > last:
+                break
+            ids = seen.get(fields[0]) if len(fields) == len(FLEET_CSV_COLUMNS) else None
+            if ids is not None and fields[1] in ids:
+                return FleetParseError(f"duplicate {fields[0]} id: {fields[1]}", row=rownum)
+            if ids is not None:
+                ids.add(fields[1])
+    except FleetParseError:  # row last is malformed
+        pass
+    return None
 
 
 def parse_fleet_csv(text: str, reporting_year: int, perimeter_description: str) -> Fleet:
@@ -498,64 +530,40 @@ def parse_fleet_csv(text: str, reporting_year: int, perimeter_description: str) 
 
     Rows are dispatched on the 'kind' column through FLEET_SCHEMA. Blank
     lines and '#' comments are skipped; empty input yields an empty (still
-    valid) fleet. The lines after the header are parsed in blocks of
-    _BLOCK_ROWS, each converted a column at a time, one kind at a time. A
-    plain block (one that splits_plainly, ten fields a line, one known kind on
-    all) is split on its commas in one go; any other goes through csv_rows.
-    When a block holds an error, the same code reads it again in blocks of
-    one line, in file order, so the error names the first bad row."""
-    width = len(FLEET_CSV_COLUMNS)
-    lines = text.splitlines()
-    start = next((i for i, line in enumerate(lines) if line.lstrip()[:1] not in ("", "#")),
-                 len(lines))
-    for rownum, header in csv_rows("\n".join(lines[:start + 1])):  # the lines before are skipped
-        if header != FLEET_CSV_COLUMNS:
-            raise FleetParseError(f"expected header {','.join(FLEET_CSV_COLUMNS)!r}", row=rownum)
-    items = {k: [] for k in FLEET_SCHEMA}
-    seen_ids = {kind: set() for kind in ("asset", "room", "campaign", "external")}
-    memos: dict[FleetField, dict] = {}  # see _column
-    first, block_rows = start + 1, _BLOCK_ROWS
-    while first < len(lines):
-        block = lines[first:first + block_rows]
-        joined = ",".join(block)
-        cells = None
-        if splits_plainly(joined) and set(map(str.count, block, repeat(","))) == {width - 1}:
-            cells = joined.split(",")
+    valid) fleet. The text is split into lines a slice at a time, and the
+    lines after the header are read in blocks of _BLOCK_ROWS (_block_objects).
+    A failing block is read again a line at a time, in file order, so the
+    error names the first bad row. Repeated ids are left to the Fleet's check;
+    when it or a row fails, an earlier repeated id is the error."""
+    lines = text_lines(text)
+    row = 0
+    for row, line in enumerate(lines, 1):  # the header is the first line kept
+        if line.lstrip()[:1] not in ("", "#"):
+            for _, header in csv_rows(line, lambda message, _: FleetParseError(message, row)):
+                if header != FLEET_CSV_COLUMNS:
+                    raise FleetParseError(f"expected header {','.join(FLEET_CSV_COLUMNS)!r}", row)
+            break
+    items, memos = {k: [] for k in FLEET_SCHEMA}, {}  # memos: see _convert_block
+    while block := list(islice(lines, _BLOCK_ROWS)):
         try:
-            if cells and cells[0] in FLEET_SCHEMA and set(cells[::width]) == {cells[0]}:  # one kind
-                parts = {cells[0]: [cells[i::width] for i in range(1, width)]}
-            else:
-                rows = csv_rows("\n".join(block), lambda message, _: ValueError(message))
-                parts = _kind_columns([fields for _, fields in rows])
-            for kind, texts in parts.items():
-                ids, col = seen_ids.get(kind), texts[0]
-                if ids is not None and (len(set(col)) < len(col) or not ids.isdisjoint(col)):
-                    dup = next(i for n, i in enumerate(col) if i in ids or i in col[:n])
-                    raise ValueError(f"duplicate {kind} id: {dup}")
-            converted = [(kind, _convert_block(kind, texts, memos))
-                         for kind, texts in parts.items()]
-        except ValueError as exc:
-            if block_rows == 1:
-                raise FleetParseError(str(exc), row=first + 1) from None
-            # Read the block again a line at a time. Each check above fails on a block only
-            # if it fails on one of its lines read alone in file order (a repeated id at its
-            # second occurrence: each line read adds its id to seen_ids), so no full block follows.
-            block_rows = 1
-            continue
+            converted = _block_objects(block, memos)
+        except ValueError:  # each check fails on a block only if it fails on one of its lines
+            converted = []
+            for rownum, line in enumerate(block, row + 1):
+                try:
+                    converted += _block_objects([line], memos)
+                except ValueError as exc:
+                    raise (_first_duplicate(text, rownum)
+                           or FleetParseError(str(exc), row=rownum)) from None
         for kind, objects in converted:
             items[kind] += objects
-            if kind in seen_ids:
-                seen_ids[kind].update(parts[kind][0])
-        first += block_rows
-    del lines  # before the Fleet's tuples are built, which would raise the peak
+        row += len(block)
 
-    # seen_ids is freed after the Fleet is built: freed before, it raises glibc's mmap
-    # threshold, and the Fleet's big arrays go to a heap that keeps them (+4.5 MB RSS).
     collections = {attr: tuple(items[kind]) for kind, (_, attr, _) in FLEET_SCHEMA.items()}
     try:
         return Fleet(perimeter_description, reporting_year, **collections)
     except ValueError as exc:
-        raise FleetParseError(str(exc)) from None
+        raise _first_duplicate(text) or FleetParseError(str(exc)) from None
 
 
 def render_fleet_csv(fleet: Fleet) -> str:

@@ -11,6 +11,8 @@ import hashlib
 import json
 import math
 import sys
+from collections import defaultdict
+from collections.abc import Iterable
 from dataclasses import dataclass
 from functools import reduce
 from operator import add
@@ -20,7 +22,6 @@ from .engine import (
     EmissionLine,
     EngineConfig,
     asset_part,
-    combined_uncertainty,
     compute_fleet,
     merge_lines,
 )
@@ -103,28 +104,32 @@ def factor_db_identity(name: str, text: str) -> str:
     return f"{name}:sha256:{digest}"
 
 
-def aggregate(lines: list[EmissionLine], fleet: Fleet, factor_db_hash: str = "") -> Report:
-    """Fold emission lines into per-scope and per-group totals.
+def aggregate(lines: Iterable[EmissionLine], fleet: Fleet, factor_db_hash: str = "") -> Report:
+    """Fold emission lines, any iterable of them, into per-scope and per-group
+    totals and the uncertainty, walking them once.
 
     Declared external entries land in the pseudo-group 'external', kept apart
     from equipment groups so grand_total = sum(scopes) = sum(groups) + external.
+    Uncertainties add within a factor_source; the sources combine in quadrature.
     The one check on computed values: a grand total or uncertainty that is
     not finite raises ValueError, naming the first non-finite line if any.
     """
-    by_scope = {s: 0.0 for s in SCOPES}
-    by_group = {g: 0.0 for g in GROUPS}
-    external = 0.0
-    for line in lines:
-        by_scope[line.scope] += line.kgco2e
-        if line.group == EXTERNAL_GROUP:
-            external += line.kgco2e
-        else:
-            by_group[line.group] += line.kgco2e
-    uncertainty = combined_uncertainty(lines)
+    by_scope = dict.fromkeys(SCOPES, 0.0)
+    by_group = dict.fromkeys((*GROUPS, EXTERNAL_GROUP), 0.0)
+    by_source: defaultdict[str, float] = defaultdict(float)
+    count, bad = 0, None
+    for count, line in enumerate(lines, 1):
+        kgco2e = line.kgco2e
+        by_scope[line.scope] += kgco2e
+        by_group[line.group] += kgco2e
+        by_source[line.factor_source] += line.abs_uncertainty_kgco2e
+        if kgco2e - kgco2e and bad is None:  # nan for an infinite or nan kgco2e, else 0
+            bad = line.subject_id
+    external = by_group.pop(EXTERNAL_GROUP)
+    uncertainty = math.sqrt(reduce(add, (u * u for u in by_source.values()), 0.0))
     grand_total = reduce(add, by_scope.values(), 0.0)
     if not (math.isfinite(grand_total) and math.isfinite(uncertainty)):
         # A line's uncertainty never exceeds its kgco2e (rel_uncertainty <= 1).
-        bad = next((l.subject_id for l in lines if not math.isfinite(l.kgco2e)), None)
         cause = "the sum of the emission lines" if bad is None else f"the emission line of {bad}"
         raise ValueError(f"report totals are not finite: {cause} overflows")
     return Report(
@@ -135,7 +140,7 @@ def aggregate(lines: list[EmissionLine], fleet: Fleet, factor_db_hash: str = "")
         external_total_kgco2e=external,
         grand_total_kgco2e=grand_total,
         abs_uncertainty_kgco2e=uncertainty,
-        line_count=len(lines),
+        line_count=count,
         factor_db_hash=factor_db_hash,
     )
 

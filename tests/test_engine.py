@@ -2,6 +2,7 @@
 
 import dataclasses
 import random
+import tracemalloc
 from collections import Counter
 
 import pytest
@@ -13,7 +14,6 @@ from ecodiag.engine import (
     EmissionLine,
     EngineConfig,
     GridFactor,
-    combined_uncertainty,
     compute_fleet,
     declared_external,
     scope1_refrigerant,
@@ -575,6 +575,65 @@ class TestSeedComputeFleet:
         assert len(seen) == 10 and min(seen.values()) >= 30, seen
 
 
+class TestFleetLines:
+    """fleet_lines evaluates the pool's assets in fleet order, then the other
+    assets a chunk at a time in id order, and merges the pool's lines and the
+    room, campaign, cable and external lines in by key: at every chunk size it
+    gives the seed's stable sort of every line and the list of a given asset
+    part, float for float."""
+
+    @pytest.mark.parametrize("chunk", [1, 2, 3, engine._CHUNK_ASSETS])
+    def test_equals_the_seed_and_the_part_path_on_random_fleets(self, chunk, monkeypatch):
+        monkeypatch.setattr(engine, "_CHUNK_ASSETS", chunk)
+        rng = random.Random(24)
+        seen = Counter()
+        for _ in range(300):
+            db = random_db(rng)
+            fleet = rng.choice((colliding_fleet, edge_case_fleet))(rng)
+            assets = list(fleet.assets)
+            rng.shuffle(assets)  # the pool is summed in fleet order, not id order
+            fleet = dataclasses.replace(fleet, assets=tuple(assets))
+            config = EngineConfig(grid=GridFactor(db.default_grid_factor_kgco2e_per_kwh))
+            streamed = engine.fleet_lines(fleet, db, config)
+            assert not isinstance(streamed, list)
+            lines = list(streamed)
+            expected = seed_compute_fleet(fleet, db, config)
+            assert lines == expected and repr(lines) == repr(expected)
+            part = engine.asset_part(fleet, fleet.assets, db, config)
+            assert repr(compute_fleet(fleet, db, config, part)) == repr(lines)
+            metered = any(r.measured_room_kwh_per_year is not None for r in fleet.rooms)
+            pool = pool_of(engine.asset_lines(fleet, fleet.assets, db, config))
+            seen["no assets"] += not fleet.assets
+            seen["metered room"] += metered
+            seen["UPS overhead on a pool"] += bool(pool) and any(
+                l.factor_source.startswith("room_overhead:") for l in lines)
+            seen["pool and other assets"] += 0 < len(pool) < len(fleet.assets)
+            seen["lines of an equal key"] += len({l[:3] for l in lines}) < len(lines)
+        assert len(seen) == 5 and min(seen.values()) >= 10, seen
+
+    def test_holds_one_chunk_of_lines_at_a_time(self, config):
+        rng = random.Random(26)
+        db = make_db(*(make_factor(c) for c in ("laptop", "desktop", "server")))
+        # One asset in ten in the pool, whose lines are held whole to sum it.
+        categories = ("laptop",) * 5 + ("desktop",) * 4 + ("server",)
+        assets = tuple(Asset(f"a{i:05d}", rng.choice(categories), 1, 2019,
+                             measured_power_w=rng.choice((None, 50.0)))
+                       for i in range(20_000))
+        fleet = Fleet("p", 2019, assets=assets, rooms=(ServerRoom("sr", ups_overhead_fraction=0.1),))
+        tracemalloc.start()
+        try:
+            report = aggregate(engine.fleet_lines(fleet, db, config), fleet)
+            streamed_peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            lines = compute_fleet(fleet, db, config)
+            listed = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert report == aggregate(lines, fleet) and report.line_count == len(lines) > 20_000
+        assert streamed_peak < listed / 2, (streamed_peak, listed)
+
+
 class TestEmissionLine:
     def test_immutable(self):
         line = EmissionLine("a", "S2", "usage", 1.0, 0.1, "base", "office")
@@ -605,11 +664,11 @@ class TestAggregateUncertainty:
         assert unc == 15
 
     def test_groups_combine_in_quadrature(self):
-        unc = combined_uncertainty([self.line(1, 30, "base-a"), self.line(1, 40, "base-b")])
+        _, unc = self.totals([self.line(1, 30, "base-a"), self.line(1, 40, "base-b")])
         assert unc == pytest.approx(50.0, rel=REL)
 
     def test_all_measured_zero(self):
-        unc = combined_uncertainty([self.line(100, 0, "measured"), self.line(10, 0, "declared")])
+        _, unc = self.totals([self.line(100, 0, "measured"), self.line(10, 0, "declared")])
         assert unc == 0.0
 
     def test_empty(self):

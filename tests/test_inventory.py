@@ -1,5 +1,6 @@
 """Tests for fleet parsing, rendering, GLPI import and validation."""
 
+import contextlib
 import csv
 import fnmatch
 import io
@@ -13,9 +14,9 @@ from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import make_db, make_factor
-from ecodiag import inventory
+from ecodiag import factors, inventory
 from ecodiag.errors import FleetParseError
-from ecodiag.factors import ASSET_CATEGORIES
+from ecodiag.factors import ASSET_CATEGORIES, text_lines
 from ecodiag.inventory import (
     FLEET_CSV_COLUMNS,
     FLEET_SCHEMA,
@@ -468,6 +469,35 @@ class TestBlockParse:
             body(*asset_rows(256), "asset,a255,laptop,1,2015,,in_use,,,", *asset_rows(400)[256:]),
             258, "duplicate asset id: a255",
             id="last-id-of-a-block-repeated-first-in-the-next"),
+        pytest.param(
+            body(*asset_rows(5), "asset,a2,laptop,0,2015,,in_use,,,"),
+            7, "duplicate asset id: a2",
+            id="duplicate-on-the-bad-row-itself"),
+        pytest.param(
+            body(*asset_rows(10), "asset,a3,laptop,1,2015,,in_use,,,", *asset_rows(400)[10:],
+                 "asset,z,laptop,0,2015,,in_use,,,"),
+            12, "duplicate asset id: a3",
+            id="duplicate-before-a-bad-row-in-a-later-block"),
+        pytest.param(
+            body("room,sr1,,,,,,,,", *asset_rows(3), "asset,a9,laptop,x,2015,,in_use,,,",
+                 "room,sr1,,,,,,,,"),
+            6, "field quantity: not an integer: 'x'",
+            id="bad-row-before-a-duplicate-of-another-kind"),
+        pytest.param(
+            body("room,sr1,,,,,,,,", "room,sr1,,,,,,,,", *asset_rows(300),
+                 "asset,a0,laptop,1,2015,,in_use,,,"),
+            3, "duplicate room id: sr1",
+            id="room-duplicate-before-an-asset-duplicate"),
+        pytest.param(
+            body("campaign,c1,,,,,,,,kwh=1", *asset_rows(300), "asset,a7,laptop,1,2015,,in_use,,,",
+                 "campaign,c1,,,,,,,,kwh=2"),
+            303, "duplicate asset id: a7",
+            id="asset-duplicate-before-a-campaign-duplicate"),
+        pytest.param(
+            body("external,mail,,,,,,,,kgco2e=1;scope=S3", *asset_rows(300),
+                 "external,mail,,,,,,,,kgco2e=2;scope=S3"),
+            303, "duplicate external id: mail",
+            id="external-duplicate-named-by-its-kind"),
     ])
     def test_first_bad_row_in_file_order(self, text, row, message):
         expected = (FleetParseError, f"row {row}: {message}", row)
@@ -544,6 +574,112 @@ class TestBlockParse:
         assert parsed == fleet
         del parsed
         assert peak <= 1.1 * traced(row_walk_parse)[1]
+
+
+class TestDuplicateIds:
+    """Repeated ids are left to the Fleet's check; the parser looks for the first
+    one in file order only when that check or a row fails."""
+
+    def test_a_valid_parse_looks_for_no_duplicate(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(inventory, "_first_duplicate", lambda *a: calls.append(a))
+        text = body(*asset_rows(600), "room,sr1,,,,,,,,", "asset,sr1,laptop,1,2015,,in_use,,,")
+        assert len(parse_fleet_csv(text, 2019, "p").assets) == 601
+        assert calls == []
+
+    @pytest.mark.parametrize("perimeter", [pytest.param("", id="empty"),
+                                           pytest.param("  ", id="blank")])
+    def test_a_duplicate_comes_before_the_perimeter(self, perimeter):
+        text = body(*asset_rows(300), "room,sr1,,,,,,,,", "room,sr1,,,,,,,,")
+        expected = (FleetParseError, "row 303: duplicate room id: sr1", 303)
+        assert row_outcome(parse_fleet_csv, text, 2019, perimeter) == expected
+        assert row_outcome(row_walk_parse, text, 2019, perimeter) == expected
+        expected = (FleetParseError, "perimeter_description must be non-empty", None)
+        assert row_outcome(parse_fleet_csv, body(*asset_rows(3)), 2019, perimeter) == expected
+
+    def test_each_extra_text_is_split_once_per_parse(self, monkeypatch):
+        calls = Counter()
+        split = inventory._extra_values
+
+        def counting(text, kind, keys):
+            calls[kind, text] += 1
+            return split(text, kind, keys)
+        monkeypatch.setattr(inventory, "_extra_values", counting)
+        rows = [f"room,sr{i},,,,,,,,ups_overhead=0.{i % 3 + 1}" for i in range(600)]
+        rows += [f"asset,a{i},server,1,2015,,in_use,,,{'hours=continuous' if i % 2 else ''}"
+                 for i in range(600)]
+        fleet = parse_fleet_csv(body(*rows), 2019, "p")
+        assert len(fleet.rooms) == len(fleet.assets) == 600
+        assert calls == {("room", f"ups_overhead=0.{n}"): 1 for n in (1, 2, 3)} | {
+            ("asset", "hours=continuous"): 1}
+
+
+@contextlib.contextmanager
+def sliced(size: int):
+    """A context in which text_lines splits a text about size characters at a time."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(factors, "_SLICE_CHARS", size)
+        yield
+
+
+class TestSlicedLines:
+    """text_lines splits a text a slice at a time, each cut just after a '\n':
+    the lines and their numbers are those of str.splitlines whatever the slices."""
+
+    @given(st.lists(st.sampled_from(["\r", "\n", "\r\n", "a", ",", "#", " ", "\f", "\x85",
+                                     "\u2028", "\v"]), max_size=40).map("".join),
+           st.integers(1, 6))
+    @settings(max_examples=300, derandomize=True, database=None, deadline=None)
+    def test_the_lines_of_splitlines(self, text, size):
+        with sliced(size):
+            assert list(text_lines(text)) == text.splitlines()
+
+    @staticmethod
+    def rendered(n: int, ends: str) -> tuple[Fleet, str]:
+        rng = random.Random(n)
+        fleet = Fleet("p", 2019, assets=tuple(random_asset(rng, i, 2019) for i in range(n)),
+                      rooms=(ServerRoom("sr1", ups_overhead_fraction=0.1),))
+        return fleet, ends.join(render_fleet_csv(fleet).splitlines()) + ends
+
+    @pytest.mark.parametrize("ends", ["\r\n", "\r"])
+    def test_line_ends_of_a_text_longer_than_a_slice(self, ends):
+        fleet, text = self.rendered(2000, ends)
+        assert len(text) > 3 * factors._SLICE_CHARS
+        assert parse_fleet_csv(text, 2019, "p") == fleet
+        with sliced(37):
+            assert parse_fleet_csv(text, 2019, "p") == fleet
+
+    def test_a_bad_row_past_the_first_slice_keeps_its_number(self):
+        _, text = self.rendered(2000, "\r\n")
+        lines = text.split("\r\n")
+        cells = lines[1500].split(",")
+        cells[3] = "0"
+        lines[1500] = ",".join(cells)
+        text = "\r\n".join(lines)
+        assert text.index(lines[1500]) > 2 * factors._SLICE_CHARS
+        expected = outcome(row_walk_parse, text)
+        assert expected == (FleetParseError, "row 1501: quantity must be >= 1, got 0", 1501)
+        assert outcome(parse_fleet_csv, text) == expected
+        with sliced(100):
+            assert outcome(parse_fleet_csv, text) == expected
+
+    def test_a_header_after_a_long_comment_block(self):
+        comments = ["# " + "x" * 60] * 2000 + [""] * 10
+        fleet, text = self.rendered(300, "\n")
+        assert parse_fleet_csv("\n".join(comments) + "\n" + text, 2019, "p") == fleet
+        bad = "\n".join(comments + [HEADER.replace("kind", "kinds"), "asset,a1,laptop,1,2015,,,,,"])
+        assert len(bad) > 3 * factors._SLICE_CHARS
+        assert outcome(parse_fleet_csv, bad) == outcome(row_walk_parse, bad) == (
+            FleetParseError, f"row 2011: expected header {','.join(FLEET_CSV_COLUMNS)!r}", 2011)
+
+    def test_a_form_feed_in_a_comment_starts_a_row(self):
+        # A documented limit: str.splitlines ends a line at '\f', so the rest of
+        # the comment is a row of its own, numbered as a line of its own.
+        text = body("# retired\fasset,a9,laptop,1,2015,,in_use,,,", "asset,a1,laptop,1,2015,,in_use,,,")
+        assert [a.id for a in parse_fleet_csv(text, 2019, "p").assets] == ["a9", "a1"]
+        text = body("# retired\fsee the 2018 list", "asset,a1,laptop,x,2015,,in_use,,,")
+        assert outcome(parse_fleet_csv, text) == (
+            FleetParseError, "row 3: expected 10 fields, got 1", 3)
 
 
 @st.composite

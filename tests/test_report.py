@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import math
 import random
 from collections import Counter
 
@@ -97,6 +98,32 @@ class TestAggregate:
         line = EmissionLine("x", "S3", "declared", 1e200, 1e200, "declared", "external")
         with pytest.raises(ValueError, match="sum of the emission lines overflows"):
             aggregate([line], Fleet("p", 2019))
+
+    def test_an_iterator_gives_the_report_of_the_list(self, config):
+        rng = random.Random(31)
+        seen = Counter()
+        for _ in range(100):
+            db, fleet = random_db(rng), random_fleet(rng)
+            lines = compute_fleet(fleet, db, config)
+            expected = aggregate(lines, fleet, "h")
+            assert aggregate(iter(lines), fleet, "h") == expected
+            assert aggregate(engine.fleet_lines(fleet, db, config), fleet, "h") == expected
+            seen[len({l.factor_source for l in lines}) > 1] += 1
+        assert seen[True] >= 30, seen
+
+    @pytest.mark.parametrize("bad", [math.inf, math.nan])
+    def test_an_iterator_names_its_first_non_finite_line(self, bad):
+        lines = [EmissionLine("a", "S2", "usage", 1.0, 0.1, "base", "office"),
+                 EmissionLine("b", "S3", "end_of_life", bad, 0.0, "base", "office"),
+                 EmissionLine("c", "S2", "usage", math.inf, 0.0, "measured", "shared")]
+        with pytest.raises(ValueError, match="the emission line of b overflows"):
+            aggregate(iter(lines), Fleet("p", 2019))
+
+    def test_an_iterator_of_finite_lines_names_their_sum(self):
+        lines = (EmissionLine(f"a{i}", "S2", "usage", 1e308, 0.0, "measured", "office")
+                 for i in range(2))
+        with pytest.raises(ValueError, match="the sum of the emission lines overflows"):
+            aggregate(lines, Fleet("p", 2019))
 
     def test_asset_sharing_an_external_id_stays_in_its_group(self, config):
         fleet = Fleet(
