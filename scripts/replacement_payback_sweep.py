@@ -13,7 +13,6 @@ from ecodiag import (
     Asset,
     Fleet,
     ScenarioAction,
-    config_for,
     evaluate_scenario,
     load_factor_db,
     merge_factors,
@@ -30,7 +29,6 @@ def main() -> None:
     args = parser.parse_args()
 
     db = merge_factors(load_factor_db(SAMPLE_FACTOR_FILE))
-    config = config_for(db)
     fleet = Fleet(
         "replacement study",
         args.year,
@@ -46,9 +44,7 @@ def main() -> None:
             measured_power_w=float(new_watts),
             vendor_fab_transport_kgco2e=args.new_fab,
         )
-        result = evaluate_scenario(
-            fleet, [ScenarioAction("replace", "srv-old", new)], db, config
-        )
+        result = evaluate_scenario(fleet, [ScenarioAction("replace", "srv-old", new)], db)
         savings = (
             result.baseline.totals_by_scope["S2"] - result.variant.totals_by_scope["S2"]
         )

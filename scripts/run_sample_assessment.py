@@ -6,7 +6,7 @@ Usage:
 """
 import argparse
 
-from ecodiag import aggregate, compute_fleet, config_for, load_factor_db, merge_factors, render
+from ecodiag import aggregate, compute_fleet, load_factor_db, merge_factors, render
 from ecodiag.report import factor_db_identity
 from ecodiag.samples import SAMPLE_FACTOR_FILE, sample_fleet
 
@@ -18,7 +18,7 @@ def main() -> None:
 
     db = merge_factors(load_factor_db(SAMPLE_FACTOR_FILE))
     fleet = sample_fleet()
-    lines = compute_fleet(fleet, db, config_for(db))
+    lines = compute_fleet(fleet, db)
     report = aggregate(
         lines, fleet, factor_db_identity("bundled-sample", SAMPLE_FACTOR_FILE)
     )

@@ -6,6 +6,7 @@ failures, 2 for validation failures. No command ever mutates an input file.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import gc
 import logging
 import os
@@ -14,13 +15,14 @@ from pathlib import Path
 
 from . import samples
 # compute_fleet is the name under which benchmark tracers time the engine.
-from .engine import compute_fleet, config_for, fleet_lines  # noqa: F401
+from .engine import compute_fleet, fleet_lines  # noqa: F401
 from .errors import EcodiagError, FactorParseError, FleetParseError, ScenarioError
 from .factors import FactorDatabase, GridFactor, load_factor_db, merge_factors, reliability_rank
 from .inventory import (
     Fleet,
     Issue,
     blocking_issues,
+    missing_factors,
     parse_fleet_csv,
     parse_glpi_export,
     parse_mapping_rules,
@@ -146,11 +148,17 @@ def _refuse_input_as_out(args) -> None:
 
 
 def _load_db(args) -> tuple[FactorDatabase, str]:
+    """The merged factor database and its identity. A --grid-factor replaces the
+    file's grid here, once, and is named in the identity."""
     path = _factor_path(args)
     if not path:
         raise FactorParseError(f"no factor file given (--factors or ${FACTORS_ENV_VAR})")
     text = _read_input(path)
-    return merge_factors(load_factor_db(text)), factor_db_identity(Path(path).name, text)
+    db, db_id = merge_factors(load_factor_db(text)), factor_db_identity(Path(path).name, text)
+    grid = getattr(args, "grid_factor", None)
+    if grid is None:
+        return db, db_id
+    return dataclasses.replace(db, default_grid_factor_kgco2e_per_kwh=grid), f"{db_id}+grid={grid}"
 
 
 def _load_fleet(args) -> Fleet:
@@ -187,7 +195,7 @@ def cmd_compute(args) -> int:
     del issues  # a warning per asset or more, dropped before the lines are computed
     if blocked:
         return 2
-    lines = fleet_lines(fleet, db, config_for(db, args.grid_factor))
+    lines = fleet_lines(fleet, db)
     _emit(render(aggregate(lines, fleet, db_id), args.format), args.out)
     return 0
 
@@ -213,13 +221,13 @@ def cmd_scenario(args) -> int:
     db, db_id = _load_db(args)
     fleet = _load_fleet(args)
     errors = blocking_issues(fleet, db)
+    if not errors:  # then the new assets' categories, which may lack a factor too
+        actions = parse_actions_csv(_read_input(args.actions))
+        errors = missing_factors({a.new_asset.category for a in actions if a.new_asset}, db)
     if errors:
         sys.stderr.write(_issue_lines(errors))
         return 2
-    actions = parse_actions_csv(_read_input(args.actions))
-    result = evaluate_scenario(
-        fleet, list(actions), db, config_for(db, args.grid_factor), db_id
-    )
+    result = evaluate_scenario(fleet, list(actions), db, db_id)
     _emit(render(result, args.format), args.out)
     return 0
 

@@ -15,21 +15,11 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from collections.abc import Iterator
-from dataclasses import dataclass
 from itertools import chain, compress
 from operator import itemgetter, not_
-from typing import ClassVar, NamedTuple
+from typing import NamedTuple
 
-from .factors import (
-    CATEGORIES,
-    DEFAULT_GRID_FACTOR,
-    EmissionFactor,
-    FactorDatabase,
-    GridFactor,
-    GwpEntry,
-    gwp_value,
-    lookup_factor,
-)
+from .factors import CATEGORIES, EmissionFactor, FactorDatabase, GwpEntry, gwp_value, lookup_factor
 from .inventory import (
     HOUR_PROFILES, STATUSES, Asset, CableBulk, ComputeCampaign, ExternalServiceEntry, Fleet,
     ServerRoom,
@@ -73,38 +63,21 @@ class EmissionLine(NamedTuple):
     group: str
 
 
-@dataclass(frozen=True)
-class EngineConfig:
-    """Computation constants: grid intensity and the two fixed yearly hour profiles."""
-
-    grid: GridFactor = GridFactor(DEFAULT_GRID_FACTOR)
-    work_year_hours: ClassVar[float] = WORK_YEAR_HOURS
-    continuous_hours: ClassVar[float] = CONTINUOUS_HOURS
-
-
-def config_for(db: FactorDatabase, grid_override: float | None = None) -> EngineConfig:
-    """Build a config from a database's grid factor, optionally overridden."""
-    if grid_override is not None:
-        return EngineConfig(grid=GridFactor(grid_override))
-    return EngineConfig(grid=GridFactor(db.default_grid_factor_kgco2e_per_kwh))
-
-
-def _hours_table(cat_id: str, config: EngineConfig) -> dict[tuple[str, str | None], float]:
+def _hours_table(cat_id: str) -> dict[tuple[str, str | None], float]:
     """Yearly powered-on hours of a category's assets by (status, override); stored ones run 0."""
     default = CATEGORIES[cat_id].hour_profile_default
     return {
         (status, override): 0.0 if status == "stored"
-        else config.work_year_hours if (override or default) == "work_year"
-        else config.continuous_hours
+        else WORK_YEAR_HOURS if (override or default) == "work_year"
+        else CONTINUOUS_HOURS
         for status in STATUSES for override in (None, *HOUR_PROFILES)
     }
 
 
-def _plan(cat_id: str, factor: EmissionFactor, config: EngineConfig | None,
-          usage: bool, lifecycle: bool) -> tuple:
+def _plan(cat_id: str, factor: EmissionFactor, usage: bool, lifecycle: bool) -> tuple:
     """A category's plan under a factor, laid out as _lines unpacks it (see
     asset_lines); the hours table is built only when it has a usage line."""
-    return (usage, lifecycle, _hours_table(cat_id, config) if usage else {},
+    return (usage, lifecycle, _hours_table(cat_id) if usage else {},
             factor.typical_power_w, factor.rel_uncertainty, factor.source.name,
             CATEGORIES[cat_id].group, factor.fab_transport_kgco2e, factor.eol_kgco2e)
 
@@ -141,10 +114,10 @@ def _lines(
     return lines
 
 
-def scope2_usage(asset: Asset, factor: EmissionFactor, config: EngineConfig) -> EmissionLine | None:
-    """Electricity consumption line for one asset, None when it draws nothing."""
-    plans = {asset.category: _plan(asset.category, factor, config, True, False)}
-    return next(iter(_lines((asset,), plans, None, config.grid.kgco2e_per_kwh)), None)
+def scope2_usage(asset: Asset, factor: EmissionFactor, grid: float) -> EmissionLine | None:
+    """Electricity consumption line for one asset at grid kgCO2e/kWh, None when it draws nothing."""
+    plans = {asset.category: _plan(asset.category, factor, True, False)}
+    return next(iter(_lines((asset,), plans, None, grid)), None)
 
 
 def scope1_refrigerant(room: ServerRoom, gwp_table: tuple[GwpEntry, ...]) -> EmissionLine | None:
@@ -164,7 +137,7 @@ def scope1_refrigerant(room: ServerRoom, gwp_table: tuple[GwpEntry, ...]) -> Emi
 
 
 def _room_lines(
-    room: ServerRoom, pool: tuple[float, float] | None, config: EngineConfig
+    room: ServerRoom, pool: tuple[float, float] | None, grid: float
 ) -> list[EmissionLine]:
     """Room-level electricity lines.
 
@@ -175,7 +148,7 @@ def _room_lines(
     pool of None or of zero charges no overhead.
     """
     if room.measured_room_kwh_per_year is not None:
-        kgco2e = room.measured_room_kwh_per_year * config.grid.kgco2e_per_kwh
+        kgco2e = room.measured_room_kwh_per_year * grid
         return [EmissionLine(room.id, "S2", "usage", kgco2e, 0.0, MEASURED_SOURCE, "server_room")]
     if pool is None:
         return []
@@ -188,8 +161,9 @@ def _room_lines(
                          f"room_overhead:{room.id}", "server_room")]
 
 
-def scope2_campaign(campaign: ComputeCampaign, config: EngineConfig) -> EmissionLine:
-    """Electricity line for a compute campaign; direct kWh beats the core-hour model."""
+def scope2_campaign(campaign: ComputeCampaign, grid: float) -> EmissionLine:
+    """Electricity line for a compute campaign at grid kgCO2e/kWh; direct kWh beats
+    the core-hour model."""
     if campaign.kwh is not None:
         kwh = campaign.kwh
     elif campaign.core_hours is not None and campaign.watts_per_core is not None:
@@ -200,7 +174,7 @@ def scope2_campaign(campaign: ComputeCampaign, config: EngineConfig) -> Emission
         subject_id=campaign.id,
         scope="S2",
         phase="usage",
-        kgco2e=kwh * config.grid.kgco2e_per_kwh,
+        kgco2e=kwh * grid,
         abs_uncertainty_kgco2e=0.0,
         factor_source=DECLARED_SOURCE,
         group="compute",
@@ -236,30 +210,28 @@ def declared_external(entry: ExternalServiceEntry) -> EmissionLine:
     )
 
 
-def asset_lines(
-    fleet: Fleet, assets: tuple[Asset, ...], db: FactorDatabase, config: EngineConfig
-) -> list[EmissionLine]:
+def asset_lines(fleet: Fleet, assets: tuple[Asset, ...], db: FactorDatabase) -> list[EmissionLine]:
     """The emission lines of some of the fleet's assets, in the given order.
 
-    The fleet gives the reporting year and the rooms; a room meter
-    suppresses the server-room pool's own usage lines. A plan is built once
-    per category: whether it gets its own usage line and S3 lines, its hours
-    table, the factor's typical power, relative uncertainty and source name,
-    its group, and the fabrication and end-of-life factors. The assets are
-    then evaluated in one pass, in the given order, with no function call and
-    no category lookup per asset.
+    The fleet gives the reporting year and the rooms, the database the factors
+    and the grid; a room meter suppresses the server-room pool's own usage
+    lines. A plan is built once per category: whether it gets its own usage
+    line and S3 lines, its hours table, the factor's typical power, relative
+    uncertainty and source name, its group, and the fabrication and
+    end-of-life factors. The assets are then evaluated in one pass, in the
+    given order, with no function call and no category lookup per asset.
     """
     metered = any(r.measured_room_kwh_per_year is not None for r in fleet.rooms)
     plans = {}
     for cat_id in dict.fromkeys(map(itemgetter(1), assets)):
         scope_mask = CATEGORIES[cat_id].scope_mask
         usage = "S2" in scope_mask and not (metered and cat_id in _POOL_CATEGORIES)
-        plans[cat_id] = _plan(cat_id, lookup_factor(db, cat_id), config, usage, "S3" in scope_mask)
-    return _lines(assets, plans, fleet.reporting_year, config.grid.kgco2e_per_kwh)
+        plans[cat_id] = _plan(cat_id, lookup_factor(db, cat_id), usage, "S3" in scope_mask)
+    return _lines(assets, plans, fleet.reporting_year, db.default_grid_factor_kgco2e_per_kwh)
 
 
 def asset_part(
-    fleet: Fleet, assets: tuple[Asset, ...], db: FactorDatabase, config: EngineConfig
+    fleet: Fleet, assets: tuple[Asset, ...], db: FactorDatabase
 ) -> tuple[list[EmissionLine], list[EmissionLine]]:
     """The assets' lines in key order, and the server-room pool among them in
     the order of the assets.
@@ -269,7 +241,7 @@ def asset_part(
     the server_room group, which a room meter suppresses; it is left empty
     when no room has a UPS overhead fraction to charge on it.
     """
-    lines = asset_lines(fleet, assets, db, config)
+    lines = asset_lines(fleet, assets, db)
     pool = []
     if any(r.ups_overhead_fraction != 0 for r in fleet.rooms):
         pool = [line for line in lines if line.group == "server_room" and line.scope == "S2"]
@@ -295,9 +267,9 @@ def merge_lines(lines: list[EmissionLine], others: list[EmissionLine]) -> list[E
 _CHUNK_ASSETS = 4096
 
 
-def fleet_lines(fleet: Fleet, db: FactorDatabase, config: EngineConfig,
+def fleet_lines(fleet: Fleet, db: FactorDatabase,
                 part: tuple[list, list] | None = None) -> Iterator[EmissionLine]:
-    """The lines of compute_fleet(fleet, db, config, part), as they are computed.
+    """The lines of compute_fleet(fleet, db, part), as they are computed.
 
     Without part, the server-room pool's assets, when a room charges an
     overhead on it, are evaluated first, in fleet order, to sum the pool; the
@@ -305,23 +277,23 @@ def fleet_lines(fleet: Fleet, db: FactorDatabase, config: EngineConfig,
     ids are unique among assets. The pool's lines and the room, campaign,
     cable and external lines are merged into each chunk by key, so only they
     and one chunk of asset lines are held at once."""
-    return chain.from_iterable(_line_chunks(fleet, db, config, part))
+    return chain.from_iterable(_line_chunks(fleet, db, part))
 
 
-def _line_chunks(fleet, db, config, part):
+def _line_chunks(fleet, db, part):
     """The lists of lines that fleet_lines chains."""
     subject, pooled = itemgetter(0), []  # the lines of the pool's assets
     if part is None:
         assets = fleet.assets
         if any(r.ups_overhead_fraction != 0 for r in fleet.rooms):
             in_pool = list(map(_POOL_CATEGORIES.__contains__, map(itemgetter(1), assets)))
-            pooled = asset_lines(fleet, tuple(compress(assets, in_pool)), db, config)
+            pooled = asset_lines(fleet, tuple(compress(assets, in_pool)), db)
             assets = list(compress(assets, map(not_, in_pool)))
             del in_pool
         pool = [line for line in pooled if line.scope == "S2"]
         pooled.sort(key=subject)
         assets = sorted(assets, key=subject)
-        chunks = (asset_lines(fleet, assets[i:i + _CHUNK_ASSETS], db, config)
+        chunks = (asset_lines(fleet, assets[i:i + _CHUNK_ASSETS], db)
                   for i in range(0, len(assets), _CHUNK_ASSETS))
     else:
         pool, chunks = part[1], (part[0],)
@@ -331,11 +303,12 @@ def _line_chunks(fleet, db, config, part):
     for line in pool:
         pool_kgco2e += line.kgco2e
         pool_uncertainty += line.abs_uncertainty_kgco2e
+    grid = db.default_grid_factor_kgco2e_per_kwh
     others = []  # lines of an equal key go: assets, rooms, campaigns, cables, external services
     for room in fleet.rooms:
         others += [scope1_refrigerant(room, db.gwp_table),
-                   *_room_lines(room, (pool_kgco2e, pool_uncertainty), config)]
-    others += [scope2_campaign(c, config) for c in fleet.campaigns]
+                   *_room_lines(room, (pool_kgco2e, pool_uncertainty), grid)]
+    others += [scope2_campaign(c, grid) for c in fleet.campaigns]
     others += [scope3_cables(b, lookup_factor(db, b.category)) for b in fleet.cable_bulks]
     others += map(declared_external, fleet.external_services)
     others = sorted(filter(None, others), key=_KEY)
@@ -355,12 +328,12 @@ def _line_chunks(fleet, db, config, part):
     yield merge_lines(pooled[pool_done:], others[done:])
 
 
-def compute_fleet(fleet: Fleet, db: FactorDatabase, config: EngineConfig,
+def compute_fleet(fleet: Fleet, db: FactorDatabase,
                   part: tuple[list, list] | None = None) -> list[EmissionLine]:
-    """Every emission line of a fleet under a merged factor database, sorted by
-    (subject_id, scope, phase), lines of an equal key in the order assets,
-    rooms, campaigns, cables, external services, so identical inputs always
-    give identical output. part, when given, stands for asset_part(fleet,
-    assets, db, config) over the assets to report, which need not be
-    fleet.assets, and is not modified; the fleet supplies the rest."""
-    return list(fleet_lines(fleet, db, config, part))
+    """Every emission line of a fleet under a merged factor database, at its
+    grid factor, sorted by (subject_id, scope, phase), lines of an equal key in
+    the order assets, rooms, campaigns, cables, external services, so identical
+    inputs always give identical output. part, when given, stands for asset_part(fleet,
+    assets, db) over the assets to report, which need not be fleet.assets,
+    and is not modified; the fleet supplies the rest."""
+    return list(fleet_lines(fleet, db, part))

@@ -284,15 +284,11 @@ def text_lines(text: str) -> Iterator[str]:
 
 
 def csv_rows(text: str, error: type[FactorParseError | FleetParseError] = FleetParseError):
-    """Yield (line number, fields) for every line that is not blank or a '#' comment;
-    a malformed line raises error(message, line number).
-    A line that splits_plainly is split on its commas."""
+    """Yield (line number, fields as csv.reader reads them) for every line that is
+    not blank or a '#' comment; a malformed line raises error(message, line number)."""
     for rownum, raw in enumerate(text_lines(text), start=1):
         head = raw.lstrip()
         if not head or head[0] == "#":
-            continue
-        if splits_plainly(raw):
-            yield rownum, raw.split(",")
             continue
         try:
             yield rownum, next(csv.reader([raw]))

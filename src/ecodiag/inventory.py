@@ -735,13 +735,8 @@ def validate_fleet(fleet: Fleet, db: FactorDatabase) -> list[Issue]:
 def blocking_issues(fleet: Fleet, db: FactorDatabase) -> list[Issue]:
     """The errors that block computation: a missing factor, an unknown
     refrigerant, a campaign without an energy declaration."""
-    issues: list[Issue] = []
-    used = sorted({a.category for a in fleet.assets} | {b.category for b in fleet.cable_bulks})
-    for cat_id in used:
-        try:
-            lookup_factor(db, cat_id)
-        except MissingFactorError:
-            issues.append(Issue("error", cat_id, f"missing factor: {cat_id}"))
+    issues = missing_factors({a.category for a in fleet.assets}
+                             | {b.category for b in fleet.cable_bulks}, db)
 
     gwp_fluids = {g.fluid for g in db.gwp_table}
     for room in fleet.rooms:
@@ -752,6 +747,17 @@ def blocking_issues(fleet: Fleet, db: FactorDatabase) -> list[Issue]:
         if not campaign.has_energy_declaration:
             issues.append(Issue("error", campaign.id,
                                 "campaign declares neither kwh nor (core_hours, watts_per_core)"))
+    return issues
+
+
+def missing_factors(categories: set[str], db: FactorDatabase) -> list[Issue]:
+    """An error per category that db has no factor for, in category order."""
+    issues = []
+    for cat_id in sorted(categories):
+        try:
+            lookup_factor(db, cat_id)
+        except MissingFactorError:
+            issues.append(Issue("error", cat_id, f"missing factor: {cat_id}"))
     return issues
 
 

@@ -20,7 +20,6 @@ from operator import add
 from .engine import (
     EXTERNAL_GROUP,
     EmissionLine,
-    EngineConfig,
     asset_part,
     compute_fleet,
     merge_lines,
@@ -227,10 +226,9 @@ def evaluate_scenario(
     fleet: Fleet,
     actions: list[ScenarioAction],
     db: FactorDatabase,
-    config: EngineConfig,
     factor_db_hash: str = "",
 ) -> ScenarioResult:
-    """Compare the fleet before and after the actions under identical settings.
+    """Compare the fleet before and after the actions under one factor database.
 
     Payback answers the replacement dilemma: how many years of electricity
     savings repay the fabrication of the newly added equipment. It is absent
@@ -247,10 +245,10 @@ def evaluate_scenario(
     compute of each fleet.
     """
     dropped, added = _edits(fleet, actions)
-    lines, pool = asset_part(fleet, fleet.assets, db, config)
-    baseline_lines = compute_fleet(fleet, db, config, (lines, pool))
-    new_lines, new_pool = asset_part(fleet, tuple(added.values()), db, config)
-    variant_lines = compute_fleet(fleet, db, config, (
+    lines, pool = asset_part(fleet, fleet.assets, db)
+    baseline_lines = compute_fleet(fleet, db, (lines, pool))
+    new_lines, new_pool = asset_part(fleet, tuple(added.values()), db)
+    variant_lines = compute_fleet(fleet, db, (
         merge_lines([l for l in lines if l.subject_id not in dropped], new_lines),
         [l for l in pool if l.subject_id not in dropped] + new_pool,
     ))

@@ -1,7 +1,9 @@
+import dataclasses
+from types import SimpleNamespace
+
 import pytest
 
 from ecodiag import engine, report, samples
-from ecodiag.engine import EngineConfig, GridFactor
 from ecodiag.factors import (
     EmissionFactor,
     FactorDatabase,
@@ -25,19 +27,29 @@ def make_db(*factors, gwps=(GwpEntry("R410A", 2088.0),), grid=0.119):
     return FactorDatabase(tuple(factors), tuple(gwps), grid)
 
 
+def with_grid(db, grid):
+    """The database with its grid factor replaced."""
+    return dataclasses.replace(db, default_grid_factor_kgco2e_per_kwh=grid)
+
+
+def oracle_config(db):
+    """The constants oracle.oracle_totals reads: the database's grid and the
+    two yearly hour profiles, restated here apart from the engine's."""
+    return SimpleNamespace(
+        grid=SimpleNamespace(kgco2e_per_kwh=db.default_grid_factor_kgco2e_per_kwh),
+        work_year_hours=1607.0,
+        continuous_hours=8760.0,
+    )
+
+
 def charged_hours(asset):
     """The yearly hours the engine charges one unit of the asset: its usage
     line alone in a fleet, at a measured 1000 W and a grid of 1.0, where the
     kgCO2e equal the hours; no usage line means 0."""
     fleet = Fleet("p", 2019, assets=(asset._replace(quantity=1, measured_power_w=1000.0),))
-    config = EngineConfig(grid=GridFactor(1.0))
-    lines = engine.asset_lines(fleet, fleet.assets, make_db(make_factor(asset.category)), config)
+    db = make_db(make_factor(asset.category), grid=1.0)
+    lines = engine.asset_lines(fleet, fleet.assets, db)
     return next((line.kgco2e for line in lines if line.phase == "usage"), 0.0)
-
-
-@pytest.fixture
-def config():
-    return EngineConfig()
 
 
 @pytest.fixture

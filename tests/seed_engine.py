@@ -1,8 +1,9 @@
 """The engine's per-asset loop and one-asset functions as they were before
 asset_lines ran through per-category plans, and compute_fleet as it was
 before each asset's lines came in key order and only the other lines were
-merged into them, kept verbatim as the reference that the engine is compared
-against. seed_compute_fleet runs over the seed's asset lines."""
+merged into them, kept as the reference that the engine is compared against;
+like the engine, they take the grid from the factor database. seed_compute_fleet
+runs over the seed's asset lines."""
 from __future__ import annotations
 
 from operator import itemgetter
@@ -11,7 +12,6 @@ from ecodiag.engine import (
     MEASURED_SOURCE,
     VENDOR_SOURCE,
     EmissionLine,
-    EngineConfig,
     _room_lines,
     declared_external,
     scope1_refrigerant,
@@ -24,17 +24,15 @@ from ecodiag.inventory import Asset, Fleet
 _POOL_CATEGORIES = frozenset(c.id for c in CATEGORIES.values() if c.group == "server_room")
 
 
-def seed_usage_hours(asset: Asset, config: EngineConfig) -> float:
+def seed_usage_hours(asset: Asset) -> float:
     """Yearly powered-on hours for one asset; stored equipment runs zero."""
     if asset.status == "stored":
         return 0.0
     profile = asset.hour_profile_override or CATEGORIES[asset.category].hour_profile_default
-    return config.work_year_hours if profile == "work_year" else config.continuous_hours
+    return 1607.0 if profile == "work_year" else 8760.0
 
 
-def seed_scope2_usage(
-    asset: Asset, factor: EmissionFactor, config: EngineConfig
-) -> EmissionLine | None:
+def seed_scope2_usage(asset: Asset, factor: EmissionFactor, grid: float) -> EmissionLine | None:
     """Electricity consumption line for one asset, None when it draws nothing.
 
     Measured power is trusted as-is (zero uncertainty); the factor's typical
@@ -42,10 +40,10 @@ def seed_scope2_usage(
     """
     measured = asset.measured_power_w is not None
     power = asset.measured_power_w if measured else factor.typical_power_w
-    kwh = asset.quantity * power * seed_usage_hours(asset, config) / 1000.0
+    kwh = asset.quantity * power * seed_usage_hours(asset) / 1000.0
     if kwh == 0:
         return None
-    kgco2e = kwh * config.grid.kgco2e_per_kwh
+    kgco2e = kwh * grid
     return EmissionLine(
         asset.id,
         "S2",
@@ -105,7 +103,7 @@ def seed_scope3_eol(
 
 
 def seed_asset_lines(
-    fleet: Fleet, assets: tuple[Asset, ...], db: FactorDatabase, config: EngineConfig
+    fleet: Fleet, assets: tuple[Asset, ...], db: FactorDatabase
 ) -> tuple[list[EmissionLine], list[EmissionLine]]:
     """The emission lines of some of the fleet's assets, in the given order,
     and the subset of them that makes up the server-room pool.
@@ -125,7 +123,7 @@ def seed_asset_lines(
     for asset in assets:
         factor, usage, lifecycle, in_pool = plans[asset.category]
         if usage:
-            line = seed_scope2_usage(asset, factor, config)
+            line = seed_scope2_usage(asset, factor, db.default_grid_factor_kgco2e_per_kwh)
             if line is not None:
                 lines.append(line)
                 if in_pool:
@@ -150,17 +148,17 @@ def seed_key_order(assets: tuple[Asset, ...], lines: list[EmissionLine]) -> list
 def seed_compute_fleet(
     fleet: Fleet,
     db: FactorDatabase,
-    config: EngineConfig,
     lines: list[EmissionLine] | None = None,
 ) -> list[EmissionLine]:
     """Compute every emission line for a fleet under a merged factor database.
 
     lines, when given, are the asset lines to use in place of asset_lines(fleet,
-    fleet.assets, db, config) and are not modified; the fleet supplies the rest:
+    fleet.assets, db) and are not modified; the fleet supplies the rest:
     year, rooms, campaigns, cables, external services. Output is sorted by
     (subject_id, scope, phase) so identical inputs always give identical output.
     """
-    lines = seed_asset_lines(fleet, fleet.assets, db, config)[0] if lines is None else list(lines)
+    lines = seed_asset_lines(fleet, fleet.assets, db)[0] if lines is None else list(lines)
+    grid = db.default_grid_factor_kgco2e_per_kwh
     metered = any(r.measured_room_kwh_per_year is not None for r in fleet.rooms)
 
     # The pool's usage lines are the asset lines of the server_room group in S2.
@@ -176,10 +174,10 @@ def seed_compute_fleet(
         line = scope1_refrigerant(room, db.gwp_table)
         if line is not None:
             lines.append(line)
-        lines.extend(_room_lines(room, pool, config))
+        lines.extend(_room_lines(room, pool, grid))
 
     for campaign in fleet.campaigns:
-        lines.append(scope2_campaign(campaign, config))
+        lines.append(scope2_campaign(campaign, grid))
 
     for bulk in fleet.cable_bulks:
         line = scope3_cables(bulk, lookup_factor(db, bulk.category))

@@ -14,11 +14,13 @@ from pathlib import Path
 
 import pytest
 
-from conftest import charged_hours
+from conftest import charged_hours, oracle_config, with_grid
 from ecodiag import samples
 from ecodiag.cli import main
-from ecodiag.engine import EngineConfig, GridFactor, compute_fleet
-from ecodiag.factors import CATEGORIES, DEFAULT_GRID_FACTOR, load_factor_db, merge_factors
+from ecodiag.engine import compute_fleet
+from ecodiag.factors import (
+    CATEGORIES, DEFAULT_GRID_FACTOR, FactorDatabase, load_factor_db, merge_factors,
+)
 from ecodiag.inventory import Asset, Fleet, parse_fleet_csv, render_fleet_csv
 from ecodiag.report import ScenarioAction, aggregate, evaluate_scenario, parse_report_json, render
 from oracle import oracle_totals
@@ -42,10 +44,6 @@ def fabrication_subtotal(lines) -> float:
     return sum(l.kgco2e for l in lines if l.phase == "fabrication_transport")
 
 
-def config_for_db(db) -> EngineConfig:
-    return EngineConfig(grid=GridFactor(db.default_grid_factor_kgco2e_per_kwh))
-
-
 def test_constant_fidelity():
     with criterion("constant fidelity: 1607 h / 8760 h profiles, grid 0.119"):
         for cat in CATEGORIES.values():
@@ -59,23 +57,23 @@ def test_constant_fidelity():
             if cat.group == "server_room":
                 assert charged_hours(asset) == 8760.0
         assert DEFAULT_GRID_FACTOR == 0.119
-        assert EngineConfig().grid.kgco2e_per_kwh == 0.119
+        assert FactorDatabase((), ()).default_grid_factor_kgco2e_per_kwh == 0.119
         sample = load_factor_db(samples.SAMPLE_FACTOR_FILE)
         assert sample.default_grid_factor_kgco2e_per_kwh == 0.119
 
 
-def test_single_asset_arithmetic(sample_db, config):
+def test_single_asset_arithmetic(sample_db):
     with criterion("single-asset arithmetic: 19.1233 and 208.488 kgCO2e at 1e-9"):
         office = Fleet(
             "p", 2019, assets=(Asset("d1", "desktop", 1, 2015, measured_power_w=100.0),)
         )
-        (line,) = compute_fleet(office, sample_db, config)
+        (line,) = compute_fleet(office, sample_db)
         assert line.kgco2e == pytest.approx(19.1233, rel=REL)
 
         servers = Fleet(
             "p", 2019, assets=(Asset("s1", "server", 1, 2015, measured_power_w=200.0),)
         )
-        (line,) = compute_fleet(servers, sample_db, config)
+        (line,) = compute_fleet(servers, sample_db)
         assert line.kgco2e == pytest.approx(208.488, rel=REL)
 
 
@@ -85,8 +83,7 @@ def test_acquisition_year_gate():
         for _ in range(1000):
             db = random_db(rng)
             fleet = random_fleet(rng)
-            config = config_for_db(db)
-            lines = compute_fleet(fleet, db, config)
+            lines = compute_fleet(fleet, db)
             fab = fabrication_subtotal(lines)
             acquired_now = any(
                 "S3" in CATEGORIES[a.category].scope_mask
@@ -108,7 +105,7 @@ def test_acquisition_year_gate():
                     for b in fleet.cable_bulks
                 ),
             )
-            assert fabrication_subtotal(compute_fleet(shifted, db, config)) == 0.0
+            assert fabrication_subtotal(compute_fleet(shifted, db)) == 0.0
 
 
 def test_scope_matrix():
@@ -117,7 +114,7 @@ def test_scope_matrix():
         for _ in range(1000):
             db = random_db(rng)
             fleet = random_fleet(rng)
-            lines = compute_fleet(fleet, db, config_for_db(db))
+            lines = compute_fleet(fleet, db)
             asset_by_id = {a.id: a for a in fleet.assets}
             room_ids = {r.id for r in fleet.rooms}
             for line in lines:
@@ -144,9 +141,8 @@ def test_oracle_equivalence():
         for _ in range(200):
             db = random_db(rng)
             fleet = random_fleet(rng, max_entries=20)
-            config = config_for_db(db)
-            lines = compute_fleet(fleet, db, config)
-            expected = oracle_totals(fleet, db, config)
+            lines = compute_fleet(fleet, db)
+            expected = oracle_totals(fleet, db, oracle_config(db))
             totals = aggregate(lines, fleet)
             by_scope = {s: 0.0 for s in ("S1", "S2", "S3")}
             for line in lines:
@@ -170,7 +166,6 @@ def test_linearity_and_grid_scaling():
         for _ in range(30):
             db = random_db(rng)
             fleet = random_fleet(rng, max_entries=10)
-            config = config_for_db(db)
 
             exploded_assets = tuple(
                 a._replace(id=f"{a.id}.{j}", quantity=1)
@@ -178,8 +173,8 @@ def test_linearity_and_grid_scaling():
                 for j in range(a.quantity)
             )
             exploded = dataclasses.replace(fleet, assets=exploded_assets)
-            totals_n = aggregate(compute_fleet(fleet, db, config), fleet)
-            totals_1 = aggregate(compute_fleet(exploded, db, config), exploded)
+            totals_n = aggregate(compute_fleet(fleet, db), fleet)
+            totals_1 = aggregate(compute_fleet(exploded, db), exploded)
             assert totals_n.grand_total_kgco2e == pytest.approx(
                 totals_1.grand_total_kgco2e, rel=REL, abs=1e-12
             )
@@ -194,8 +189,8 @@ def test_linearity_and_grid_scaling():
             fleet = random_fleet(rng, with_external=False)
             grid = db.default_grid_factor_kgco2e_per_kwh
             for k in (2.0, 0.5):
-                base_lines = compute_fleet(fleet, db, EngineConfig(grid=GridFactor(grid)))
-                scaled_lines = compute_fleet(fleet, db, EngineConfig(grid=GridFactor(k * grid)))
+                base_lines = compute_fleet(fleet, with_grid(db, grid))
+                scaled_lines = compute_fleet(fleet, with_grid(db, k * grid))
 
                 def scope_sum(lines, scope):
                     return sum(l.kgco2e for l in lines if l.scope == scope)
@@ -237,7 +232,7 @@ def test_gate_scale_run(tmp_path):
 
         # The committed golden numbers must themselves match the oracle.
         db = merge_factors(load_factor_db(samples.SAMPLE_FACTOR_FILE))
-        expected = oracle_totals(fleet, db, config_for_db(db))
+        expected = oracle_totals(fleet, db, oracle_config(db))
         golden = json.loads(outputs["report_2019.json"])
         for scope in ("S1", "S2", "S3"):
             assert golden["totals_by_scope"][scope] == pytest.approx(expected[scope], rel=REL)
@@ -255,7 +250,7 @@ def test_round_trips():
         assert render(parse_report_json(golden_json), "json") == golden_json
 
 
-def test_scenario_payback(sample_db, config):
+def test_scenario_payback(sample_db):
     with criterion("server replacement pays back in 6.40 years ± 0.01"):
         fleet = Fleet(
             "p", 2019,
@@ -266,13 +261,13 @@ def test_scenario_payback(sample_db, config):
         # vendor figure so the case is fully determined by this test.
         new = new._replace(vendor_fab_transport_kgco2e=1000.0)
         result = evaluate_scenario(
-            fleet, [ScenarioAction("replace", "srv-old", new)], sample_db, config
+            fleet, [ScenarioAction("replace", "srv-old", new)], sample_db
         )
         assert result.payback_years == pytest.approx(6.40, abs=0.01)
 
-        baseline_s2 = oracle_totals(fleet, sample_db, config)["S2"]
+        baseline_s2 = oracle_totals(fleet, sample_db, oracle_config(sample_db))["S2"]
         variant_fleet = dataclasses.replace(fleet, assets=(new,))
-        variant = oracle_totals(variant_fleet, sample_db, config)
+        variant = oracle_totals(variant_fleet, sample_db, oracle_config(sample_db))
         assert result.payback_years == pytest.approx(
             1000.0 / (baseline_s2 - variant["S2"]), rel=REL
         )

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 
 from ecodiag import cli, inventory, samples
-from ecodiag import aggregate, compute_fleet, config_for, load_factor_db, merge_factors, render
+from ecodiag import aggregate, compute_fleet, load_factor_db, merge_factors, render
 from ecodiag.cli import main
 from ecodiag.errors import EcodiagError
 from ecodiag.inventory import (
@@ -24,7 +24,7 @@ from ecodiag.inventory import (
     parse_mapping_rules,
     render_fleet_csv,
 )
-from ecodiag.report import parse_actions_csv
+from ecodiag.report import factor_db_identity, parse_actions_csv
 from fleet_strategies import boundary_texts, report_json_texts
 
 FLEET_HEADER = ",".join(FLEET_CSV_COLUMNS)
@@ -426,6 +426,20 @@ class TestScenario:
             "error: idle: campaign declares neither kwh nor (core_hours, watts_per_core)\n"
         ))
 
+    @pytest.mark.parametrize("fleet_lacks_one_too", [False, True])
+    def test_new_asset_without_a_factor_exits_two(self, workdir, capsys, fleet_lacks_one_too):
+        text = (workdir / "factors.txt").read_text(encoding="utf-8")
+        dropped = ("tablet,", "laptop,") if fleet_lacks_one_too else ("tablet,",)
+        kept = [l for l in text.splitlines() if not l.startswith(dropped)]
+        (workdir / "factors.txt").write_text("\n".join(kept) + "\n", encoding="utf-8")
+        # The new assets' ids repeat across the actions.
+        add = "add,,tab-1,tablet,1,2019,,in_use,,,\n"
+        (workdir / "actions.csv").write_text(add + "remove,tab-1\n" + add, encoding="utf-8")
+        assert main(self.base(workdir)) == 2
+        # The fleet's own blocking issues come first, and alone.
+        missing = "laptop" if fleet_lacks_one_too else "tablet"
+        assert capsys.readouterr() == ("", f"error: {missing}: missing factor: {missing}\n")
+
 
 GOLDEN = REPO / "tests" / "golden"
 
@@ -626,6 +640,58 @@ class TestGridFactorFlag:
         assert "ecodiag: error: argument --grid-factor: grid factor must be finite and > 0" in err
         assert "Traceback" not in err
 
+    def run(self, workdir, capsys, command, *extra):
+        (workdir / "actions.csv").write_text(
+            "replace,srv-old,srv-2019,server,14,2019,,in_use,180,,\n", encoding="utf-8"
+        )
+        args = compute_args(workdir, *extra)
+        args[0] = command
+        if command == "scenario":
+            args += ["--actions", str(workdir / "actions.csv")]
+        assert main(args) == 0
+        return capsys.readouterr().out
+
+    @pytest.mark.parametrize("command", ["compute", "scenario"])
+    @pytest.mark.parametrize("fmt", ["json", "csv", "markdown"])
+    def test_same_report_as_a_factor_file_with_that_grid(self, workdir, capsys, command, fmt):
+        text = (workdir / "factors.txt").read_text(encoding="utf-8")
+        row = "grid_factor_kgco2e_per_kwh,0.119\n"
+        assert text.count(row) == 1
+        (workdir / "grid.txt").write_text(text.replace(row, row.replace("0.119", "0.3")),
+                                          encoding="utf-8")
+        overridden = self.run(workdir, capsys, command, "--format", fmt, "--grid-factor", "0.3")
+        from_file = self.run(workdir, capsys, command, "--format", fmt,
+                             "--factors", str(workdir / "grid.txt"))
+        plain = self.run(workdir, capsys, command, "--format", fmt)
+
+        def without_identity(out):
+            return [l for l in out.splitlines() if "factor_db_hash" not in l
+                    and not l.startswith("Factor set:")]
+
+        assert without_identity(overridden) == without_identity(from_file)
+        assert without_identity(overridden) != without_identity(plain)
+
+    @pytest.mark.parametrize("command", ["compute", "scenario"])
+    def test_the_override_is_named_in_the_factor_set(self, workdir, capsys, command):
+        plain = self.run(workdir, capsys, command)
+        (identity,) = [l for l in plain.splitlines() if l.startswith("Factor set: ")]
+        overridden = self.run(workdir, capsys, command, "--grid-factor", "0.3")
+        assert f"{identity}+grid=0.3" in overridden.splitlines()
+
+    def test_compare_warns_of_the_override(self, workdir, capsys):
+        reports = []
+        for year, extra in (("2019", ["--grid-factor", "0.3"]), ("2020", [])):
+            reports.append(str(workdir / f"report_{year}.json"))
+            args = compute_args(workdir, "--format", "json", "--out", reports[-1], *extra)
+            args[args.index("2019")] = year
+            assert main(args) == 0
+        capsys.readouterr()
+        assert main(["compare", *reports]) == 0
+        identity = factor_db_identity("factors.txt", samples.SAMPLE_FACTOR_FILE)
+        assert capsys.readouterr().err == (
+            f"warning: factor set changed between years: {identity} / {identity}+grid=0.3\n"
+        )
+
 
 @pytest.fixture(scope="module")
 def fuzzdir(tmp_path_factory):
@@ -640,7 +706,7 @@ def fuzzdir(tmp_path_factory):
 def _sample_report() -> dict:
     fleet = samples.sample_fleet()
     db = merge_factors(load_factor_db(samples.SAMPLE_FACTOR_FILE))
-    report = aggregate(compute_fleet(fleet, db, config_for(db)), fleet)
+    report = aggregate(compute_fleet(fleet, db), fleet)
     return json.loads(render(report, "json"))
 
 

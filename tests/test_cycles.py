@@ -15,7 +15,7 @@ import random
 import pytest
 
 from ecodiag import samples
-from ecodiag.engine import compute_fleet, config_for
+from ecodiag.engine import compute_fleet
 from ecodiag.errors import FleetParseError
 from ecodiag.factors import load_factor_db, merge_factors, render_factor_file
 from ecodiag.inventory import (
@@ -105,22 +105,20 @@ def test_fleet_csv_parse(db, fleet):
 
 @pytest.mark.parametrize("db,fleet", CASES)
 def test_validate_compute_aggregate(db, fleet):
-    config = config_for(db)
 
     def stage():
         validate_fleet(fleet, db)
-        aggregate(compute_fleet(fleet, db, config), fleet, "factors")
+        aggregate(compute_fleet(fleet, db), fleet, "factors")
 
     assert_no_cyclic_garbage(stage)
 
 
 def results(db, fleet, actions):
     """A report, a year comparison and a scenario result for one fleet."""
-    config = config_for(db)
-    report = aggregate(compute_fleet(fleet, db, config), fleet, "factors")
+    report = aggregate(compute_fleet(fleet, db), fleet, "factors")
     later = dataclasses.replace(fleet, reporting_year=fleet.reporting_year + 1)
-    comparison = compare_years([report, aggregate(compute_fleet(later, db, config), later)])
-    return report, comparison, evaluate_scenario(fleet, actions, db, config)
+    comparison = compare_years([report, aggregate(compute_fleet(later, db), later)])
+    return report, comparison, evaluate_scenario(fleet, actions, db)
 
 
 @pytest.mark.parametrize("db,fleet", CASES)
@@ -146,9 +144,8 @@ def test_render_json_leaves_only_the_encoders_own_cycle(db, fleet):
 
 @pytest.mark.parametrize("db,fleet", CASES)
 def test_evaluate_scenario(db, fleet):
-    config = config_for(db)
     actions = actions_for(fleet)
-    assert_no_cyclic_garbage(lambda: evaluate_scenario(fleet, actions, db, config, "factors"))
+    assert_no_cyclic_garbage(lambda: evaluate_scenario(fleet, actions, db, "factors"))
 
 
 def test_glpi_export_with_unmapped_record_and_unknown_status():
@@ -170,10 +167,9 @@ def test_glpi_export_with_unmapped_record_and_unknown_status():
 
 @pytest.mark.parametrize("db,fleet", CASES)
 def test_report_json_parse_and_compare(db, fleet):
-    config = config_for(db)
     later = dataclasses.replace(fleet, reporting_year=fleet.reporting_year + 1)
-    first = render(aggregate(compute_fleet(fleet, db, config), fleet, "factors"), "json")
-    second = render(aggregate(compute_fleet(later, db, config), later, "factors"), "json")
+    first = render(aggregate(compute_fleet(fleet, db), fleet, "factors"), "json")
+    second = render(aggregate(compute_fleet(later, db), later, "factors"), "json")
 
     def stage():
         compare_years([parse_report_json(first), parse_report_json(second)])

@@ -8,12 +8,10 @@ from collections import Counter
 import pytest
 from hypothesis import given, settings
 
-from conftest import charged_hours, make_db, make_factor
+from conftest import charged_hours, make_db, make_factor, oracle_config, with_grid
 from ecodiag import engine
 from ecodiag.engine import (
     EmissionLine,
-    EngineConfig,
-    GridFactor,
     compute_fleet,
     declared_external,
     scope1_refrigerant,
@@ -44,6 +42,8 @@ from seed_engine import (
 )
 
 REL = 1e-9
+#: The grid of make_db's databases, at which the one-subject functions run here.
+GRID = 0.119
 
 
 def asset(category="laptop", **kw):
@@ -69,40 +69,40 @@ class TestUsageHours:
 
 
 class TestScope2Usage:
-    def test_measured_100w_work_year(self, config):
-        line = scope2_usage(asset(measured_power_w=100.0), make_factor(), config)
+    def test_measured_100w_work_year(self):
+        line = scope2_usage(asset(measured_power_w=100.0), make_factor(), GRID)
         assert line.kgco2e == pytest.approx(19.1233, rel=REL)
         assert line.abs_uncertainty_kgco2e == 0.0
         assert line.scope == "S2" and line.phase == "usage"
 
-    def test_measured_200w_server(self, config):
+    def test_measured_200w_server(self):
         line = scope2_usage(
-            asset("server", measured_power_w=200.0), make_factor("server"), config
+            asset("server", measured_power_w=200.0), make_factor("server"), GRID
         )
         assert line.kgco2e == pytest.approx(208.488, rel=REL)
 
-    def test_stored_asset_no_line(self, config):
-        assert scope2_usage(asset(status="stored"), make_factor(), config) is None
+    def test_stored_asset_no_line(self):
+        assert scope2_usage(asset(status="stored"), make_factor(), GRID) is None
 
-    def test_typical_power_carries_uncertainty(self, config):
+    def test_typical_power_carries_uncertainty(self):
         factor = make_factor(power=30.0, unc=0.30)
-        line = scope2_usage(asset(), factor, config)
+        line = scope2_usage(asset(), factor, GRID)
         assert line.kgco2e == pytest.approx(30 * 1607 / 1000 * 0.119, rel=REL)
         assert line.abs_uncertainty_kgco2e == pytest.approx(line.kgco2e * 0.30, rel=REL)
         assert line.factor_source == "sample-base"
 
-    def test_zero_power_no_line(self, config):
-        assert scope2_usage(asset(), make_factor(power=0.0), config) is None
+    def test_zero_power_no_line(self):
+        assert scope2_usage(asset(), make_factor(power=0.0), GRID) is None
 
-    def test_quantity_scales(self, config):
-        line = scope2_usage(asset(quantity=10, measured_power_w=100.0), make_factor(), config)
+    def test_quantity_scales(self):
+        line = scope2_usage(asset(quantity=10, measured_power_w=100.0), make_factor(), GRID)
         assert line.kgco2e == pytest.approx(191.233, rel=REL)
 
 
 def s3_lines(a, factor, year):
     """The S3 lines of the asset, computed alone in a fleet of the given year."""
     fleet = Fleet("p", year, assets=(a,))
-    lines = engine.asset_lines(fleet, fleet.assets, make_db(factor), EngineConfig())
+    lines = engine.asset_lines(fleet, fleet.assets, make_db(factor))
     return [line for line in lines if line.scope == "S3"]
 
 
@@ -160,31 +160,31 @@ class TestScope1Refrigerant:
             scope1_refrigerant(room, self.GWP)
 
 
-def room_lines(fleet, db, config):
+def room_lines(fleet, db):
     """The lines compute_fleet gives room "sr"."""
-    return [l for l in compute_fleet(fleet, db, config) if l.subject_id == "sr"]
+    return [l for l in compute_fleet(fleet, db) if l.subject_id == "sr"]
 
 
-def room_lines_from_its_own_pool(room, fleet, db, config):
+def room_lines_from_its_own_pool(room, fleet, db):
     """The room's electricity lines, with the server-room pool summed here,
     asset by asset and in fleet order, apart from compute_fleet's own pass."""
-    pool = None
+    pool, grid = None, db.default_grid_factor_kgco2e_per_kwh
     if room.ups_overhead_fraction != 0 and all(
         r.measured_room_kwh_per_year is None for r in fleet.rooms
     ):
         pool_kgco2e = pool_uncertainty = 0.0
         for a in fleet.assets:
             if a.category in engine._POOL_CATEGORIES:
-                line = scope2_usage(a, lookup_factor(db, a.category), config)
+                line = scope2_usage(a, lookup_factor(db, a.category), grid)
                 if line is not None:
                     pool_kgco2e += line.kgco2e
                     pool_uncertainty += line.abs_uncertainty_kgco2e
         pool = pool_kgco2e, pool_uncertainty
-    return engine._room_lines(room, pool, config)
+    return engine._room_lines(room, pool, grid)
 
 
 class TestRoomOverheads:
-    def test_ups_overhead_on_room_load(self, config):
+    def test_ups_overhead_on_room_load(self):
         # One server measured at 200 W around the clock: 1752 kWh.
         fleet = Fleet(
             "p", 2019,
@@ -192,38 +192,38 @@ class TestRoomOverheads:
             rooms=(ServerRoom("sr", ups_overhead_fraction=0.10),),
         )
         db = make_db(make_factor("server"))
-        (line,) = room_lines(fleet, db, config)
+        (line,) = room_lines(fleet, db)
         assert line.kgco2e == pytest.approx(20.8488, rel=REL)
         assert line.subject_id == "sr"
 
-    def test_metered_room_single_line(self, config):
+    def test_metered_room_single_line(self):
         fleet = Fleet(
             "p", 2019,
             assets=(asset("server", measured_power_w=200.0),),
             rooms=(ServerRoom("sr", measured_room_kwh_per_year=5000.0),),
         )
         db = make_db(make_factor("server"))
-        (line,) = room_lines(fleet, db, config)
+        (line,) = room_lines(fleet, db)
         assert line.kgco2e == pytest.approx(595.0, rel=REL)
         # and compute_fleet suppresses the per-asset server line
-        lines = compute_fleet(fleet, db, config)
+        lines = compute_fleet(fleet, db)
         s2 = [l for l in lines if l.scope == "S2"]
         assert [l.subject_id for l in s2] == ["sr"]
         assert sum(l.kgco2e for l in s2) == pytest.approx(595.0, rel=REL)
 
-    def test_no_overhead_no_metering_no_line(self, config):
+    def test_no_overhead_no_metering_no_line(self):
         fleet = Fleet("p", 2019, rooms=(ServerRoom("sr"),))
-        assert room_lines(fleet, make_db(), config) == []
+        assert room_lines(fleet, make_db()) == []
 
-    def test_office_assets_not_in_room_pool(self, config):
+    def test_office_assets_not_in_room_pool(self):
         fleet = Fleet(
             "p", 2019,
             assets=(asset("laptop", measured_power_w=100.0),),
             rooms=(ServerRoom("sr", ups_overhead_fraction=0.5),),
         )
-        assert room_lines(fleet, make_db(make_factor()), config) == []
+        assert room_lines(fleet, make_db(make_factor())) == []
 
-    def test_unmetered_rooms_each_charge_a_fraction_of_one_pool(self, config):
+    def test_unmetered_rooms_each_charge_a_fraction_of_one_pool(self):
         fleet = Fleet(
             "p", 2019,
             assets=(
@@ -240,11 +240,11 @@ class TestRoomOverheads:
         )
         db = make_db(make_factor("server", power=300.0, unc=0.2), make_factor("network_switch"),
                      make_factor())
-        pool = [scope2_usage(a, lookup_factor(db, a.category), config)
+        pool = [scope2_usage(a, lookup_factor(db, a.category), GRID)
                 for a in fleet.assets if a.category != "laptop"]
         pool_kgco2e = sum(l.kgco2e for l in pool)
         pool_uncertainty = sum(l.abs_uncertainty_kgco2e for l in pool)
-        lines = compute_fleet(fleet, db, config)
+        lines = compute_fleet(fleet, db)
         for room in fleet.rooms:
             (line,) = [l for l in lines if l.subject_id == room.id]
             assert line.kgco2e == room.ups_overhead_fraction * pool_kgco2e
@@ -254,7 +254,7 @@ class TestRoomOverheads:
                 room.ups_overhead_fraction * pool_uncertainty, f"room_overhead:{room.id}",
                 "server_room",
             )
-        expected = oracle_totals(fleet, db, config)
+        expected = oracle_totals(fleet, db, oracle_config(db))
         totals = aggregate(lines, fleet)
         assert totals.grand_total_kgco2e == pytest.approx(expected["total"], rel=REL)
         assert totals.abs_uncertainty_kgco2e == pytest.approx(expected["uncertainty"], rel=REL)
@@ -264,7 +264,7 @@ class TestRoomOverheads:
             )
 
 
-    def test_overhead_line_equals_the_room_overheads_on_random_fleets(self, config):
+    def test_overhead_line_equals_the_room_overheads_on_random_fleets(self):
         # compute_fleet sums the pool from the usage lines of its own asset
         # pass; room_lines_from_its_own_pool sums it on its own. Both must
         # agree to the last bit.
@@ -272,35 +272,35 @@ class TestRoomOverheads:
         overheads = 0
         for _ in range(300):
             db, fleet = random_db(rng), random_fleet(rng)
-            lines = compute_fleet(fleet, db, config)
+            lines = compute_fleet(fleet, db)
             for room in fleet.rooms:
-                expected = room_lines_from_its_own_pool(room, fleet, db, config)
+                expected = room_lines_from_its_own_pool(room, fleet, db)
                 assert [l for l in lines if l.subject_id == room.id and l.scope == "S2"] == expected
                 overheads += any(l.factor_source.startswith("room_overhead:") for l in expected)
         assert overheads > 20
 
 
 class TestScope2Campaign:
-    def test_direct_kwh(self, config):
-        line = scope2_campaign(ComputeCampaign("c", kwh=1500.0), config)
+    def test_direct_kwh(self):
+        line = scope2_campaign(ComputeCampaign("c", kwh=1500.0), GRID)
         assert line.kgco2e == pytest.approx(178.5, rel=REL)
 
-    def test_core_hours_formula(self, config):
+    def test_core_hours_formula(self):
         campaign = ComputeCampaign("c", core_hours=100000.0, watts_per_core=10.0, pue=1.5)
-        line = scope2_campaign(campaign, config)
+        line = scope2_campaign(campaign, GRID)
         assert line.kgco2e == pytest.approx(178.5, rel=REL)
 
-    def test_zero_core_hours_zero_line(self, config):
-        line = scope2_campaign(ComputeCampaign("c", core_hours=0.0, watts_per_core=10.0), config)
+    def test_zero_core_hours_zero_line(self):
+        line = scope2_campaign(ComputeCampaign("c", core_hours=0.0, watts_per_core=10.0), GRID)
         assert line.kgco2e == 0.0
 
-    def test_kwh_beats_core_hours(self, config):
+    def test_kwh_beats_core_hours(self):
         campaign = ComputeCampaign("c", kwh=100.0, core_hours=1e6, watts_per_core=10.0)
-        assert scope2_campaign(campaign, config).kgco2e == pytest.approx(11.9, rel=REL)
+        assert scope2_campaign(campaign, GRID).kgco2e == pytest.approx(11.9, rel=REL)
 
-    def test_no_energy_spec_raises(self, config):
+    def test_no_energy_spec_raises(self):
         with pytest.raises(ValueError, match="no energy declaration"):
-            scope2_campaign(ComputeCampaign("c", core_hours=5.0), config)
+            scope2_campaign(ComputeCampaign("c", core_hours=5.0), GRID)
 
 
 class TestScope3Cables:
@@ -312,13 +312,13 @@ class TestScope3Cables:
     def test_zero_count_no_line(self):
         assert scope3_cables(CableBulk("cable_cat5", 0), make_factor("cable_cat5")) is None
 
-    def test_hdmi_uses_own_factor(self, config):
+    def test_hdmi_uses_own_factor(self):
         db = make_db(
             make_factor("cable_cat5", fab=1.2),
             make_factor("cable_hdmi", fab=2.4),
         )
         fleet = Fleet("p", 2019, cable_bulks=(CableBulk("cable_hdmi", 10),))
-        (line,) = compute_fleet(fleet, db, config)
+        (line,) = compute_fleet(fleet, db)
         assert line.kgco2e == pytest.approx(24.0, rel=REL)
         assert line.subject_id == "cable_hdmi"
 
@@ -337,48 +337,48 @@ def pool_of(lines):
 
 
 class TestComputeFleet:
-    def test_empty_fleet(self, config):
-        assert compute_fleet(Fleet("p", 2019), make_db(), config) == []
+    def test_empty_fleet(self):
+        assert compute_fleet(Fleet("p", 2019), make_db()) == []
 
-    def test_stored_laptop_from_past_year_is_invisible(self, config):
+    def test_stored_laptop_from_past_year_is_invisible(self):
         fleet = Fleet("p", 2019, assets=(asset(status="stored", acquisition_year=2015),))
-        assert compute_fleet(fleet, make_db(make_factor()), config) == []
+        assert compute_fleet(fleet, make_db(make_factor())) == []
 
-    def test_new_measured_server_two_lines(self, config):
+    def test_new_measured_server_two_lines(self):
         fleet = Fleet(
             "p", 2019,
             assets=(asset("server", measured_power_w=200.0, acquisition_year=2019),),
         )
-        lines = compute_fleet(fleet, make_db(make_factor("server", fab=1000.0)), config)
+        lines = compute_fleet(fleet, make_db(make_factor("server", fab=1000.0)))
         assert len(lines) == 2
         by_scope = {l.scope: l.kgco2e for l in lines}
         assert by_scope["S2"] == pytest.approx(208.488, rel=REL)
         assert by_scope["S3"] == 1000.0
 
-    def test_given_asset_part_is_used_and_left_unchanged(self, config):
+    def test_given_asset_part_is_used_and_left_unchanged(self):
         rng = random.Random(11)
         for _ in range(20):
             db = random_db(rng)
             fleet = random_fleet(rng)
-            part = engine.asset_part(fleet, fleet.assets, db, config)
+            part = engine.asset_part(fleet, fleet.assets, db)
             kept = tuple(map(list, part))
-            full = compute_fleet(fleet, db, config)
-            assert compute_fleet(fleet, db, config, part) == full
+            full = compute_fleet(fleet, db)
+            assert compute_fleet(fleet, db, part) == full
             assert part == kept
-            lines = engine.asset_lines(fleet, fleet.assets, db, config)
-            seed_lines, seed_pool_lines = seed_asset_lines(fleet, fleet.assets, db, config)
+            lines = engine.asset_lines(fleet, fleet.assets, db)
+            seed_lines, seed_pool_lines = seed_asset_lines(fleet, fleet.assets, db)
             assert lines == seed_key_order(fleet.assets, seed_lines)
             assert pool_of(lines) == seed_pool_lines
             assert part[0] == sorted(seed_lines, key=lambda l: (l.subject_id, l.scope, l.phase))
             charged = any(r.ups_overhead_fraction != 0 for r in fleet.rooms)
             assert part[1] == (seed_pool_lines if charged else [])
 
-    def test_deterministic_and_sorted(self, config):
+    def test_deterministic_and_sorted(self):
         rng = random.Random(7)
         db = random_db(rng)
         fleet = random_fleet(rng)
-        first = compute_fleet(fleet, db, config)
-        second = compute_fleet(fleet, db, config)
+        first = compute_fleet(fleet, db)
+        second = compute_fleet(fleet, db)
         assert first == second
         keys = [(l.subject_id, l.scope, l.phase) for l in first]
         assert keys == sorted(keys)
@@ -400,14 +400,13 @@ class TestComputeFleet:
         db = FactorDatabase(
             db.factors, db.gwp_table + extra, db.default_grid_factor_kgco2e_per_kwh
         )
-        config = EngineConfig(grid=GridFactor(db.default_grid_factor_kgco2e_per_kwh))
-        lines = compute_fleet(fleet, db, config)
-        expected = oracle_totals(fleet, db, config)
+        lines = compute_fleet(fleet, db)
+        expected = oracle_totals(fleet, db, oracle_config(db))
         totals = aggregate(lines, fleet)
         assert totals.grand_total_kgco2e == pytest.approx(expected["total"], rel=REL)
         assert totals.abs_uncertainty_kgco2e == pytest.approx(expected["uncertainty"], rel=REL)
 
-    def test_linearity_in_quantity(self, config):
+    def test_linearity_in_quantity(self):
         factor = make_factor("server", fab=1000.0, power=250.0, unc=0.4)
         db = make_db(factor)
         one = Fleet(
@@ -418,8 +417,8 @@ class TestComputeFleet:
             "p", 2019,
             assets=tuple(Asset(f"s{i}", "server", 1, 2019, disposal_year=2019) for i in range(5)),
         )
-        totals_one = aggregate(compute_fleet(one, db, config), one)
-        totals_many = aggregate(compute_fleet(many, db, config), many)
+        totals_one = aggregate(compute_fleet(one, db), one)
+        totals_many = aggregate(compute_fleet(many, db), many)
         assert totals_one.grand_total_kgco2e == pytest.approx(
             totals_many.grand_total_kgco2e, rel=REL
         )
@@ -431,21 +430,21 @@ class TestComputeFleet:
         rng = random.Random(11)
         db = random_db(rng)
         fleet = random_fleet(rng, with_external=False)
-        base = EngineConfig(grid=GridFactor(0.25))
-        doubled = EngineConfig(grid=GridFactor(0.5))
-        s2_base = sum(l.kgco2e for l in compute_fleet(fleet, db, base) if l.scope == "S2")
-        s2_doubled = sum(l.kgco2e for l in compute_fleet(fleet, db, doubled) if l.scope == "S2")
+        base = with_grid(db, 0.25)
+        doubled = with_grid(db, 0.5)
+        s2_base = sum(l.kgco2e for l in compute_fleet(fleet, base) if l.scope == "S2")
+        s2_doubled = sum(l.kgco2e for l in compute_fleet(fleet, doubled) if l.scope == "S2")
         assert s2_doubled == 2 * s2_base
 
 
-    def test_sorted_by_subject_scope_phase_on_random_fleets(self, config):
+    def test_sorted_by_subject_scope_phase_on_random_fleets(self):
         rng = random.Random(23)
         for _ in range(100):
             db, fleet = random_db(rng), random_fleet(rng)
-            keys = [(l.subject_id, l.scope, l.phase) for l in compute_fleet(fleet, db, config)]
+            keys = [(l.subject_id, l.scope, l.phase) for l in compute_fleet(fleet, db)]
             assert keys == sorted(keys)
 
-    def test_usage_evaluated_at_most_once_per_asset(self, config, monkeypatch):
+    def test_usage_evaluated_at_most_once_per_asset(self, monkeypatch):
         calls = Counter()
         real_lines, real_usage = engine.asset_lines, engine.scope2_usage
 
@@ -468,13 +467,13 @@ class TestComputeFleet:
                    ServerRoom("sr2", ups_overhead_fraction=0.2)),
         )
         db = make_db(make_factor("server"), make_factor(), make_factor("router"))
-        compute_fleet(fleet, db, config)
+        compute_fleet(fleet, db)
         assert calls == {"s1": 1, "pc": 1, "r": 1}
         rng = random.Random(3)
         for _ in range(100):
             db, fleet = random_db(rng), random_fleet(rng)
             calls.clear()
-            compute_fleet(fleet, db, config)
+            compute_fleet(fleet, db)
             assert max(calls.values(), default=1) == 1
 
 
@@ -512,15 +511,15 @@ class TestSeedEngine:
         seen = Counter()
         for _ in range(400):
             db, fleet = random_db(rng), edge_case_fleet(rng)
-            config = EngineConfig(grid=GridFactor(rng.uniform(0.01, 1.0)))
-            lines = engine.asset_lines(fleet, fleet.assets, db, config)
-            expected, expected_pool = seed_asset_lines(fleet, fleet.assets, db, config)
+            db = with_grid(db, rng.uniform(0.01, 1.0))
+            lines = engine.asset_lines(fleet, fleet.assets, db)
+            expected, expected_pool = seed_asset_lines(fleet, fleet.assets, db)
             expected = seed_key_order(fleet.assets, expected)
             assert lines == expected and repr(lines) == repr(expected)
             assert repr(pool_of(lines)) == repr(expected_pool)
             half = fleet.assets[::2]
-            half_lines = engine.asset_lines(fleet, half, db, config)
-            expected, expected_pool = seed_asset_lines(fleet, half, db, config)
+            half_lines = engine.asset_lines(fleet, half, db)
+            expected, expected_pool = seed_asset_lines(fleet, half, db)
             assert repr(half_lines) == repr(seed_key_order(half, expected))
             assert repr(pool_of(half_lines)) == repr(expected_pool)
             year = fleet.reporting_year
@@ -528,9 +527,10 @@ class TestSeedEngine:
             seen["pool"] += bool(pool_of(lines))
             for a in fleet.assets:
                 factor = lookup_factor(db, a.category)
-                assert charged_hours(a) == seed_usage_hours(a, config)
-                assert repr(scope2_usage(a, factor, config)) == repr(
-                    seed_scope2_usage(a, factor, config)
+                grid = db.default_grid_factor_kgco2e_per_kwh
+                assert charged_hours(a) == seed_usage_hours(a)
+                assert repr(scope2_usage(a, factor, grid)) == repr(
+                    seed_scope2_usage(a, factor, grid)
                 )
                 seen["acquired"] += a.acquisition_year == year
                 seen["disposed"] += a.disposal_year == year
@@ -551,9 +551,8 @@ class TestSeedComputeFleet:
         seen = Counter()
         for _ in range(400):
             db, fleet = random_db(rng), colliding_fleet(rng)
-            config = EngineConfig(grid=GridFactor(db.default_grid_factor_kgco2e_per_kwh))
-            lines = compute_fleet(fleet, db, config)
-            expected = seed_compute_fleet(fleet, db, config)
+            lines = compute_fleet(fleet, db)
+            expected = seed_compute_fleet(fleet, db)
             assert lines == expected and repr(lines) == repr(expected)
             ids = {a.id for a in fleet.assets}
             seen["asset id = room id"] += bool(ids & {r.id for r in fleet.rooms})
@@ -593,16 +592,15 @@ class TestFleetLines:
             assets = list(fleet.assets)
             rng.shuffle(assets)  # the pool is summed in fleet order, not id order
             fleet = dataclasses.replace(fleet, assets=tuple(assets))
-            config = EngineConfig(grid=GridFactor(db.default_grid_factor_kgco2e_per_kwh))
-            streamed = engine.fleet_lines(fleet, db, config)
+            streamed = engine.fleet_lines(fleet, db)
             assert not isinstance(streamed, list)
             lines = list(streamed)
-            expected = seed_compute_fleet(fleet, db, config)
+            expected = seed_compute_fleet(fleet, db)
             assert lines == expected and repr(lines) == repr(expected)
-            part = engine.asset_part(fleet, fleet.assets, db, config)
-            assert repr(compute_fleet(fleet, db, config, part)) == repr(lines)
+            part = engine.asset_part(fleet, fleet.assets, db)
+            assert repr(compute_fleet(fleet, db, part)) == repr(lines)
             metered = any(r.measured_room_kwh_per_year is not None for r in fleet.rooms)
-            pool = pool_of(engine.asset_lines(fleet, fleet.assets, db, config))
+            pool = pool_of(engine.asset_lines(fleet, fleet.assets, db))
             seen["no assets"] += not fleet.assets
             seen["metered room"] += metered
             seen["UPS overhead on a pool"] += bool(pool) and any(
@@ -611,7 +609,7 @@ class TestFleetLines:
             seen["lines of an equal key"] += len({l[:3] for l in lines}) < len(lines)
         assert len(seen) == 5 and min(seen.values()) >= 10, seen
 
-    def test_holds_one_chunk_of_lines_at_a_time(self, config):
+    def test_holds_one_chunk_of_lines_at_a_time(self):
         rng = random.Random(26)
         db = make_db(*(make_factor(c) for c in ("laptop", "desktop", "server")))
         # One asset in ten in the pool, whose lines are held whole to sum it.
@@ -622,11 +620,11 @@ class TestFleetLines:
         fleet = Fleet("p", 2019, assets=assets, rooms=(ServerRoom("sr", ups_overhead_fraction=0.1),))
         tracemalloc.start()
         try:
-            report = aggregate(engine.fleet_lines(fleet, db, config), fleet)
+            report = aggregate(engine.fleet_lines(fleet, db), fleet)
             streamed_peak = tracemalloc.get_traced_memory()[1]
             tracemalloc.reset_peak()
             before = tracemalloc.get_traced_memory()[0]
-            lines = compute_fleet(fleet, db, config)
+            lines = compute_fleet(fleet, db)
             listed = tracemalloc.get_traced_memory()[0] - before
         finally:
             tracemalloc.stop()

@@ -428,3 +428,14 @@ class TestInvariants:
         for c in map(chr, rejected):
             with pytest.raises(ValueError, match="control characters"):
                 check_text_field(f"a{c}b", "t")
+
+
+@pytest.mark.parametrize("build, error, message", [
+    (lambda: GwpEntry("", 675.0), ValueError, "fluid token must be non-empty"),
+    (lambda: load_factor_db("[gwp]\nR410A,2088\n,675\n"), FactorParseError,
+     "line 3: fluid token must be non-empty"),
+], ids=["gwp fluid", "gwp fluid row"])
+def test_boundary_checks(build, error, message):
+    with pytest.raises(error) as info:
+        build()
+    assert str(info.value) == message

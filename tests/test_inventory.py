@@ -1390,3 +1390,31 @@ class TestMappingRulesFile:
     def test_bad_target(self):
         with pytest.raises(FleetParseError, match="unknown or non-asset"):
             parse_mapping_rules("type,x,mainframe\n")
+
+
+@pytest.mark.parametrize("build, message, row", [
+    (lambda: parse("room,,,,,,,,,\n"), "room id must be non-empty", 2),
+    (lambda: parse("campaign,,,,,,,,,kwh=1\n"), "campaign id must be non-empty", 2),
+    (lambda: parse("external,,,,,,,,,kgco2e=1;scope=S3\n"),
+     "external service id must be non-empty", 2),
+    (lambda: parse("room,r,,,,,,,,fluid=R410A;leak_kg=-1\n"),
+     "refrigerant_leak_kg_per_year must be >= 0, got -1.0", 2),
+    (lambda: parse("room,r,,,,,,,,fluid=R410A;leak_kg=nan\n"),
+     "refrigerant_leak_kg_per_year must be >= 0, got nan", 2),
+    (lambda: parse("external,x,,,,,,,,kgco2e=-1;scope=S3\n"),
+     "declared_kgco2e must be >= 0, got -1.0", 2),
+    (lambda: parse("external,x,,,,,,,,kgco2e=nan;scope=S3\n"),
+     "declared_kgco2e must be >= 0, got nan", 2),
+    # The fleet CSV cannot hold a ';' in a note: it splits the 'extra' cell there.
+    (lambda: ExternalServiceEntry("x", 1.0, "S3", "a;b"),
+     "note must not contain ';', ',' or '=': 'a;b'", None),
+    (lambda: parse_mapping_rules("type,laptop,laptop\ntype,,laptop\n"),
+     "pattern must be non-empty", 2),
+    (lambda: parse("room,r,,,,,,,,fluid=R410A;fluid=R32\n"), "duplicate extra key 'fluid'", 2),
+    (lambda: parse("campaign,c,,,,,,,,kwh=-1\n"), "kwh must be finite and >= 0, got -1.0", 2),
+], ids=["room id", "campaign id", "external id", "negative leak", "nan leak", "negative declared",
+        "nan declared", "note", "rule pattern", "extra key", "negative optional"])
+def test_boundary_checks(build, message, row):
+    with pytest.raises(FleetParseError if row else ValueError) as info:
+        build()
+    assert str(info.value) == (f"row {row}: {message}" if row else message)

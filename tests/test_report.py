@@ -12,9 +12,7 @@ from hypothesis import strategies as st
 
 from conftest import make_db, make_factor, neumaier_sum
 from ecodiag import engine
-from ecodiag.engine import (
-    EXTERNAL_GROUP, EmissionLine, EngineConfig, GridFactor, compute_fleet, config_for,
-)
+from ecodiag.engine import EXTERNAL_GROUP, EmissionLine, compute_fleet
 from ecodiag.errors import FleetParseError, ScenarioError
 from ecodiag.factors import GROUPS
 from ecodiag.inventory import Asset, CableBulk, ExternalServiceEntry, Fleet, ServerRoom
@@ -64,23 +62,23 @@ class TestAggregate:
         assert all(v == 0.0 for v in report.totals_by_group.values())
         assert report.line_count == 0
 
-    def test_two_line_sum(self, config):
+    def test_two_line_sum(self):
         fleet = Fleet(
             "p", 2019,
             assets=(Asset("srv", "server", 1, 2019, measured_power_w=200.0),),
         )
-        lines = compute_fleet(fleet, make_db(make_factor("server", fab=1000.0)), config)
+        lines = compute_fleet(fleet, make_db(make_factor("server", fab=1000.0)))
         report = aggregate(lines, fleet)
         assert report.grand_total_kgco2e == pytest.approx(1208.488, rel=REL)
         assert report.totals_by_scope["S2"] == pytest.approx(208.488, rel=REL)
         assert report.totals_by_scope["S3"] == 1000.0
         assert report.totals_by_group["server_room"] == pytest.approx(1208.488, rel=REL)
 
-    def test_permutation_invariant(self, config):
+    def test_permutation_invariant(self):
         rng = random.Random(3)
         db = random_db(rng)
         fleet = random_fleet(rng)
-        lines = compute_fleet(fleet, db, config)
+        lines = compute_fleet(fleet, db)
         shuffled = list(lines)
         rng.shuffle(shuffled)
         assert aggregate(shuffled, fleet) == aggregate(lines, fleet)
@@ -99,15 +97,15 @@ class TestAggregate:
         with pytest.raises(ValueError, match="sum of the emission lines overflows"):
             aggregate([line], Fleet("p", 2019))
 
-    def test_an_iterator_gives_the_report_of_the_list(self, config):
+    def test_an_iterator_gives_the_report_of_the_list(self):
         rng = random.Random(31)
         seen = Counter()
         for _ in range(100):
             db, fleet = random_db(rng), random_fleet(rng)
-            lines = compute_fleet(fleet, db, config)
+            lines = compute_fleet(fleet, db)
             expected = aggregate(lines, fleet, "h")
             assert aggregate(iter(lines), fleet, "h") == expected
-            assert aggregate(engine.fleet_lines(fleet, db, config), fleet, "h") == expected
+            assert aggregate(engine.fleet_lines(fleet, db), fleet, "h") == expected
             seen[len({l.factor_source for l in lines}) > 1] += 1
         assert seen[True] >= 30, seen
 
@@ -125,26 +123,26 @@ class TestAggregate:
         with pytest.raises(ValueError, match="the sum of the emission lines overflows"):
             aggregate(lines, Fleet("p", 2019))
 
-    def test_asset_sharing_an_external_id_stays_in_its_group(self, config):
+    def test_asset_sharing_an_external_id_stays_in_its_group(self):
         fleet = Fleet(
             "p", 2019,
             assets=(Asset("x", "laptop", 1, 2019, measured_power_w=100.0),),
             external_services=(ExternalServiceEntry("x", 42.0, "S3"),),
         )
-        report = aggregate(compute_fleet(fleet, make_db(make_factor()), config), fleet)
+        report = aggregate(compute_fleet(fleet, make_db(make_factor())), fleet)
         assert report.external_total_kgco2e == 42.0
         assert report.totals_by_group["office"] == pytest.approx(
             300.0 + 100.0 * 1607 / 1000 * 0.119, rel=REL
         )
 
-    def test_asset_named_like_a_cable_category_leaves_cables_in_bulk(self, config):
+    def test_asset_named_like_a_cable_category_leaves_cables_in_bulk(self):
         fleet = Fleet(
             "p", 2019,
             assets=(Asset("cable_cat5", "laptop", 1, 2010, measured_power_w=100.0),),
             cable_bulks=(CableBulk("cable_cat5", 10),),
         )
         db = make_db(make_factor(), make_factor("cable_cat5", fab=2.0))
-        report = aggregate(compute_fleet(fleet, db, config), fleet)
+        report = aggregate(compute_fleet(fleet, db), fleet)
         assert report.totals_by_group["bulk"] == 20.0
         assert report.totals_by_group["office"] == pytest.approx(
             100.0 * 1607 / 1000 * 0.119, rel=REL
@@ -166,8 +164,7 @@ class TestAggregate:
             )
         )
         db = FactorDatabase(db.factors, db.gwp_table + extra, db.default_grid_factor_kgco2e_per_kwh)
-        config = EngineConfig(grid=GridFactor(db.default_grid_factor_kgco2e_per_kwh))
-        report = aggregate(compute_fleet(fleet, db, config), fleet)
+        report = aggregate(compute_fleet(fleet, db), fleet)
         assert report.grand_total_kgco2e == pytest.approx(
             sum(report.totals_by_scope.values()), rel=REL
         )
@@ -377,7 +374,6 @@ class TestActionsWalk:
         seen = Counter()
         for _ in range(2000):
             db = random_db(rng)
-            config = EngineConfig(grid=GridFactor(db.default_grid_factor_kgco2e_per_kwh))
             fleet = random_fleet(rng, max_entries=10)
             actions = random_actions(rng, fleet)
             try:
@@ -385,15 +381,15 @@ class TestActionsWalk:
             except ScenarioError as exc:
                 expected = ScenarioError, str(exc)
                 assert outcome(lambda: apply_scenario(fleet, actions)) == expected
-                assert outcome(lambda: evaluate_scenario(fleet, actions, db, config)) == expected
+                assert outcome(lambda: evaluate_scenario(fleet, actions, db)) == expected
                 kind = str(exc).split()[0]  # unknown, added or replacement
                 if kind == "unknown":
                     kind = "ghost" if str(exc).endswith(": ghost") else "id no longer there"
                 seen[kind] += 1
                 continue
             assert apply_scenario(fleet, actions).assets == variant.assets
-            result = evaluate_scenario(fleet, actions, db, config)
-            assert result.variant == aggregate(compute_fleet(variant, db, config), variant)
+            result = evaluate_scenario(fleet, actions, db)
+            assert result.variant == aggregate(compute_fleet(variant, db), variant)
             ids = {a.id for a in fleet.assets}
             seen["applied"] += 1
             seen["baseline id added back"] += any(
@@ -406,47 +402,47 @@ class TestActionsWalk:
 
 
 class TestEvaluateScenario:
-    def test_server_replacement_payback(self, config):
+    def test_server_replacement_payback(self):
         new = Asset("srv-new", "server", 1, 2019, measured_power_w=200.0)
         result = evaluate_scenario(
-            base_fleet(), [ScenarioAction("replace", "srv-old", new)], SERVER_DB, config
+            base_fleet(), [ScenarioAction("replace", "srv-old", new)], SERVER_DB
         )
         savings = (350 - 200) * 8760 / 1000 * 0.119
         assert result.payback_years == pytest.approx(1000.0 / savings, rel=REL)
         assert result.payback_years == pytest.approx(6.40, abs=0.01)
         assert "pays back" in result.verdict
 
-    def test_empty_actions_zero_delta(self, config):
-        result = evaluate_scenario(base_fleet(), [], SERVER_DB, config)
+    def test_empty_actions_zero_delta(self):
+        result = evaluate_scenario(base_fleet(), [], SERVER_DB)
         assert result.delta_kgco2e == 0.0
         assert result.payback_years is None
 
-    def test_power_increase_has_no_payback(self, config):
+    def test_power_increase_has_no_payback(self):
         new = Asset("srv-new", "server", 1, 2019, measured_power_w=500.0)
         result = evaluate_scenario(
-            base_fleet(), [ScenarioAction("replace", "srv-old", new)], SERVER_DB, config
+            base_fleet(), [ScenarioAction("replace", "srv-old", new)], SERVER_DB
         )
         assert result.payback_years is None
         assert "no annual usage savings" in result.verdict
 
-    def test_savings_too_small_for_a_finite_payback(self, config):
+    def test_savings_too_small_for_a_finite_payback(self):
         fleet = Fleet("p", 2019, assets=(Asset("pc", "laptop", 1, 2015, measured_power_w=1e-300),))
         new = Asset(
             "pc-new", "laptop", 1, 2019, measured_power_w=0.0, vendor_fab_transport_kgco2e=1e300
         )
         result = evaluate_scenario(
-            fleet, [ScenarioAction("replace", "pc", new)], make_db(make_factor()), config
+            fleet, [ScenarioAction("replace", "pc", new)], make_db(make_factor())
         )
         assert result.payback_years is None
         assert result.verdict == "no annual usage savings; added fabrication is not recovered"
 
-    def test_pure_removal_pays_back_instantly(self, config):
+    def test_pure_removal_pays_back_instantly(self):
         result = evaluate_scenario(
-            base_fleet(), [ScenarioAction("remove", "srv-old")], SERVER_DB, config
+            base_fleet(), [ScenarioAction("remove", "srv-old")], SERVER_DB
         )
         assert result.payback_years == 0.0
 
-    def test_cable_bulk_sharing_the_added_id_is_not_added_fabrication(self, config):
+    def test_cable_bulk_sharing_the_added_id_is_not_added_fabrication(self):
         fleet = Fleet(
             "p", 2019,
             assets=(Asset("pc", "laptop", 1, 2015, measured_power_w=200.0),),
@@ -457,7 +453,7 @@ class TestEvaluateScenario:
             evaluate_scenario(
                 fleet,
                 [ScenarioAction("replace", "pc", Asset(new_id, "laptop", 1, 2019, measured_power_w=20.0))],
-                db, config,
+                db,
             ).payback_years
             for new_id in ("pc2", "cable_cat5")
         ]
@@ -469,7 +465,6 @@ class TestEvaluateScenario:
         seen = Counter()
         for _ in range(40):
             db = random_db(rng)
-            config = EngineConfig(grid=GridFactor(db.default_grid_factor_kgco2e_per_kwh))
             fleet = random_fleet(rng, max_entries=30)
             targets = [a.id for a in fleet.assets]
             rng.shuffle(targets)
@@ -485,10 +480,10 @@ class TestEvaluateScenario:
             for k in range(rng.randint(0, 3)):
                 new = random_asset(rng, 2000 + k, fleet.reporting_year)
                 insert_add(rng, actions, readd_dropped(rng, new, actions))
-            result = evaluate_scenario(fleet, actions, db, config)
+            result = evaluate_scenario(fleet, actions, db)
             variant = seed_apply_scenario(fleet, actions)
-            assert result.variant == aggregate(compute_fleet(variant, db, config), variant)
-            assert result.baseline == aggregate(compute_fleet(fleet, db, config), fleet)
+            assert result.variant == aggregate(compute_fleet(variant, db), variant)
+            assert result.baseline == aggregate(compute_fleet(fleet, db), fleet)
             seen.update(f"id re-added by {op}" for op in readded_ops(fleet, actions))
         assert len(seen) == 2 and min(seen.values()) >= 5, seen
 
@@ -508,7 +503,6 @@ def test_variant_lines_equal_the_seed_on_fleets_with_shared_ids(monkeypatch):
     seen = Counter()
     for _ in range(300):
         db, fleet = random_db(rng), colliding_fleet(rng)
-        config = EngineConfig(grid=GridFactor(db.default_grid_factor_kgco2e_per_kwh))
         year, live = fleet.reporting_year, [a.id for a in fleet.assets]
         rng.shuffle(live)
         actions = []
@@ -525,11 +519,11 @@ def test_variant_lines_equal_the_seed_on_fleets_with_shared_ids(monkeypatch):
             new = colliding_asset(rng, 2000 + k, year, taken)
             insert_add(rng, actions, readd_dropped(rng, new, actions))
         computed.clear()
-        evaluate_scenario(fleet, actions, db, config)
+        evaluate_scenario(fleet, actions, db)
         variant = seed_apply_scenario(fleet, actions)
-        expected = seed_compute_fleet(variant, db, config)
+        expected = seed_compute_fleet(variant, db)
         assert computed[1] == expected and repr(computed[1]) == repr(expected)
-        assert repr(computed[0]) == repr(seed_compute_fleet(fleet, db, config))
+        assert repr(computed[0]) == repr(seed_compute_fleet(fleet, db))
         seen["removed"] += any(a.op == "remove" for a in actions)
         new_ids = {a.new_asset.id for a in actions if a.new_asset} & {a.id for a in variant.assets}
         seen["new asset sharing an id"] += bool(new_ids & {*SHARED_IDS, "cable_cat5", "cable_hdmi"})
@@ -562,19 +556,19 @@ class TestFloatSumsUnderACompensatedSum:
         result = aggregate(self.lines(), Fleet("p", 2019))
         assert (result.grand_total_kgco2e, result.abs_uncertainty_kgco2e) == (self.BIG, 2.0**27)
 
-    def test_added_fabrication(self, config, compensated_sum):
+    def test_added_fabrication(self, compensated_sum):
         fleet = Fleet("p", 2019, assets=(Asset("old", "laptop", 1, 2015, measured_power_w=500.0),))
         actions = [ScenarioAction("remove", "old")] + [
             ScenarioAction("add", new_asset=Asset(id_, "laptop", 1, 2019, measured_power_w=0.0,
                                                   vendor_fab_transport_kgco2e=fab))
             for id_, fab in (("n1", self.BIG), ("n2", 1.5), ("n3", 1.5))
         ]
-        result = evaluate_scenario(fleet, actions, make_db(make_factor()), config)
+        result = evaluate_scenario(fleet, actions, make_db(make_factor()))
         savings = result.baseline.totals_by_scope["S2"] - result.variant.totals_by_scope["S2"]
         assert result.payback_years == self.BIG / savings
 
 
-def variant_lines_checked(fleet, actions, db, config, monkeypatch):
+def variant_lines_checked(fleet, actions, db, monkeypatch):
     """The variant's lines from evaluate_scenario, checked equal (lines and
     report) to a full compute of the variant fleet."""
     computed = []
@@ -584,13 +578,13 @@ def variant_lines_checked(fleet, actions, db, config, monkeypatch):
         return computed[-1]
 
     monkeypatch.setattr("ecodiag.report.compute_fleet", recording)
-    result = evaluate_scenario(fleet, actions, db, config)
+    result = evaluate_scenario(fleet, actions, db)
     monkeypatch.undo()
     variant = seed_apply_scenario(fleet, actions)
-    full = compute_fleet(variant, db, config)
+    full = compute_fleet(variant, db)
     assert computed[1] == full
     assert result.variant == aggregate(full, variant)
-    assert result.baseline == aggregate(compute_fleet(fleet, db, config), fleet)
+    assert result.baseline == aggregate(compute_fleet(fleet, db), fleet)
     return full
 
 
@@ -618,56 +612,66 @@ class TestScenarioVariantLines:
     """evaluate_scenario builds the variant from the baseline's asset lines;
     each case must give exactly the lines of a full compute."""
 
-    def test_removed_asset_sharing_a_room_id_keeps_the_room_line(self, config, monkeypatch):
+    def test_removed_asset_sharing_a_room_id_keeps_the_room_line(self, monkeypatch):
         fleet = server_fleet(ServerRoom("sr1", "R410A", 1.5, ups_overhead_fraction=0.1))
         lines = variant_lines_checked(
-            fleet, [ScenarioAction("remove", "sr1")], ROOM_DB, config, monkeypatch
+            fleet, [ScenarioAction("remove", "sr1")], ROOM_DB, monkeypatch
         )
         assert [(l.scope, l.phase) for l in lines if l.subject_id == "sr1"] == [
             ("S1", "fugitive"), ("S2", "usage"),
         ]
 
-    def test_metered_room_suppresses_the_pool(self, config, monkeypatch):
+    def test_metered_room_suppresses_the_pool(self, monkeypatch):
         fleet = server_fleet(ServerRoom("room", measured_room_kwh_per_year=9000.0))
         new = Asset("srv-c", "server", 1, 2019)
         lines = variant_lines_checked(
-            fleet, [ScenarioAction("replace", "srv-a", new)], ROOM_DB, config, monkeypatch
+            fleet, [ScenarioAction("replace", "srv-a", new)], ROOM_DB, monkeypatch
         )
         assert [l.subject_id for l in lines if l.phase == "usage"] == ["pc", "room"]
 
-    def test_replace_keeping_its_id(self, config, monkeypatch):
+    def test_replace_keeping_its_id(self, monkeypatch):
         fleet = server_fleet(ServerRoom("room", ups_overhead_fraction=0.2))
         new = Asset("srv-a", "server", 1, 2016, measured_power_w=120.0)
         lines = variant_lines_checked(
-            fleet, [ScenarioAction("replace", "srv-a", new)], ROOM_DB, config, monkeypatch
+            fleet, [ScenarioAction("replace", "srv-a", new)], ROOM_DB, monkeypatch
         )
         usage = next(l for l in lines if l.subject_id == "srv-a" and l.phase == "usage")
         assert usage.kgco2e == pytest.approx(120.0 * 8760 / 1000 * 0.119, rel=REL)
 
-    def test_remove_then_add_the_same_id(self, config, monkeypatch):
+    def test_remove_then_add_the_same_id(self, monkeypatch):
         fleet = server_fleet(ServerRoom("room", ups_overhead_fraction=0.2))
         again = Asset("srv-b", "desktop", 3, 2019)
         actions = [ScenarioAction("remove", "srv-b"), ScenarioAction("add", new_asset=again)]
-        lines = variant_lines_checked(fleet, actions, ROOM_DB, config, monkeypatch)
+        lines = variant_lines_checked(fleet, actions, ROOM_DB, monkeypatch)
         assert {l.group for l in lines if l.subject_id == "srv-b"} == {"office"}
 
-    def test_add_then_remove_the_same_id(self, config, monkeypatch):
+    def test_add_then_remove_the_same_id(self, monkeypatch):
         fleet = server_fleet(ServerRoom("room", ups_overhead_fraction=0.2))
         new = Asset("srv-c", "server", 4, 2019)
         actions = [ScenarioAction("add", new_asset=new), ScenarioAction("remove", "srv-c")]
-        lines = variant_lines_checked(fleet, actions, ROOM_DB, config, monkeypatch)
-        assert lines == compute_fleet(fleet, ROOM_DB, config)
+        lines = variant_lines_checked(fleet, actions, ROOM_DB, monkeypatch)
+        assert lines == compute_fleet(fleet, ROOM_DB)
 
-    def test_category_used_only_by_a_new_asset(self, config, monkeypatch):
+    def test_category_used_only_by_a_new_asset(self, monkeypatch):
         fleet = server_fleet(ServerRoom("room", ups_overhead_fraction=0.2))
         new = Asset("ws", "desktop", 2, 2019)
         actions = [ScenarioAction("replace", "pc", new), ScenarioAction("remove", "srv-b")]
-        lines = variant_lines_checked(fleet, actions, ROOM_DB, config, monkeypatch)
+        lines = variant_lines_checked(fleet, actions, ROOM_DB, monkeypatch)
         phases = [l.phase for l in lines if l.subject_id == "ws"]
         assert phases == ["usage", "fabrication_transport"]
 
+    def test_new_pool_assets_are_summed_in_append_order(self, sample_db):
+        # In id order (a, m, z) the pool's float sum, and so the UPS overhead, differs.
+        fleet = Fleet("p", 2019, assets=(Asset("s0", "server", 1, 2015, measured_power_w=115.2),),
+                      rooms=(ServerRoom("r", ups_overhead_fraction=0.1),))
+        actions = [ScenarioAction("add", new_asset=Asset(id_, "server", 1, 2019, measured_power_w=w))
+                   for id_, w in (("z", 472.7), ("a", 450.8), ("m", 16.3))]
+        variant = apply_scenario(fleet, actions)
+        result = evaluate_scenario(fleet, actions, sample_db)
+        assert result.variant == aggregate(compute_fleet(variant, sample_db), variant)
+
     def test_usage_evaluated_once_per_baseline_asset_and_once_per_new_one(
-        self, config, monkeypatch
+        self, monkeypatch
     ):
         fleet = server_fleet(ServerRoom("room", ups_overhead_fraction=0.2))
         actions = [
@@ -685,10 +689,10 @@ class TestScenarioVariantLines:
         # asset_part and compute_fleet both call it by this name, so a full
         # pass inside compute_fleet would be counted too.
         monkeypatch.setattr(engine, "asset_lines", recording)
-        evaluate_scenario(fleet, actions, ROOM_DB, config)
+        evaluate_scenario(fleet, actions, ROOM_DB)
         assert [a.id for a in calls] == ["sr1", "srv-a", "pc", "srv-b", "srv-c", "ws"]
 
-    def test_no_variant_fleet_is_built(self, config, monkeypatch):
+    def test_no_variant_fleet_is_built(self, monkeypatch):
         fleet = server_fleet(ServerRoom("room", ups_overhead_fraction=0.2))
         actions = [
             ScenarioAction("remove", "pc"),
@@ -703,7 +707,7 @@ class TestScenarioVariantLines:
             real(self)
 
         monkeypatch.setattr(Fleet, "__post_init__", counting)
-        evaluate_scenario(fleet, actions, ROOM_DB, config)
+        evaluate_scenario(fleet, actions, ROOM_DB)
         assert built == []
         apply_scenario(fleet, actions)  # the count sees a Fleet being built
         assert len(built) == 1
@@ -744,8 +748,8 @@ class TestParseActionsCsv:
 
 
 class TestRender:
-    def test_byte_stable(self, sample_db, sample_fleet, config):
-        lines = compute_fleet(sample_fleet, sample_db, config)
+    def test_byte_stable(self, sample_db, sample_fleet):
+        lines = compute_fleet(sample_fleet, sample_db)
         report = aggregate(lines, sample_fleet, "factors:sha256:abc")
         for fmt in ("json", "csv", "markdown"):
             assert render(report, fmt) == render(report, fmt)
@@ -770,8 +774,8 @@ class TestRender:
         assert "Lab X" in text
         assert GENERATED_NOTE in text
 
-    def test_json_round_trip_exact(self, sample_db, sample_fleet, config):
-        lines = compute_fleet(sample_fleet, sample_db, config)
+    def test_json_round_trip_exact(self, sample_db, sample_fleet):
+        lines = compute_fleet(sample_fleet, sample_db)
         report = aggregate(lines, sample_fleet, "factors:sha256:abc")
         parsed = parse_report_json(render(report, "json"))
         assert parsed.grand_total_kgco2e == report.grand_total_kgco2e
@@ -780,8 +784,8 @@ class TestRender:
         assert parsed.totals_by_group == report.totals_by_group
         assert parsed == report
 
-    def test_json_render_parse_render_identity(self, sample_db, sample_fleet, config):
-        lines = compute_fleet(sample_fleet, sample_db, config)
+    def test_json_render_parse_render_identity(self, sample_db, sample_fleet):
+        lines = compute_fleet(sample_fleet, sample_db)
         report = aggregate(lines, sample_fleet, "factors:sha256:abc")
         text = render(report, "json")
         assert render(parse_report_json(text), "json") == text
@@ -803,10 +807,10 @@ class TestRender:
         data = json.loads(render(cmp, "json"))
         assert data["deltas"][0]["delta_kgco2e"] == -100.0
 
-    def test_scenario_renders(self, config):
+    def test_scenario_renders(self):
         new = Asset("srv-new", "server", 1, 2019, measured_power_w=200.0)
         result = evaluate_scenario(
-            base_fleet(), [ScenarioAction("replace", "srv-old", new)], SERVER_DB, config
+            base_fleet(), [ScenarioAction("replace", "srv-old", new)], SERVER_DB
         )
         md = render(result, "markdown")
         assert "Payback: 6.40 years" in md
@@ -893,7 +897,7 @@ class TestAgainstSeedRenderers:
         fleet = random_fleet(rng, max_entries=rng.choice((0, 5, 30)))
         fleet = dataclasses.replace(fleet, perimeter_description=rng.choice(self.PERIMETERS))
         hash_ = rng.choice(("", "a.txt:sha256:0123456789ab", "b.txt:sha256:ba9876543210"))
-        return aggregate(compute_fleet(fleet, db, config_for(db)), fleet, hash_)
+        return aggregate(compute_fleet(fleet, db), fleet, hash_)
 
     def assert_same(self, obj):
         for fmt in ("csv", "markdown"):
@@ -922,7 +926,7 @@ class TestAgainstSeedRenderers:
             actions = [ScenarioAction("remove", a.id) for a in fleet.assets if rng.random() < 0.3]
             new = random_asset(rng, 1000, fleet.reporting_year)._replace(disposal_year=None)
             actions.append(ScenarioAction("add", new_asset=new))
-            self.assert_same(evaluate_scenario(fleet, actions, db, config_for(db), "f:sha256:0"))
+            self.assert_same(evaluate_scenario(fleet, actions, db, "f:sha256:0"))
 
     def test_no_percentage_and_no_payback(self):
         zero = simple_report(2018, 0.0)
@@ -939,3 +943,18 @@ class TestFactorDbIdentity:
         c = factor_db_identity("factors.txt", "[factors]\nlaptop,...")
         assert a == b != c
         assert a.startswith("factors.txt:sha256:")
+
+
+@pytest.mark.parametrize("build, error, message", [
+    (lambda: parse_actions_csv("op,target\nadd,,n1,laptop\n"), FleetParseError,
+     "row 2: add requires 11 fields (op, target_id, 9 asset fields)"),
+    (lambda: parse_actions_csv("remove,pc,pc,laptop,1,2019,,in_use,,,\n"), FleetParseError,
+     "row 1: remove takes no asset fields"),
+    (lambda: ScenarioAction("remove", "pc", Asset("pc", "laptop", 1, 2019)), ValueError,
+     "remove takes no new_asset"),
+    (lambda: render(42, "json"), TypeError, "cannot render int"),
+], ids=["add fields", "remove fields", "remove asset", "render type"])
+def test_boundary_checks(build, error, message):
+    with pytest.raises(error) as info:
+        build()
+    assert str(info.value) == message
