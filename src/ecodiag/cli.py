@@ -148,15 +148,15 @@ def _refuse_input_as_out(args) -> None:
 
 
 def _load_db(args) -> tuple[FactorDatabase, str]:
-    """The merged factor database and its identity. A --grid-factor replaces the
-    file's grid here, once, and is named in the identity."""
+    """The merged factor database and its identity. A --grid-factor other than the
+    file's own grid replaces it here, once, and is named in the identity."""
     path = _factor_path(args)
     if not path:
         raise FactorParseError(f"no factor file given (--factors or ${FACTORS_ENV_VAR})")
     text = _read_input(path)
     db, db_id = merge_factors(load_factor_db(text)), factor_db_identity(Path(path).name, text)
     grid = getattr(args, "grid_factor", None)
-    if grid is None:
+    if grid is None or grid == db.default_grid_factor_kgco2e_per_kwh:
         return db, db_id
     return dataclasses.replace(db, default_grid_factor_kgco2e_per_kwh=grid), f"{db_id}+grid={grid}"
 

@@ -15,8 +15,8 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from collections.abc import Iterator
-from itertools import chain, compress
-from operator import itemgetter, not_
+from itertools import chain
+from operator import itemgetter
 from typing import NamedTuple
 
 from .factors import CATEGORIES, EmissionFactor, FactorDatabase, GwpEntry, gwp_value, lookup_factor
@@ -273,8 +273,8 @@ def fleet_lines(fleet: Fleet, db: FactorDatabase,
 
     Without part, the server-room pool's assets, when a room charges an
     overhead on it, are evaluated first, in fleet order, to sum the pool; the
-    others then _CHUNK_ASSETS at a time in id order, which is key order since
-    ids are unique among assets. The pool's lines and the room, campaign,
+    others then _CHUNK_ASSETS at a time in the fleet's id order (assets_by_id),
+    key order as asset ids are unique. The pool's lines and the room, campaign,
     cable and external lines are merged into each chunk by key, so only they
     and one chunk of asset lines are held at once."""
     return chain.from_iterable(_line_chunks(fleet, db, part))
@@ -282,17 +282,12 @@ def fleet_lines(fleet: Fleet, db: FactorDatabase,
 
 def _line_chunks(fleet, db, part):
     """The lists of lines that fleet_lines chains."""
-    subject, pooled = itemgetter(0), []  # the lines of the pool's assets
+    subject, pooled, pool, assets = itemgetter(0), [], [], fleet.assets_by_id
     if part is None:
-        assets = fleet.assets
-        if any(r.ups_overhead_fraction != 0 for r in fleet.rooms):
-            in_pool = list(map(_POOL_CATEGORIES.__contains__, map(itemgetter(1), assets)))
-            pooled = asset_lines(fleet, tuple(compress(assets, in_pool)), db)
-            assets = list(compress(assets, map(not_, in_pool)))
-            del in_pool
-        pool = [line for line in pooled if line.scope == "S2"]
-        pooled.sort(key=subject)
-        assets = sorted(assets, key=subject)
+        if any(r.ups_overhead_fraction != 0 for r in fleet.rooms):  # pooled: the pool's lines
+            pooled, pool = asset_part(
+                fleet, [a for a in fleet.assets if a[1] in _POOL_CATEGORIES], db)
+            assets = [a for a in assets if a[1] not in _POOL_CATEGORIES]
         chunks = (asset_lines(fleet, assets[i:i + _CHUNK_ASSETS], db)
                   for i in range(0, len(assets), _CHUNK_ASSETS))
     else:

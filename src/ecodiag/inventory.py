@@ -15,8 +15,8 @@ import math
 import re
 from collections.abc import Callable
 from dataclasses import MISSING, dataclass, field
-from itertools import compress, islice, repeat
-from operator import ge, is_not, itemgetter
+from itertools import compress, islice, pairwise, repeat, starmap
+from operator import eq, ge, is_not, itemgetter
 from typing import NamedTuple
 
 from .errors import FleetParseError, MissingFactorError
@@ -263,19 +263,23 @@ class Fleet:
     campaigns: tuple[ComputeCampaign, ...] = ()
     external_services: tuple[ExternalServiceEntry, ...] = ()
     cable_bulks: tuple[CableBulk, ...] = ()
+    #: The assets sorted by id, derived once here: the fleet's one id order.
+    assets_by_id: tuple[Asset, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.perimeter_description.strip():
             raise ValueError("perimeter_description must be non-empty")
         for name in ("assets", "rooms", "campaigns", "external_services", "cable_bulks"):
             object.__setattr__(self, name, tuple(getattr(self, name)))
-        for label, items in (
-            ("asset", self.assets),
-            ("room", self.rooms),
-            ("campaign", self.campaigns),
-            ("external service", self.external_services),
+        object.__setattr__(self, "assets_by_id", tuple(sorted(self.assets, key=itemgetter(0))))
+        ids = map(itemgetter(0), self.assets_by_id)  # in id order, a repeat has an equal neighbour
+        for label, items, unique in (  # unique None: checked by a set of the ids
+            ("asset", self.assets, not any(starmap(eq, pairwise(ids)))),
+            ("room", self.rooms, None),
+            ("campaign", self.campaigns, None),
+            ("external service", self.external_services, None),
         ):
-            if len({item.id for item in items}) == len(items):
+            if unique or unique is None and len({item.id for item in items}) == len(items):
                 continue
             seen: set[str] = set()
             for item in items:  # name the first duplicate

@@ -15,7 +15,7 @@ from collections import defaultdict
 from collections.abc import Iterable
 from dataclasses import dataclass
 from functools import reduce
-from operator import add
+from operator import add, itemgetter
 
 from .engine import (
     EXTERNAL_GROUP,
@@ -192,7 +192,8 @@ def _edits(fleet: Fleet, actions: list[ScenarioAction]) -> tuple[set[str], dict[
     A replacement's new asset is acquired now: its acquisition year is forced
     to the reporting year so its fabrication is charged to the variant.
     """
-    live, dropped, added = {a.id for a in fleet.assets}, set(), {}
+    named = {i for a in actions for i in (a.target_asset_id, a.new_asset and a.new_asset.id)}
+    live, dropped, added = named.intersection(map(itemgetter(0), fleet.assets)), set(), {}
     for action in actions:
         target = action.target_asset_id
         if action.op != "add" and added.pop(target, None) is None:

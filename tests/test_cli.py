@@ -678,6 +678,26 @@ class TestGridFactorFlag:
         overridden = self.run(workdir, capsys, command, "--grid-factor", "0.3")
         assert f"{identity}+grid=0.3" in overridden.splitlines()
 
+    @pytest.mark.parametrize("command", ["compute", "scenario"])
+    @pytest.mark.parametrize("fmt", ["json", "csv", "markdown"])
+    def test_the_file_own_grid_is_no_override(self, workdir, capsys, command, fmt):
+        text = (workdir / "factors.txt").read_text(encoding="utf-8")
+        assert text.count("grid_factor_kgco2e_per_kwh,0.119\n") == 1
+        plain = self.run(workdir, capsys, command, "--format", fmt)
+        same = self.run(workdir, capsys, command, "--format", fmt, "--grid-factor", "0.119")
+        assert same == plain
+
+    def test_compare_gives_no_warning_for_the_file_own_grid(self, workdir, capsys):
+        reports = []
+        for year, extra in (("2019", ["--grid-factor", "0.119"]), ("2020", [])):
+            reports.append(str(workdir / f"report_{year}.json"))
+            args = compute_args(workdir, "--format", "json", "--out", reports[-1], *extra)
+            args[args.index("2019")] = year
+            assert main(args) == 0
+        capsys.readouterr()
+        assert main(["compare", *reports]) == 0
+        assert capsys.readouterr().err == ""
+
     def test_compare_warns_of_the_override(self, workdir, capsys):
         reports = []
         for year, extra in (("2019", ["--grid-factor", "0.3"]), ("2020", [])):

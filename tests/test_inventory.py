@@ -2,6 +2,7 @@
 
 import contextlib
 import csv
+import dataclasses
 import fnmatch
 import io
 import math
@@ -612,6 +613,78 @@ class TestDuplicateIds:
         assert len(fleet.rooms) == len(fleet.assets) == 600
         assert calls == {("room", f"ups_overhead=0.{n}"): 1 for n in (1, 2, 3)} | {
             ("asset", "hours=continuous"): 1}
+
+
+def first_repeat(items) -> str | None:
+    """The first id that repeats in the given order, by a plain seen-set loop."""
+    seen = set()
+    for item in items:
+        if item.id in seen:
+            return item.id
+        seen.add(item.id)
+    return None
+
+
+class TestFleetIdOrder:
+    """Fleet(...) sorts its assets by id once, into assets_by_id, and a repeated
+    id raises for the first one that repeats in the given order, of the first
+    kind, in the order assets, rooms, campaigns, external services, that has one."""
+
+    KINDS = (("asset", "assets"), ("room", "rooms"), ("campaign", "campaigns"),
+             ("external service", "external_services"))
+
+    def test_first_repeat_and_id_order_on_random_fleets(self):
+        rng = random.Random(27)
+        seen = Counter()
+        for _ in range(600):
+            fleet = random_fleet(rng, max_entries=30)  # ids unique within each kind
+            given = {}
+            for label, attr in self.KINDS:
+                items = list(getattr(fleet, attr))
+                rng.shuffle(items)
+                for _ in range(rng.choice((0, 0, 0, 1, 2)) if items else 0):  # plant repeats
+                    copy = rng.choice(items)
+                    if label == "asset":  # the same id with other fields
+                        copy = copy._replace(quantity=copy.quantity + 1)
+                    items.insert(rng.randint(0, len(items)), copy)
+                given[attr] = tuple(items)
+            expected = next((f"duplicate {label} id: {repeat}" for label, attr in self.KINDS
+                             if (repeat := first_repeat(given[attr])) is not None), None)
+
+            def build():
+                return Fleet(fleet.perimeter_description, fleet.reporting_year,
+                             cable_bulks=fleet.cable_bulks, **given)
+            if expected is not None:
+                with pytest.raises(ValueError) as exc:
+                    build()
+                assert str(exc.value) == expected
+                seen[expected.split(":")[0]] += 1
+                by_id = sorted(given["assets"], key=lambda a: a.id)
+                seen["first repeat in id order is not the first given"] += (
+                    expected.startswith("duplicate asset")
+                    and next(a.id for a, b in zip(by_id, by_id[1:]) if a.id == b.id)
+                    != first_repeat(given["assets"]))
+                continue
+            built = build()
+            assert built.assets == given["assets"]
+            assert built.assets_by_id == tuple(sorted(given["assets"], key=lambda a: a.id))
+            assert "assets_by_id" not in repr(built)
+            others = list(given["assets"])
+            rng.shuffle(others)
+            replaced = dataclasses.replace(built, assets=others[: rng.randint(0, len(others))])
+            assert replaced.assets_by_id == tuple(sorted(replaced.assets, key=lambda a: a.id))
+            assert dataclasses.replace(built) == built
+            seen["no repeat"] += 1
+        assert len(seen) == 6 and min(seen.values()) >= 10, seen
+
+    def test_assets_by_id_takes_no_part_in_equality(self):
+        assets = (Asset("b", "laptop", 1, 2015), Asset("a", "laptop", 1, 2015))
+        fleet = Fleet("p", 2019, assets=assets)
+        assert fleet.assets_by_id == assets[::-1]
+        assert fleet == dataclasses.replace(fleet) and hash(fleet) == hash(Fleet("p", 2019, assets))
+        assert [f.name for f in dataclasses.fields(Fleet) if not f.init] == ["assets_by_id"]
+        with pytest.raises(ValueError, match="init=False"):
+            dataclasses.replace(fleet, assets_by_id=assets)
 
 
 @contextlib.contextmanager

@@ -15,7 +15,9 @@ from ecodiag import engine
 from ecodiag.engine import EXTERNAL_GROUP, EmissionLine, compute_fleet
 from ecodiag.errors import FleetParseError, ScenarioError
 from ecodiag.factors import GROUPS
-from ecodiag.inventory import Asset, CableBulk, ExternalServiceEntry, Fleet, ServerRoom
+from ecodiag.inventory import (
+    Asset, CableBulk, ComputeCampaign, ExternalServiceEntry, Fleet, ServerRoom,
+)
 from ecodiag.report import (
     GENERATED_NOTE,
     Report,
@@ -399,6 +401,47 @@ class TestActionsWalk:
                 a.op != "add" and a.target_asset_id not in ids for a in actions
             )
         assert len(seen) == 7 and min(seen.values()) >= 50, seen
+
+
+def cross_kind_fleet() -> Fleet:
+    """base_fleet with a room, a campaign and an external service of their own ids."""
+    return dataclasses.replace(
+        base_fleet(),
+        rooms=(ServerRoom("sr1", ups_overhead_fraction=0.1),),
+        campaigns=(ComputeCampaign("hpc", kwh=1000.0),),
+        external_services=(ExternalServiceEntry("cloud", 50.0, "S3"),),
+    )
+
+
+SCENARIO_CALLS = [
+    pytest.param(apply_scenario, id="apply_scenario"),
+    pytest.param(lambda fleet, actions: evaluate_scenario(fleet, actions, SERVER_DB),
+                 id="evaluate_scenario"),
+]
+
+
+class TestIdsOfOtherKinds:
+    """Ids may coincide across kinds; a scenario looks its targets and new ids
+    up among the asset ids only."""
+
+    @pytest.mark.parametrize("call", SCENARIO_CALLS)
+    @pytest.mark.parametrize("op", ["remove", "replace"])
+    @pytest.mark.parametrize("target", ["sr1", "hpc", "cloud"])
+    def test_a_target_of_another_kind_is_unknown(self, call, op, target):
+        new = Asset("srv-new", "server", 1, 2019) if op == "replace" else None
+        with pytest.raises(ScenarioError, match=f"^unknown target asset id: {target}$"):
+            call(cross_kind_fleet(), [ScenarioAction(op, target, new)])
+
+    @pytest.mark.parametrize("new_id", ["sr1", "hpc", "cloud"])
+    def test_an_add_may_take_the_id_of_another_kind(self, new_id):
+        fleet = cross_kind_fleet()
+        new = Asset(new_id, "server", 2, 2019, measured_power_w=100.0)
+        actions = [ScenarioAction("add", new_asset=new)]
+        variant = apply_scenario(fleet, actions)
+        assert variant.assets == (*fleet.assets, new)
+        result = evaluate_scenario(fleet, actions, SERVER_DB)
+        assert result.variant == aggregate(compute_fleet(variant, SERVER_DB), variant)
+        assert result.delta_kgco2e > 0
 
 
 class TestEvaluateScenario:
