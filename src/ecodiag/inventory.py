@@ -272,14 +272,13 @@ class Fleet:
         for name in ("assets", "rooms", "campaigns", "external_services", "cable_bulks"):
             object.__setattr__(self, name, tuple(getattr(self, name)))
         object.__setattr__(self, "assets_by_id", tuple(sorted(self.assets, key=itemgetter(0))))
-        ids = map(itemgetter(0), self.assets_by_id)  # in id order, a repeat has an equal neighbour
-        for label, items, unique in (  # unique None: checked by a set of the ids
-            ("asset", self.assets, not any(starmap(eq, pairwise(ids)))),
-            ("room", self.rooms, None),
-            ("campaign", self.campaigns, None),
-            ("external service", self.external_services, None),
+        for label, sorted_ids, items in (  # in id order, a repeat has an equal neighbour
+            ("asset", map(itemgetter(0), self.assets_by_id), self.assets),
+            ("room", sorted(i.id for i in self.rooms), self.rooms),
+            ("campaign", sorted(i.id for i in self.campaigns), self.campaigns),
+            ("external service", sorted(i.id for i in self.external_services), self.external_services),
         ):
-            if unique or unique is None and len({item.id for item in items}) == len(items):
+            if not any(starmap(eq, pairwise(sorted_ids))):
                 continue
             seen: set[str] = set()
             for item in items:  # name the first duplicate
