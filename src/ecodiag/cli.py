@@ -162,10 +162,10 @@ def _load_db(args) -> tuple[FactorDatabase, str]:
 
 
 def _load_fleet(args) -> Fleet:
+    if args.glpi != bool(args.rules):  # mapping rules apply to a GLPI export only
+        raise FleetParseError("--glpi and --rules <mapping rules path> go together")
     text = _read_input(args.inventory)
     if args.glpi:
-        if not args.rules:
-            raise FleetParseError("--glpi requires --rules <mapping rules path>")
         rules = parse_mapping_rules(_read_input(args.rules))
         fleet, unmapped = parse_glpi_export(text, rules, args.year, args.perimeter)
         sys.stderr.write("".join(

@@ -14,7 +14,7 @@ Rules in force:
 from __future__ import annotations
 
 from bisect import bisect_right
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 from itertools import chain
 from operator import itemgetter
 from typing import NamedTuple
@@ -230,25 +230,6 @@ def asset_lines(fleet: Fleet, assets: tuple[Asset, ...], db: FactorDatabase) -> 
     return _lines(assets, plans, fleet.reporting_year, db.default_grid_factor_kgco2e_per_kwh)
 
 
-def asset_part(
-    fleet: Fleet, assets: tuple[Asset, ...], db: FactorDatabase
-) -> tuple[list[EmissionLine], list[EmissionLine]]:
-    """The assets' lines in key order, and the server-room pool among them in
-    the order of the assets.
-
-    An asset's lines come in key order and ids are unique among assets, so one
-    stable sort by subject gives the key order. The pool is the S2 lines of
-    the server_room group, which a room meter suppresses; it is left empty
-    when no room has a UPS overhead fraction to charge on it.
-    """
-    lines = asset_lines(fleet, assets, db)
-    pool = []
-    if any(r.ups_overhead_fraction != 0 for r in fleet.rooms):
-        pool = [line for line in lines if line.group == "server_room" and line.scope == "S2"]
-    lines.sort(key=itemgetter(0))
-    return lines, pool
-
-
 def merge_lines(lines: list[EmissionLine], others: list[EmissionLine]) -> list[EmissionLine]:
     """A new list of the lines, in key order, with the others, in key order
     too, merged in; each goes after the lines of an equal key: the same list
@@ -263,39 +244,60 @@ def merge_lines(lines: list[EmissionLine], others: list[EmissionLine]) -> list[E
     return merged
 
 
-#: Assets evaluated at a time by fleet_lines: one chunk of lines, about 0.6 MB.
+#: Assets evaluated at a time by asset_part: one chunk of lines, about 0.6 MB.
 _CHUNK_ASSETS = 4096
 
 
-def fleet_lines(fleet: Fleet, db: FactorDatabase,
-                part: tuple[list, list] | None = None) -> Iterator[EmissionLine]:
-    """The lines of compute_fleet(fleet, db, part), as they are computed.
+def asset_part(fleet: Fleet, db: FactorDatabase,
+               assets: tuple[Asset, ...] | None = None) -> Iterator[list[EmissionLine]]:
+    """The server-room pool, then the lines of the fleet's assets, or of the
+    given ones, in key order, one list at a time.
 
-    Without part, the server-room pool's assets, when a room charges an
-    overhead on it, are evaluated first, in fleet order, to sum the pool; the
-    others then _CHUNK_ASSETS at a time in the fleet's id order (assets_by_id),
-    key order as asset ids are unique. The pool's lines and the room, campaign,
-    cable and external lines are merged into each chunk by key, so only they
-    and one chunk of asset lines are held at once."""
+    The pool is the S2 lines of the server_room group in the order of the
+    assets, left empty when no room has a UPS overhead fraction to charge on
+    it; otherwise its assets are evaluated first, in that order, and their
+    lines merged in by subject. The others are evaluated _CHUNK_ASSETS at a
+    time in id order (the fleet's assets_by_id, or the given assets sorted):
+    key order, as asset ids are unique."""
+    subject, pooled, done = itemgetter(0), [], 0
+    given, by_id = ((fleet.assets, fleet.assets_by_id) if assets is None
+                    else (assets, sorted(assets, key=subject)))
+    charged = any(r.ups_overhead_fraction != 0 for r in fleet.rooms)
+    if charged:
+        pooled = asset_lines(fleet, [a for a in given if a[1] in _POOL_CATEGORIES], db)
+    yield [line for line in pooled if line.scope == "S2"]  # none under a room meter
+    pooled.sort(key=subject)
+    for i in range(0, len(by_id), _CHUNK_ASSETS):
+        chunk = by_id[i:i + _CHUNK_ASSETS]
+        if charged:
+            chunk = [a for a in chunk if a[1] not in _POOL_CATEGORIES]
+        chunk = asset_lines(fleet, chunk, db)
+        if chunk:
+            # The pool's lines up to the chunk's last subject merge in by subject
+            # alone: sorted merges the two sorted runs.
+            end = bisect_right(pooled, chunk[-1].subject_id, done, key=subject)
+            if end > done:
+                chunk, done = sorted(chunk + pooled[done:end], key=subject), end
+            yield chunk
+        del chunk  # before the next chunk is computed
+    yield pooled[done:]
+
+
+def fleet_lines(fleet: Fleet, db: FactorDatabase,
+                part: Iterable[list[EmissionLine]] | None = None) -> Iterator[EmissionLine]:
+    """The lines of compute_fleet(fleet, db, part), as they are computed: the
+    room, campaign, cable and external lines are merged into each list of
+    asset lines by key, so only they, the pool's lines and one chunk of asset
+    lines are held at once."""
     return chain.from_iterable(_line_chunks(fleet, db, part))
 
 
 def _line_chunks(fleet, db, part):
     """The lists of lines that fleet_lines chains."""
-    subject, pooled, pool, assets = itemgetter(0), [], [], fleet.assets_by_id
-    if part is None:
-        if any(r.ups_overhead_fraction != 0 for r in fleet.rooms):  # pooled: the pool's lines
-            pooled, pool = asset_part(
-                fleet, [a for a in fleet.assets if a[1] in _POOL_CATEGORIES], db)
-            assets = [a for a in assets if a[1] not in _POOL_CATEGORIES]
-        chunks = (asset_lines(fleet, assets[i:i + _CHUNK_ASSETS], db)
-                  for i in range(0, len(assets), _CHUNK_ASSETS))
-    else:
-        pool, chunks = part[1], (part[0],)
-
+    part = iter(asset_part(fleet, db) if part is None else part)
     # The pool is summed in the order of the assets; an empty one charges nothing.
     pool_kgco2e = pool_uncertainty = 0.0
-    for line in pool:
+    for line in next(part):
         pool_kgco2e += line.kgco2e
         pool_uncertainty += line.abs_uncertainty_kgco2e
     grid = db.default_grid_factor_kgco2e_per_kwh
@@ -307,28 +309,23 @@ def _line_chunks(fleet, db, part):
     others += [scope3_cables(b, lookup_factor(db, b.category)) for b in fleet.cable_bulks]
     others += map(declared_external, fleet.external_services)
     others = sorted(filter(None, others), key=_KEY)
-    done = pool_done = 0
-    for chunk in chunks:
+    done = 0
+    for chunk in part:
         if chunk:
-            last = chunk[-1]
-            # Ids are unique among assets, so the pool's lines up to the chunk's last
-            # subject merge in by subject alone: sorted merges the two sorted runs.
-            end = bisect_right(pooled, last.subject_id, pool_done, key=subject)
-            chunk = sorted(chunk + pooled[pool_done:end], key=subject) if end > pool_done else chunk
-            pool_done = end
-            end = bisect_right(others, _KEY(last), done, key=_KEY)
+            end = bisect_right(others, _KEY(chunk[-1]), done, key=_KEY)
             yield merge_lines(chunk, others[done:end]) if end > done else chunk
             done = end
         del chunk  # before the next chunk is computed
-    yield merge_lines(pooled[pool_done:], others[done:])
+    yield others[done:]
 
 
 def compute_fleet(fleet: Fleet, db: FactorDatabase,
-                  part: tuple[list, list] | None = None) -> list[EmissionLine]:
+                  part: Iterable[list[EmissionLine]] | None = None) -> list[EmissionLine]:
     """Every emission line of a fleet under a merged factor database, at its
     grid factor, sorted by (subject_id, scope, phase), lines of an equal key in
     the order assets, rooms, campaigns, cables, external services, so identical
-    inputs always give identical output. part, when given, stands for asset_part(fleet,
-    assets, db) over the assets to report, which need not be fleet.assets,
-    and is not modified; the fleet supplies the rest."""
+    inputs always give identical output. part, by default asset_part(fleet, db),
+    is the pool and the lists of asset lines to report, shaped as asset_part
+    gives them, of assets that need not be the fleet's; its lists are not
+    modified. The fleet supplies the rest."""
     return list(fleet_lines(fleet, db, part))

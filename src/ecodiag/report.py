@@ -15,6 +15,7 @@ from collections import defaultdict
 from collections.abc import Iterable
 from dataclasses import dataclass
 from functools import reduce
+from itertools import chain
 from operator import add, itemgetter
 
 from .engine import (
@@ -239,19 +240,20 @@ def evaluate_scenario(
 
     The actions are walked once, before any line is computed, and no variant
     fleet is built: the variant differs only in its assets. Its asset lines
-    are the baseline's, sorted once, filtered to the subjects the actions do
-    not drop, with the new assets' lines merged in; its pool is the
-    baseline's, filtered the same way, followed by the new assets'. Only the
-    new assets are evaluated, and both reports are exactly those of a full
-    compute of each fleet.
+    are the baseline's, in key order from asset_part, filtered to the
+    subjects the actions do not drop, with the new assets' lines merged in;
+    its pool is the baseline's, filtered the same way, followed by the new
+    assets'. Only the new assets are evaluated, and both reports are exactly
+    those of a full compute of each fleet.
     """
     dropped, added = _edits(fleet, actions)
-    lines, pool = asset_part(fleet, fleet.assets, db)
-    baseline_lines = compute_fleet(fleet, db, (lines, pool))
-    new_lines, new_pool = asset_part(fleet, tuple(added.values()), db)
+    base, new = asset_part(fleet, db), asset_part(fleet, db, tuple(added.values()))
+    pool, lines = next(base), list(chain.from_iterable(base))
+    new_pool, new_lines = next(new), list(chain.from_iterable(new))
+    baseline_lines = compute_fleet(fleet, db, (pool, lines))
     variant_lines = compute_fleet(fleet, db, (
-        merge_lines([l for l in lines if l.subject_id not in dropped], new_lines),
         [l for l in pool if l.subject_id not in dropped] + new_pool,
+        merge_lines([l for l in lines if l.subject_id not in dropped], new_lines),
     ))
     baseline = aggregate(baseline_lines, fleet, factor_db_hash)
     variant = aggregate(variant_lines, fleet, factor_db_hash)

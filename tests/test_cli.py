@@ -798,6 +798,18 @@ class TestUsage:
     def test_no_subcommand_exits_one(self, capsys):
         assert main([]) == 1
 
+    @pytest.mark.parametrize("command", ["compute", "validate", "scenario"])
+    def test_rules_without_glpi_exits_one(self, workdir, capsys, command):
+        (workdir / "actions.csv").write_text("# nothing\n", encoding="utf-8")
+        args = [command, *compute_args(workdir, "--rules", str(workdir / "rules.csv"))[1:]]
+        if command == "scenario":
+            args += ["--actions", str(workdir / "actions.csv")]
+        assert main(args) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "ecodiag: error: --glpi and --rules <mapping rules path> go together\n")
+
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0
         assert "compute" in capsys.readouterr().out

@@ -360,7 +360,7 @@ class TestComputeFleet:
         for _ in range(20):
             db = random_db(rng)
             fleet = random_fleet(rng)
-            part = engine.asset_part(fleet, fleet.assets, db)
+            part = tuple(engine.asset_part(fleet, db, fleet.assets))
             kept = tuple(map(list, part))
             full = compute_fleet(fleet, db)
             assert compute_fleet(fleet, db, part) == full
@@ -369,9 +369,10 @@ class TestComputeFleet:
             seed_lines, seed_pool_lines = seed_asset_lines(fleet, fleet.assets, db)
             assert lines == seed_key_order(fleet.assets, seed_lines)
             assert pool_of(lines) == seed_pool_lines
-            assert part[0] == sorted(seed_lines, key=lambda l: (l.subject_id, l.scope, l.phase))
+            assert [l for chunk in part[1:] for l in chunk] == sorted(
+                seed_lines, key=lambda l: (l.subject_id, l.scope, l.phase))
             charged = any(r.ups_overhead_fraction != 0 for r in fleet.rooms)
-            assert part[1] == (seed_pool_lines if charged else [])
+            assert part[0] == (seed_pool_lines if charged else [])
 
     def test_deterministic_and_sorted(self):
         rng = random.Random(7)
@@ -597,7 +598,7 @@ class TestFleetLines:
             lines = list(streamed)
             expected = seed_compute_fleet(fleet, db)
             assert lines == expected and repr(lines) == repr(expected)
-            part = engine.asset_part(fleet, fleet.assets, db)
+            part = engine.asset_part(fleet, db, fleet.assets)
             assert repr(compute_fleet(fleet, db, part)) == repr(lines)
             metered = any(r.measured_room_kwh_per_year is not None for r in fleet.rooms)
             pool = pool_of(engine.asset_lines(fleet, fleet.assets, db))

@@ -713,6 +713,30 @@ class TestScenarioVariantLines:
         result = evaluate_scenario(fleet, actions, sample_db)
         assert result.variant == aggregate(compute_fleet(variant, sample_db), variant)
 
+    def test_baseline_pool_is_summed_in_fleet_order(self, sample_db, monkeypatch):
+        # In id order (a, m, z) the pool's float sum, and so the UPS overhead, differs.
+        fleet = Fleet("p", 2019, rooms=(ServerRoom("r", ups_overhead_fraction=0.1),), assets=(
+            *(Asset(id_, "server", 1, 2015, measured_power_w=w)
+              for id_, w in (("z", 257.6), ("a", 298.6), ("m", 26.9))),
+            Asset("pc", "laptop", 1, 2015),
+        ))
+        by_id = dataclasses.replace(fleet, assets=fleet.assets_by_id)
+        in_fleet_order = aggregate(seed_compute_fleet(fleet, sample_db), fleet)
+        assert in_fleet_order != aggregate(seed_compute_fleet(by_id, sample_db), by_id)
+        calls = []
+        real = engine.asset_lines
+
+        def recording(f, assets, *args):
+            calls.extend(assets)
+            return real(f, assets, *args)
+
+        monkeypatch.setattr(engine, "asset_lines", recording)
+        result = evaluate_scenario(fleet, [], sample_db)
+        assert [a.id for a in calls] == ["z", "a", "m", "pc"]
+        monkeypatch.undo()
+        assert result.baseline == aggregate(compute_fleet(fleet, sample_db), fleet)
+        assert result.baseline == in_fleet_order
+
     def test_usage_evaluated_once_per_baseline_asset_and_once_per_new_one(
         self, monkeypatch
     ):
@@ -733,7 +757,7 @@ class TestScenarioVariantLines:
         # pass inside compute_fleet would be counted too.
         monkeypatch.setattr(engine, "asset_lines", recording)
         evaluate_scenario(fleet, actions, ROOM_DB)
-        assert [a.id for a in calls] == ["sr1", "srv-a", "pc", "srv-b", "srv-c", "ws"]
+        assert [a.id for a in calls] == ["sr1", "srv-a", "srv-b", "pc", "srv-c", "ws"]
 
     def test_no_variant_fleet_is_built(self, monkeypatch):
         fleet = server_fleet(ServerRoom("room", ups_overhead_fraction=0.2))
