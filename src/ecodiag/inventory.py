@@ -118,15 +118,10 @@ def _broken_asset_rule(columns) -> str | None:
 
 def _assets_from_columns(columns) -> tuple[Asset, ...]:
     """The assets of field columns, checked once; the first that Asset(...) rejects
-    raises its ValueError, with the asset's index in the columns as ``index``."""
+    raises its ValueError."""
     if not _broken_asset_rule(columns):
         return tuple(map(tuple.__new__, repeat(Asset), zip(*columns)))
-    for index, values in enumerate(zip(*columns)):
-        try:
-            Asset(*values)
-        except ValueError as exc:
-            exc.index = index
-            raise
+    return tuple(starmap(Asset, zip(*columns)))  # raises at the first bad asset
 
 
 class Asset(_AssetFields):
@@ -135,8 +130,8 @@ class Asset(_AssetFields):
     An immutable tuple of its nine fields, equal to the plain tuple of them.
     Asset(...) and _replace check every rule of _ASSET_RULES; both parsers check
     whole columns of assets through _assets_from_columns, which raises the error
-    Asset(...) gives the first bad one, with its index. Both share each repeated
-    category, status, hour profile and year as one object. _make checks none."""
+    Asset(...) gives the first bad one. Both share each repeated category,
+    status, hour profile and year as one object. _make checks none."""
 
     __slots__ = ()
 
@@ -510,21 +505,25 @@ def _block_objects(block: list[str], memos: dict) -> list[tuple[str, list | tupl
     return [(kind, _convert_block(kind, texts, memos)) for kind, texts in parts.items()]
 
 
-def _first_duplicate(text: str, last: float = math.inf) -> FleetParseError | None:
-    """The error of the first row of a fleet CSV, up to row last, whose kind and
-    id an earlier row has, if any; csv_rows stops at a malformed row."""
+def _first_bad_row(text: str, rows: range) -> FleetParseError | None:
+    """The error of the first bad row of a fleet CSV, in one walk of its rows:
+    a kind and id an earlier row has, or, among the rows numbered in rows (a
+    failing block's), a malformed line, a wrong field count or a row that
+    parse_fleet_row rejects. None if no row is bad."""
     seen = {kind: set() for kind in ("asset", "room", "campaign", "external")}
-    try:
-        for rownum, fields in islice(csv_rows(text), 1, None):  # after the header
-            if rownum > last:
-                break
-            ids = seen.get(fields[0]) if len(fields) == len(FLEET_CSV_COLUMNS) else None
-            if ids is not None and fields[1] in ids:
-                return FleetParseError(f"duplicate {fields[0]} id: {fields[1]}", row=rownum)
-            if ids is not None:
-                ids.add(fields[1])
-    except FleetParseError:  # row last is malformed
-        pass
+    width = len(FLEET_CSV_COLUMNS)
+    for rownum, fields in islice(csv_rows(text), 1, None):  # after the header
+        if rownum in rows and len(fields) != width:
+            return FleetParseError(f"expected {width} fields, got {len(fields)}", row=rownum)
+        ids = seen.get(fields[0], set())
+        if fields[1] in ids:
+            return FleetParseError(f"duplicate {fields[0]} id: {fields[1]}", row=rownum)
+        ids.add(fields[1])
+        if rownum in rows:
+            try:
+                parse_fleet_row(fields[0], fields[1:], rownum)
+            except FleetParseError as exc:
+                return exc
     return None
 
 
@@ -535,9 +534,9 @@ def parse_fleet_csv(text: str, reporting_year: int, perimeter_description: str) 
     lines and '#' comments are skipped; empty input yields an empty (still
     valid) fleet. The text is split into lines a slice at a time, and the
     lines after the header are read in blocks of _BLOCK_ROWS (_block_objects).
-    A failing block is read again a line at a time, in file order, so the
-    error names the first bad row. Repeated ids are left to the Fleet's check;
-    when it or a row fails, an earlier repeated id is the error."""
+    Repeated ids are left to the Fleet's check. When a block or that check
+    fails, the text is read once more (_first_bad_row) to name the first bad
+    row in file order."""
     lines = text_lines(text)
     row = 0
     for row, line in enumerate(lines, 1):  # the header is the first line kept
@@ -547,26 +546,17 @@ def parse_fleet_csv(text: str, reporting_year: int, perimeter_description: str) 
                     raise FleetParseError(f"expected header {','.join(FLEET_CSV_COLUMNS)!r}", row)
             break
     items, memos = {k: [] for k in FLEET_SCHEMA}, {}  # memos: see _convert_block
-    while block := list(islice(lines, _BLOCK_ROWS)):
-        try:
-            converted = _block_objects(block, memos)
-        except ValueError:  # each check fails on a block only if it fails on one of its lines
-            converted = []
-            for rownum, line in enumerate(block, row + 1):
-                try:
-                    converted += _block_objects([line], memos)
-                except ValueError as exc:
-                    raise (_first_duplicate(text, rownum)
-                           or FleetParseError(str(exc), row=rownum)) from None
-        for kind, objects in converted:
-            items[kind] += objects
-        row += len(block)
-
-    collections = {attr: tuple(items[kind]) for kind, (_, attr, _) in FLEET_SCHEMA.items()}
     try:
+        while block := list(islice(lines, _BLOCK_ROWS)):
+            for kind, objects in _block_objects(block, memos):
+                items[kind] += objects
+            row += len(block)
+        collections = {attr: tuple(items[kind]) for kind, (_, attr, _) in FLEET_SCHEMA.items()}
         return Fleet(perimeter_description, reporting_year, **collections)
-    except ValueError as exc:
-        raise _first_duplicate(text) or FleetParseError(str(exc)) from None
+    except ValueError as exc:  # block: the failing one, or [] when the Fleet's check failed
+        failed = str(exc)
+    # Each check fails on a block only if it fails on one of its lines.
+    raise _first_bad_row(text, range(row + 1, row + 1 + len(block))) or FleetParseError(failed)
 
 
 def render_fleet_csv(fleet: Fleet) -> str:
@@ -664,8 +654,7 @@ def parse_glpi_export(
     unmapped: list[UnmappedRecord] = []
     used_ids: set[str] = set()
     next_suffix: dict[str, int] = {}
-    records: list[tuple] = []  # (row number, id, category, year, status) of each asset
-    unknown_statuses: list[tuple[int, str]] = []
+    records: list[tuple] = []  # (id, category, year, status) of each asset
     # What depends on one or two cells alone is worked out once per distinct text,
     # and each year is one object however its dates are written.
     pair_rules = functools.cache(_pair_walker(rules))
@@ -680,52 +669,45 @@ def parse_glpi_export(
     if missing:
         raise FleetParseError(f"missing required column(s): {', '.join(missing)}")
     i_name, i_type, i_model, i_date, i_status = (column[c] for c in _GLPI_REQUIRED)
-    malformed = None
-    try:
-        for rownum, row in enumerate(rows, start=2):
-            if len(row) < len(header):  # a short row reads "" past its end
-                row += [""] * (len(header) - len(row))
-            name = row[i_name]
-            name_rules, rule = pair_rules(row[i_type], row[i_model])
-            if name_rules:
-                lowered_name = name.lower()
-                rule = next((r for r in name_rules if r._test(lowered_name)), rule)
-            if rule is None:
-                unmapped.append(UnmappedRecord(rownum, dict(zip(header, row)), "no matching rule"))
-                continue
-            year = year_of(row[i_date])
-            if year is None:
-                reason = f"unparsable purchase_date: {row[i_date]!r}"
-                unmapped.append(UnmappedRecord(rownum, dict(zip(header, row)), reason))
-                continue
-            status = status_of(row[i_status])
-            if status is None:
-                unknown_statuses.append((rownum, row[i_status]))
-                status = "in_use"
-            asset_id = base_id = name.strip() or f"glpi-row-{rownum}"
-            if asset_id in used_ids:
-                suffix = next_suffix.get(base_id, 2)
-                while asset_id in used_ids:
-                    asset_id, suffix = f"{base_id}#{suffix}", suffix + 1
-                next_suffix[base_id] = suffix
-            used_ids.add(asset_id)
-            records.append((rownum, asset_id, rule.target_category, year, status))
-    except FleetParseError as exc:  # a malformed line stops the read
-        malformed = exc
-    # A bad record before a malformed line is the error, and no warning about
-    # a record past the error is logged.
-    rownums, ids, categories, years, statuses = zip(*records) if records else [()] * 5
+    for rownum, row in enumerate(rows, start=2):  # a malformed line stops the read
+        if len(row) < len(header):  # a short row reads "" past its end
+            row += [""] * (len(header) - len(row))
+        name = row[i_name]
+        name_rules, rule = pair_rules(row[i_type], row[i_model])
+        if name_rules:
+            lowered_name = name.lower()
+            rule = next((r for r in name_rules if r._test(lowered_name)), rule)
+        if rule is None:
+            unmapped.append(UnmappedRecord(rownum, dict(zip(header, row)), "no matching rule"))
+            continue
+        year = year_of(row[i_date])
+        if year is None:
+            reason = f"unparsable purchase_date: {row[i_date]!r}"
+            unmapped.append(UnmappedRecord(rownum, dict(zip(header, row)), reason))
+            continue
+        status = status_of(row[i_status])
+        if status is None:
+            logger.warning("GLPI row %d: unknown status %r, assuming in_use", rownum, row[i_status])
+            status = "in_use"
+        asset_id = base_id = name.strip() or f"glpi-row-{rownum}"
+        if asset_id in used_ids:
+            suffix = next_suffix.get(base_id, 2)
+            while asset_id in used_ids:
+                asset_id, suffix = f"{base_id}#{suffix}", suffix + 1
+            next_suffix[base_id] = suffix
+        # Only the id can break an asset rule, and only with a character that
+        # is not printable (every one _UNSAFE_TEXT matches).
+        if not asset_id.isprintable():
+            try:
+                Asset(asset_id, rule.target_category, 1, year, None, status)
+            except ValueError as exc:
+                raise FleetParseError(str(exc), row=rownum) from None
+        used_ids.add(asset_id)
+        records.append((asset_id, rule.target_category, year, status))
+    ids, categories, years, statuses = zip(*records) if records else [()] * 4
     nones = (None,) * len(ids)
     columns = (ids, categories, (1,) * len(ids), years, nones, statuses, nones, nones, nones)
-    try:
-        assets, bad = _assets_from_columns(columns), None
-    except ValueError as exc:
-        assets, bad = (), FleetParseError(str(exc), row=rownums[exc.index])
-    for rownum, status in unknown_statuses:
-        if bad is None or rownum <= bad.row:
-            logger.warning("GLPI row %d: unknown status %r, assuming in_use", rownum, status)
-    if bad or malformed:
-        raise bad or malformed
+    assets = _assets_from_columns(columns)
     return Fleet(perimeter_description, reporting_year, assets=assets), tuple(unmapped)
 
 

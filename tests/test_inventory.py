@@ -583,7 +583,7 @@ class TestDuplicateIds:
 
     def test_a_valid_parse_looks_for_no_duplicate(self, monkeypatch):
         calls = []
-        monkeypatch.setattr(inventory, "_first_duplicate", lambda *a: calls.append(a))
+        monkeypatch.setattr(inventory, "_first_bad_row", lambda *a: calls.append(a))
         text = body(*asset_rows(600), "room,sr1,,,,,,,,", "asset,sr1,laptop,1,2015,,in_use,,,")
         assert len(parse_fleet_csv(text, 2019, "p").assets) == 601
         assert calls == []
@@ -1283,6 +1283,37 @@ class TestGlpiAgainstSeed:
         assert glpi_outcome(parse_glpi_export, rules, text, caplog) == glpi_outcome(
             seed_parse_glpi_export, rules, text, caplog
         )
+
+
+class TestGlpiIdCheck:
+    """The import checks each mapped record's id as it reads the row."""
+
+    @pytest.mark.parametrize("name", [
+        "a\xa0b", "a\xadb", "a\u200db", "café",  # not unsafe, and all but the last not printable
+        "a\x85b", "a\u2028b", "a\x7fb", "a\tb",  # unsafe
+    ], ids=["nbsp", "soft-hyphen", "zwj", "accent", "nel", "line-separator", "del", "tab"])
+    def test_names_not_printable_agree_with_the_seed(self, name, caplog):
+        text = "\n".join([GLPI_HEADER, "a,Laptop,X,2018,odd", f'"{name}",Laptop,X,2018,odd',
+                          "b,Laptop,X,2018,odd"])
+        assert glpi_outcome(parse_glpi_export, RULES, text, caplog) == glpi_outcome(
+            seed_parse_glpi_export, RULES, text, caplog
+        )
+
+    def test_reads_no_row_past_a_bad_id(self, monkeypatch):
+        read, rows = [], inventory._glpi_rows
+
+        def counting(text):
+            for row in rows(text):
+                read.append(row)
+                yield row
+        monkeypatch.setattr(inventory, "_glpi_rows", counting)
+        valid = [f"pc-{k},laptop,L,2018-01-01,used" for k in range(1000)]
+        text = "\n".join([GLPI_HEADER, "ok,laptop,L,2018-01-01,used",
+                          "pc\x07,laptop,L,2018-01-01,used", *valid])
+        with pytest.raises(FleetParseError, match="control characters") as exc:
+            parse_glpi_export(text, RULES, 2019, "Lab X")
+        assert exc.value.row == 3
+        assert len(read) == 3  # the header and rows 2 and 3
 
 
 class TestValidateFleet:
