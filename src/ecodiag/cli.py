@@ -8,43 +8,45 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import gc
-import logging
+import importlib
 import os
 import sys
 from pathlib import Path
 
-from . import samples
-# compute_fleet is the name under which benchmark tracers time the engine.
-from .engine import compute_fleet, fleet_lines  # noqa: F401
 from .errors import EcodiagError, FactorParseError, FleetParseError, ScenarioError
-from .factors import FactorDatabase, GridFactor, load_factor_db, merge_factors, reliability_rank
-from .inventory import (
-    Fleet,
-    Issue,
-    blocking_issues,
-    missing_factors,
-    parse_fleet_csv,
-    parse_glpi_export,
-    parse_mapping_rules,
-    validate_fleet,
-)
-from .report import (
-    aggregate,
-    compare_years,
-    evaluate_scenario,
-    factor_db_identity,
-    parse_actions_csv,
-    parse_report_json,
-    render,
-)
+from .factors import (FactorDatabase, GridFactor, factor_db_identity, load_factor_db,
+                      merge_factors, reliability_rank)
 
 FACTORS_ENV_VAR = "ECODIAG_FACTORS"
 
-_INIT_FILES = {
-    "factors.txt": lambda: samples.SAMPLE_FACTOR_FILE,
-    "fleet.csv": samples.sample_fleet_csv,
-    "mapping_rules.csv": lambda: samples.SAMPLE_MAPPING_RULES,
+#: The names the fleet commands (compute, validate, scenario, compare) use, by
+#: module. They are bound here when one of those commands runs, so that
+#: `factors`, `init` and `--help` load none of these modules. compute_fleet is
+#: the name under which benchmark tracers time the engine.
+_FLEET_NAMES = {
+    "inventory": ("Fleet", "Issue", "blocking_issues", "missing_factors", "parse_fleet_csv",
+                  "parse_glpi_export", "parse_mapping_rules", "validate_fleet"),
+    "engine": ("compute_fleet", "fleet_lines"),
+    "report": ("aggregate", "compare_years", "evaluate_scenario", "parse_actions_csv",
+               "parse_report_json", "render"),
 }
+
+
+def _bind_fleet_names() -> None:
+    """Import the fleet commands' modules and bind their names here. A name
+    already bound stays bound: a wrapper or a patch set from outside wins."""
+    for module, names in _FLEET_NAMES.items():
+        mod = importlib.import_module(f".{module}", __package__)
+        for name in names:
+            globals().setdefault(name, getattr(mod, name))
+
+
+def __getattr__(name: str):
+    """A fleet command's name read from outside before any such command ran."""
+    if not any(name in names for names in _FLEET_NAMES.values()):
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    _bind_fleet_names()
+    return globals()[name]
 
 
 class _Parser(argparse.ArgumentParser):
@@ -164,6 +166,9 @@ def _load_db(args) -> tuple[FactorDatabase, str]:
 def _load_fleet(args) -> Fleet:
     if args.glpi != bool(args.rules):  # mapping rules apply to a GLPI export only
         raise FleetParseError("--glpi and --rules <mapping rules path> go together")
+    import logging  # the inventory parsers' warnings, the one use of logging
+
+    logging.basicConfig(stream=sys.stderr, level=logging.WARNING, format="%(levelname)s: %(message)s")
     text = _read_input(args.inventory)
     if args.glpi:
         rules = parse_mapping_rules(_read_input(args.rules))
@@ -187,6 +192,7 @@ def _emit(text: str, out_path: str | None) -> None:
 
 
 def cmd_compute(args) -> int:
+    _bind_fleet_names()
     db, db_id = _load_db(args)
     fleet = _load_fleet(args)
     issues = validate_fleet(fleet, db)
@@ -201,6 +207,7 @@ def cmd_compute(args) -> int:
 
 
 def cmd_validate(args) -> int:
+    _bind_fleet_names()
     db, _ = _load_db(args)
     fleet = _load_fleet(args)
     issues = validate_fleet(fleet, db)
@@ -209,6 +216,7 @@ def cmd_validate(args) -> int:
 
 
 def cmd_compare(args) -> int:
+    _bind_fleet_names()
     reports = [parse_report_json(_read_input(p)) for p in args.reports]
     comparison = compare_years(reports)
     for warning in comparison.warnings:
@@ -218,6 +226,7 @@ def cmd_compare(args) -> int:
 
 
 def cmd_scenario(args) -> int:
+    _bind_fleet_names()
     db, db_id = _load_db(args)
     fleet = _load_fleet(args)
     errors = blocking_issues(fleet, db)
@@ -261,14 +270,21 @@ def cmd_factors(args) -> int:
 
 
 def cmd_init(args) -> int:
+    from . import samples
+
+    files = {
+        "factors.txt": samples.SAMPLE_FACTOR_FILE,
+        "fleet.csv": samples.sample_fleet_csv(),
+        "mapping_rules.csv": samples.SAMPLE_MAPPING_RULES,
+    }
     target = Path(args.directory)
     target.mkdir(parents=True, exist_ok=True)
-    for name in _INIT_FILES:
+    for name in files:
         if (target / name).exists():
             _fail(f"refusing to overwrite existing {target / name}")
             return 1
-    for name, content in _INIT_FILES.items():
-        (target / name).write_text(content(), encoding="utf-8")
+    for name, content in files.items():
+        (target / name).write_text(content, encoding="utf-8")
         print(f"wrote {target / name}")
     return 0
 
@@ -279,7 +295,6 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    logging.basicConfig(stream=sys.stderr, level=logging.WARNING, format="%(levelname)s: %(message)s")
     # The records hold no reference cycles, so reference counting frees them
     # and the cyclic collector's passes would find nothing; the caller's
     # collector state comes back on every exit.

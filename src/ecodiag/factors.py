@@ -6,6 +6,7 @@ illustrative and meant to be replaced by the user's own reference set.
 from __future__ import annotations
 
 import csv
+import hashlib
 import io
 import math
 import re
@@ -375,6 +376,13 @@ def load_factor_db(text: str) -> FactorDatabase:
         except ValueError as exc:
             raise FactorParseError(str(exc), line=lineno) from None
     return FactorDatabase(tuple(items["factors"]), tuple(items["gwp"]), *items["grid"])
+
+
+def factor_db_identity(name: str, text: str) -> str:
+    """Stable identity of a factor file, embedded in reports so a changed
+    factor set cannot masquerade as a fleet improvement."""
+    digest = hashlib.sha256(text.encode("utf-8")).hexdigest()[:12]
+    return f"{name}:sha256:{digest}"
 
 
 def render_factor_file(db: FactorDatabase) -> str:

@@ -128,10 +128,11 @@ class Asset(_AssetFields):
     """One inventory line: a quantity of identical devices of one category.
 
     An immutable tuple of its nine fields, equal to the plain tuple of them.
-    Asset(...) and _replace check every rule of _ASSET_RULES; both parsers check
+    Asset(...) and _replace check every rule of _ASSET_RULES; the fleet CSV checks
     whole columns of assets through _assets_from_columns, which raises the error
-    Asset(...) gives the first bad one. Both share each repeated category,
-    status, hour profile and year as one object. _make checks none."""
+    Asset(...) gives the first bad one, and the GLPI import checks each id as it
+    reads it. Both parsers share each repeated category, status, hour profile
+    and year as one object. _make checks none."""
 
     __slots__ = ()
 
@@ -654,7 +655,7 @@ def parse_glpi_export(
     unmapped: list[UnmappedRecord] = []
     used_ids: set[str] = set()
     next_suffix: dict[str, int] = {}
-    records: list[tuple] = []  # (id, category, year, status) of each asset
+    records: list[tuple] = []  # the nine fields of each asset
     # What depends on one or two cells alone is worked out once per distinct text,
     # and each year is one object however its dates are written.
     pair_rules = functools.cache(_pair_walker(rules))
@@ -703,11 +704,10 @@ def parse_glpi_export(
             except ValueError as exc:
                 raise FleetParseError(str(exc), row=rownum) from None
         used_ids.add(asset_id)
-        records.append((asset_id, rule.target_category, year, status))
-    ids, categories, years, statuses = zip(*records) if records else [()] * 4
-    nones = (None,) * len(ids)
-    columns = (ids, categories, (1,) * len(ids), years, nones, statuses, nones, nones, nones)
-    assets = _assets_from_columns(columns)
+        records.append((asset_id, rule.target_category, 1, year, None, status, None, None, None))
+    # Every field is the id checked above or comes from a checked table (the rule's
+    # category, the date pattern's year, a status alias): no asset rule to run again.
+    assets = tuple(map(tuple.__new__, repeat(Asset), records))
     return Fleet(perimeter_description, reporting_year, assets=assets), tuple(unmapped)
 
 

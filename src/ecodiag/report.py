@@ -7,7 +7,6 @@ be re-read and compared without drift.
 from __future__ import annotations
 
 import dataclasses
-import hashlib
 import json
 import math
 import sys
@@ -26,7 +25,8 @@ from .engine import (
     merge_lines,
 )
 from .errors import FleetParseError, ScenarioError
-from .factors import GROUPS, SCOPES, FactorDatabase, csv_rows
+# factor_db_identity is defined in factors and kept importable from here.
+from .factors import GROUPS, SCOPES, FactorDatabase, csv_rows, factor_db_identity  # noqa: F401
 from .inventory import Asset, Fleet, parse_fleet_row
 
 #: Fixed wording embedded in rendered reports; deliberately timestamp-free so
@@ -95,13 +95,6 @@ class ScenarioResult:
     delta_kgco2e: float
     payback_years: float | None
     verdict: str
-
-
-def factor_db_identity(name: str, text: str) -> str:
-    """Stable identity of a factor file, embedded in reports so a changed
-    factor set cannot masquerade as a fleet improvement."""
-    digest = hashlib.sha256(text.encode("utf-8")).hexdigest()[:12]
-    return f"{name}:sha256:{digest}"
 
 
 def aggregate(lines: Iterable[EmissionLine], fleet: Fleet, factor_db_hash: str = "") -> Report:
