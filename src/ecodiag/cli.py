@@ -9,6 +9,7 @@ import argparse
 import dataclasses
 import gc
 import importlib
+import math
 import os
 import sys
 from pathlib import Path
@@ -18,14 +19,18 @@ from .factors import (FactorDatabase, GridFactor, factor_db_identity, load_facto
                       merge_factors, reliability_rank)
 
 FACTORS_ENV_VAR = "ECODIAG_FACTORS"
+#: compute and scenario write the first this many warnings of each kind to
+#: stderr and count the rest; validate lists them all.
+SHOWN_PER_KIND = 3
 
 #: The names the fleet commands (compute, validate, scenario, compare) use, by
 #: module. They are bound here when one of those commands runs, so that
 #: `factors`, `init` and `--help` load none of these modules. compute_fleet is
 #: the name under which benchmark tracers time the engine.
 _FLEET_NAMES = {
-    "inventory": ("Fleet", "Issue", "blocking_issues", "missing_factors", "parse_fleet_csv",
-                  "parse_glpi_export", "parse_mapping_rules", "validate_fleet"),
+    "inventory": ("Fleet", "Issue", "blocking_issues", "first_asset_warnings", "first_of_each_kind",
+                  "missing_factors", "parse_fleet_csv", "parse_glpi_export",
+                  "parse_mapping_rules", "validate_fleet"),
     "engine": ("compute_fleet", "fleet_lines"),
     "report": ("aggregate", "compare_years", "evaluate_scenario", "parse_actions_csv",
                "parse_report_json", "render"),
@@ -163,25 +168,38 @@ def _load_db(args) -> tuple[FactorDatabase, str]:
     return dataclasses.replace(db, default_grid_factor_kgco2e_per_kwh=grid), f"{db_id}+grid={grid}"
 
 
-def _load_fleet(args) -> Fleet:
+def _load_fleet(args, shown: float = math.inf) -> Fleet:
+    """The fleet of --inventory. Of a GLPI export's rows not imported, the first
+    `shown` of each reason go to stderr, and a count of the rest."""
     if args.glpi != bool(args.rules):  # mapping rules apply to a GLPI export only
         raise FleetParseError("--glpi and --rules <mapping rules path> go together")
-    import logging  # the inventory parsers' warnings, the one use of logging
+    text = _read_input(args.inventory)
+    if not args.glpi:
+        return parse_fleet_csv(text, args.year, args.perimeter)
+    import logging  # the GLPI import's unknown-status warnings, the one use of logging
 
     logging.basicConfig(stream=sys.stderr, level=logging.WARNING, format="%(levelname)s: %(message)s")
-    text = _read_input(args.inventory)
-    if args.glpi:
-        rules = parse_mapping_rules(_read_input(args.rules))
-        fleet, unmapped = parse_glpi_export(text, rules, args.year, args.perimeter)
-        sys.stderr.write("".join(
-            f"warning: GLPI row {r.row_number} not imported ({r.reason})\n" for r in unmapped
-        ))
-        return fleet
-    return parse_fleet_csv(text, args.year, args.perimeter)
+    rules = parse_mapping_rules(_read_input(args.rules))
+    fleet, unmapped = parse_glpi_export(text, rules, args.year, args.perimeter)
+    # A reason's kind is its text before the value it may quote.
+    kept, counts = first_of_each_kind(((r.reason.partition(":")[0], r) for r in unmapped), shown)
+    sys.stderr.write("".join(
+        f"warning: GLPI row {r.row_number} not imported ({r.reason})\n" for _, r in kept
+    ) + _left_out(counts, shown, "GLPI rows not imported ({})"))
+    return fleet
 
 
 def _issue_lines(issues: list[Issue]) -> str:
     return "".join(f"{i.severity}: {i.subject_id}: {i.message}\n" for i in issues)
+
+
+def _left_out(counts: dict[str, int], shown: float, what: str) -> str:
+    """A line for each kind counted more than `shown` times, with the number left
+    out; `what`, formatted with the kind, names them."""
+    return "".join(
+        f"warning: {n - shown} more {what.format(kind)}; ecodiag validate lists them all\n"
+        for kind, n in counts.items() if n > shown
+    )
 
 
 def _emit(text: str, out_path: str | None) -> None:
@@ -194,12 +212,13 @@ def _emit(text: str, out_path: str | None) -> None:
 def cmd_compute(args) -> int:
     _bind_fleet_names()
     db, db_id = _load_db(args)
-    fleet = _load_fleet(args)
-    issues = validate_fleet(fleet, db)
-    sys.stderr.write(_issue_lines(issues))
-    blocked = any(i.severity == "error" for i in issues)
-    del issues  # a warning per asset or more, dropped before the lines are computed
-    if blocked:
+    fleet = _load_fleet(args, SHOWN_PER_KIND)
+    # validate's errors and warnings, with the warnings capped as the GLPI rows are.
+    errors = blocking_issues(fleet, db)
+    warnings, counts = first_asset_warnings(fleet, db, SHOWN_PER_KIND)
+    sys.stderr.write(_issue_lines(errors + warnings)
+                     + _left_out(counts, SHOWN_PER_KIND, "'{}' warnings"))
+    if errors:
         return 2
     lines = fleet_lines(fleet, db)
     _emit(render(aggregate(lines, fleet, db_id), args.format), args.out)
@@ -228,7 +247,7 @@ def cmd_compare(args) -> int:
 def cmd_scenario(args) -> int:
     _bind_fleet_names()
     db, db_id = _load_db(args)
-    fleet = _load_fleet(args)
+    fleet = _load_fleet(args, SHOWN_PER_KIND)
     errors = blocking_issues(fleet, db)
     if not errors:  # then the new assets' categories, which may lack a factor too
         actions = parse_actions_csv(_read_input(args.actions))

@@ -10,10 +10,9 @@ import dataclasses
 import fnmatch
 import functools
 import io
-import logging
 import math
 import re
-from collections.abc import Callable
+from collections.abc import Callable, Iterable, Iterator
 from dataclasses import MISSING, dataclass, field
 from itertools import compress, islice, pairwise, repeat, starmap
 from operator import eq, ge, is_not, itemgetter
@@ -34,7 +33,20 @@ from .factors import (
     text_lines,
 )
 
-logger = logging.getLogger(__name__)
+
+def _logger():
+    """The module's logger. Only the GLPI import logs, so `logging` is loaded
+    there, on first use, and a native-CSV command never loads it."""
+    import logging
+
+    return logging.getLogger(__name__)
+
+
+def __getattr__(name: str):
+    if name == "logger":  # read from outside as a module attribute
+        return _logger()
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 STATUSES = ("in_use", "stored")
 HOUR_PROFILES = ("work_year", "continuous")
@@ -688,7 +700,7 @@ def parse_glpi_export(
             continue
         status = status_of(row[i_status])
         if status is None:
-            logger.warning("GLPI row %d: unknown status %r, assuming in_use", rownum, row[i_status])
+            _logger().warning("GLPI row %d: unknown status %r, assuming in_use", rownum, row[i_status])
             status = "in_use"
         asset_id = base_id = name.strip() or f"glpi-row-{rownum}"
         if asset_id in used_ids:
@@ -746,29 +758,67 @@ def missing_factors(categories: set[str], db: FactorDatabase) -> list[Issue]:
     return issues
 
 
-def asset_warnings(fleet: Fleet, db: FactorDatabase) -> list[Issue]:
-    """Warnings that flag asset data worth a second look; none blocks computation."""
-    issues: list[Issue] = []
+#: The engine has no partial years: an asset outside the reporting year still
+#: counts a full year of usage.
+_FULL_YEAR = "reporting year {year}: a full year of usage is still charged"
+#: The per-asset warnings, kind by kind in the order an asset's warnings are
+#: listed: each kind's label, and the message of an asset it flags, formatted
+#: with the asset, its age and the reporting year.
+ASSET_WARNINGS = {
+    "asset age": "asset age {age} years (replacement candidate)",
+    "acquired after the reporting year":
+        "acquired in {asset.acquisition_year}, after " + _FULL_YEAR,
+    "disposed of before the reporting year":
+        "disposed of in {asset.disposal_year}, before " + _FULL_YEAR,
+    "zero-power": "zero-power factor and no measured power: no usage emissions",
+}
+
+
+def _asset_warning_walk(fleet: Fleet, db: FactorDatabase) -> Iterator[tuple[str, Asset]]:
+    """(kind, asset) of each per-asset warning, asset by asset in fleet order and
+    an asset's kinds in ASSET_WARNINGS order: the one place the rules are tested."""
+    age, acquired_after, disposed_before, zero_power = ASSET_WARNINGS
     # Categories whose usage rests on a zero typical power.
-    zero_power = {
+    zero_power_categories = {
         cat_id for cat_id in {f.category for f in db.factors}
         if lookup_factor(db, cat_id).typical_power_w == 0 and "S2" in category(cat_id).scope_mask
     }
     year = fleet.reporting_year
+    oldest = year - AGE_WARNING_YEARS  # acquired before it: older than AGE_WARNING_YEARS
     for asset in fleet.assets:
-        age = year - asset.acquisition_year
-        if age > AGE_WARNING_YEARS:
-            issues.append(Issue("warning", asset.id,
-                                f"asset age {age} years (replacement candidate)"))
-        # The engine has no partial years: such an asset still counts a full year of usage.
+        if asset.acquisition_year < oldest:
+            yield age, asset
         if asset.acquisition_year > year:
-            issues.append(Issue("warning", asset.id, f"acquired in {asset.acquisition_year}, after "
-                                f"reporting year {year}: a full year of usage is still charged"))
+            yield acquired_after, asset
         elif asset.disposal_year is not None and asset.disposal_year < year:
-            issues.append(Issue("warning", asset.id, f"disposed of in {asset.disposal_year}, before"
-                                f" reporting year {year}: a full year of usage is still charged"))
+            yield disposed_before, asset
         if (asset.status == "in_use" and asset.measured_power_w is None
-                and asset.category in zero_power):
-            issues.append(Issue("warning", asset.id,
-                                "zero-power factor and no measured power: no usage emissions"))
-    return issues
+                and asset.category in zero_power_categories):
+            yield zero_power, asset
+
+
+def asset_warnings(fleet: Fleet, db: FactorDatabase) -> list[Issue]:
+    """Warnings that flag asset data worth a second look; none blocks computation."""
+    return first_asset_warnings(fleet, db, math.inf)[0]
+
+
+def first_of_each_kind(pairs: Iterable[tuple[str, object]],
+                       shown: float) -> tuple[list, dict[str, int]]:
+    """The (kind, item) pairs among the first `shown` of their kind, in their order,
+    and the number of pairs of each kind, kinds in the order they first come."""
+    kept, counts = [], {}
+    for kind, item in pairs:
+        counts[kind] = n = counts.get(kind, 0) + 1
+        if n <= shown:
+            kept.append((kind, item))
+    return kept, counts
+
+
+def first_asset_warnings(fleet: Fleet, db: FactorDatabase,
+                         shown: float) -> tuple[list[Issue], dict[str, int]]:
+    """The per-asset warnings among the first `shown` of their kind, in asset order,
+    and the number of warnings of each kind. No Issue is built for the rest."""
+    year = fleet.reporting_year
+    kept, counts = first_of_each_kind(_asset_warning_walk(fleet, db), shown)
+    return [Issue("warning", asset.id, ASSET_WARNINGS[kind].format(
+        asset=asset, age=year - asset.acquisition_year, year=year)) for kind, asset in kept], counts

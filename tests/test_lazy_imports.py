@@ -139,3 +139,43 @@ class TestFleetCommandBinding:
         assert cli.validate_fleet is inventory.validate_fleet
         assert cli.compute_fleet is engine.compute_fleet
         assert cli.render is report.render
+
+
+STDERR_AFTER_MAIN = """
+import contextlib, io, json, sys
+from ecodiag import cli
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()) as err:
+    code = cli.main(sys.argv[1:])
+print(json.dumps([code, err.getvalue(), "logging" in sys.modules]))
+"""
+
+
+class TestLoggingOnlyForGlpi:
+    def fleet_args(self, tmp_path, inventory, *extra):
+        (tmp_path / "factors.txt").write_text(samples.SAMPLE_FACTOR_FILE, encoding="utf-8")
+        return ["compute", "--inventory", str(tmp_path / inventory),
+                "--factors", str(tmp_path / "factors.txt"), "--year", "2019",
+                "--perimeter", "demo", *extra]
+
+    def test_a_native_fleet_compute_loads_no_logging(self, tmp_path):
+        (tmp_path / "fleet.csv").write_text(samples.sample_fleet_csv(), encoding="utf-8")
+        code, modules = run_fresh(LOADED_AFTER_MAIN, *self.fleet_args(tmp_path, "fleet.csv"))
+        assert code == 0
+        assert "ecodiag.inventory" in modules and "logging" not in modules
+
+    def test_a_glpi_compute_still_logs_an_unknown_status(self, tmp_path):
+        (tmp_path / "rules.csv").write_text(samples.SAMPLE_MAPPING_RULES, encoding="utf-8")
+        (tmp_path / "glpi.csv").write_text(
+            "name,type,model,purchase_date,status\npc-1,Laptop,X,2018-01-01,cassé\n",
+            encoding="utf-8",
+        )
+        rules = str(tmp_path / "rules.csv")
+        args = self.fleet_args(tmp_path, "glpi.csv", "--glpi", "--rules", rules)
+        code, err, logging_loaded = run_fresh(STDERR_AFTER_MAIN, *args)
+        assert (code, logging_loaded) == (0, True)
+        assert err == "WARNING: GLPI row 2: unknown status 'cassé', assuming in_use\n"
+
+    def test_the_logger_is_still_importable(self):
+        from ecodiag.inventory import logger
+
+        assert logger.name == "ecodiag.inventory"
