@@ -8,7 +8,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import gc
-import importlib
 import math
 import os
 import sys
@@ -24,9 +23,10 @@ FACTORS_ENV_VAR = "ECODIAG_FACTORS"
 SHOWN_PER_KIND = 3
 
 #: The names the fleet commands (compute, validate, scenario, compare) use, by
-#: module. They are bound here when one of those commands runs, so that
-#: `factors`, `init` and `--help` load none of these modules. compute_fleet is
-#: the name under which benchmark tracers time the engine.
+#: module. A command binds here the names of the modules it runs when it
+#: starts, so that `factors`, `init` and `--help` load none of these modules
+#: and `compare` no inventory. compute_fleet is the name under which benchmark
+#: tracers time the engine.
 _FLEET_NAMES = {
     "inventory": ("Fleet", "Issue", "blocking_issues", "first_asset_warnings", "first_of_each_kind",
                   "missing_factors", "parse_fleet_csv", "parse_glpi_export",
@@ -37,21 +37,25 @@ _FLEET_NAMES = {
 }
 
 
-def _bind_fleet_names() -> None:
-    """Import the fleet commands' modules and bind their names here. A name
+def _bind_fleet_names(*modules: str) -> None:
+    """Import these modules of _FLEET_NAMES and bind their names here. A name
     already bound stays bound: a wrapper or a patch set from outside wins."""
-    for module, names in _FLEET_NAMES.items():
-        mod = importlib.import_module(f".{module}", __package__)
-        for name in names:
-            globals().setdefault(name, getattr(mod, name))
+    for module in modules:
+        qualified = f"{__package__}.{module}"
+        # The import machinery's C entry, which `-X importtime` times and lists;
+        # importlib.import_module bypasses it, so a check on that list would miss it.
+        __import__(qualified)
+        for name in _FLEET_NAMES[module]:
+            globals().setdefault(name, getattr(sys.modules[qualified], name))
 
 
 def __getattr__(name: str):
-    """A fleet command's name read from outside before any such command ran."""
-    if not any(name in names for names in _FLEET_NAMES.values()):
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    _bind_fleet_names()
-    return globals()[name]
+    """A fleet command's name read from outside before a command bound it."""
+    for module, names in _FLEET_NAMES.items():
+        if name in names:
+            _bind_fleet_names(module)
+            return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -169,18 +173,30 @@ def _load_db(args) -> tuple[FactorDatabase, str]:
 
 
 def _load_fleet(args, shown: float = math.inf) -> Fleet:
-    """The fleet of --inventory. Of a GLPI export's rows not imported, the first
-    `shown` of each reason go to stderr, and a count of the rest."""
+    """The fleet of --inventory. Of a GLPI export's unknown statuses, then of its
+    rows not imported, the first `shown` of each kind go to stderr, and a count
+    of the rest; the statuses also when the import fails."""
     if args.glpi != bool(args.rules):  # mapping rules apply to a GLPI export only
         raise FleetParseError("--glpi and --rules <mapping rules path> go together")
     text = _read_input(args.inventory)
     if not args.glpi:
         return parse_fleet_csv(text, args.year, args.perimeter)
-    import logging  # the GLPI import's unknown-status warnings, the one use of logging
+    import logging  # the GLPI import's unknown-status records, the one use of logging
 
-    logging.basicConfig(stream=sys.stderr, level=logging.WARNING, format="%(levelname)s: %(message)s")
-    rules = parse_mapping_rules(_read_input(args.rules))
-    fleet, unmapped = parse_glpi_export(text, rules, args.year, args.perimeter)
+    records = []  # the import's records, kept until it ends
+    keep = logging.Handler()
+    keep.emit = records.append
+    logger = logging.getLogger(f"{__package__}.inventory")
+    logger.addHandler(keep)
+    try:
+        rules = parse_mapping_rules(_read_input(args.rules))
+        fleet, unmapped = parse_glpi_export(text, rules, args.year, args.perimeter)
+    finally:
+        logger.removeHandler(keep)
+        # A record's kind is its message template; the import logs one kind.
+        kept, counts = first_of_each_kind(((r.msg, r) for r in records), shown)
+        sys.stderr.write("".join(f"{r.levelname}: {r.getMessage()}\n" for _, r in kept)
+                         + _left_out(counts, shown, "GLPI rows with an unknown status"))
     # A reason's kind is its text before the value it may quote.
     kept, counts = first_of_each_kind(((r.reason.partition(":")[0], r) for r in unmapped), shown)
     sys.stderr.write("".join(
@@ -210,7 +226,7 @@ def _emit(text: str, out_path: str | None) -> None:
 
 
 def cmd_compute(args) -> int:
-    _bind_fleet_names()
+    _bind_fleet_names("inventory", "engine", "report")
     db, db_id = _load_db(args)
     fleet = _load_fleet(args, SHOWN_PER_KIND)
     # validate's errors and warnings, with the warnings capped as the GLPI rows are.
@@ -226,7 +242,7 @@ def cmd_compute(args) -> int:
 
 
 def cmd_validate(args) -> int:
-    _bind_fleet_names()
+    _bind_fleet_names("inventory")
     db, _ = _load_db(args)
     fleet = _load_fleet(args)
     issues = validate_fleet(fleet, db)
@@ -235,7 +251,7 @@ def cmd_validate(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    _bind_fleet_names()
+    _bind_fleet_names("report")
     reports = [parse_report_json(_read_input(p)) for p in args.reports]
     comparison = compare_years(reports)
     for warning in comparison.warnings:
@@ -245,7 +261,7 @@ def cmd_compare(args) -> int:
 
 
 def cmd_scenario(args) -> int:
-    _bind_fleet_names()
+    _bind_fleet_names("inventory", "report")
     db, db_id = _load_db(args)
     fleet = _load_fleet(args, SHOWN_PER_KIND)
     errors = blocking_issues(fleet, db)

@@ -17,13 +17,15 @@ from bisect import bisect_right
 from collections.abc import Iterable, Iterator
 from itertools import chain
 from operator import itemgetter
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
-from .factors import CATEGORIES, EmissionFactor, FactorDatabase, GwpEntry, gwp_value, lookup_factor
-from .inventory import (
-    HOUR_PROFILES, STATUSES, Asset, CableBulk, ComputeCampaign, ExternalServiceEntry, Fleet,
-    ServerRoom,
+from .factors import (
+    CATEGORIES, HOUR_PROFILES, STATUSES, EmissionFactor, FactorDatabase, GwpEntry, gwp_value,
+    lookup_factor,
 )
+
+if TYPE_CHECKING:
+    from .inventory import Asset, CableBulk, ComputeCampaign, ExternalServiceEntry, Fleet, ServerRoom
 
 #: Pseudo-group of declared external entries, kept apart from equipment groups.
 EXTERNAL_GROUP = "external"

@@ -6,7 +6,6 @@ illustrative and meant to be replaced by the user's own reference set.
 from __future__ import annotations
 
 import csv
-import hashlib
 import io
 import math
 import re
@@ -20,6 +19,9 @@ from .errors import FactorParseError, FleetParseError, MissingFactorError, Unkno
 GROUPS = ("office", "telephony", "server_room", "shared", "compute", "bulk")
 SCOPES = ("S1", "S2", "S3")
 SOURCE_KINDS = ("public_base", "vendor_fiche", "peer_reviewed", "internal_measure")
+#: An asset's statuses, and the hour profiles that may override its category's.
+STATUSES = ("in_use", "stored")
+HOUR_PROFILES = ("work_year", "continuous")
 
 #: Grid carbon intensity used when a factor file carries no [grid] section
 #: (French mix, kgCO2e per kWh).
@@ -381,6 +383,8 @@ def load_factor_db(text: str) -> FactorDatabase:
 def factor_db_identity(name: str, text: str) -> str:
     """Stable identity of a factor file, embedded in reports so a changed
     factor set cannot masquerade as a fleet improvement."""
+    import hashlib  # loaded only by the commands that read a factor file
+
     digest = hashlib.sha256(text.encode("utf-8")).hexdigest()[:12]
     return f"{name}:sha256:{digest}"
 

@@ -24,6 +24,8 @@ from .factors import (
     CABLE_CATEGORIES,
     EXPECTED,
     FactorDatabase,
+    HOUR_PROFILES,
+    STATUSES,
     _UNSAFE_TEXT,
     category,
     check_text_field,
@@ -48,8 +50,6 @@ def __getattr__(name: str):
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
-STATUSES = ("in_use", "stored")
-HOUR_PROFILES = ("work_year", "continuous")
 #: Largest count a float holds with every integer up to it exact; the engine
 #: multiplies counts as floats.
 MAX_COUNT = 2**53
@@ -674,6 +674,7 @@ def parse_glpi_export(
     one_year: dict = {}
     year_of = functools.cache(lambda text: one_year.setdefault(y := _year_from_date(text), y))
     status_of = functools.cache(lambda label: GLPI_STATUS_ALIASES.get(label.strip().lower()))
+    warn = _logger().warning  # one record per unknown status, as its row is read
     rows = _glpi_rows(text)
     # An empty export has no header row, so no column is missing.
     header = next(rows, _GLPI_REQUIRED)
@@ -700,7 +701,7 @@ def parse_glpi_export(
             continue
         status = status_of(row[i_status])
         if status is None:
-            _logger().warning("GLPI row %d: unknown status %r, assuming in_use", rownum, row[i_status])
+            warn("GLPI row %d: unknown status %r, assuming in_use", rownum, row[i_status])
             status = "in_use"
         asset_id = base_id = name.strip() or f"glpi-row-{rownum}"
         if asset_id in used_ids:

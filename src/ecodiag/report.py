@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from functools import reduce
 from itertools import chain
 from operator import add, itemgetter
+from typing import TYPE_CHECKING
 
 from .engine import (
     EXTERNAL_GROUP,
@@ -27,7 +28,9 @@ from .engine import (
 from .errors import FleetParseError, ScenarioError
 # factor_db_identity is defined in factors and kept importable from here.
 from .factors import GROUPS, SCOPES, FactorDatabase, csv_rows, factor_db_identity  # noqa: F401
-from .inventory import Asset, Fleet, parse_fleet_row
+
+if TYPE_CHECKING:
+    from .inventory import Asset, Fleet
 
 #: Fixed wording embedded in rendered reports; deliberately timestamp-free so
 #: identical inputs produce identical bytes.
@@ -288,6 +291,8 @@ def parse_actions_csv(text: str) -> tuple[ScenarioAction, ...]:
     known against a fleet, so that check lives in _edits, which both
     evaluate_scenario and apply_scenario run.
     """
+    from .inventory import parse_fleet_row  # `compare` reads no fleet, so loads no inventory
+
     actions: list[ScenarioAction] = []
     for n, (rownum, fields) in enumerate(csv_rows(text)):
         if n == 0 and fields[0] == "op":

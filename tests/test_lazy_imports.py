@@ -107,6 +107,38 @@ class TestPackageExports:
         assert report.factor_db_identity is factors.factor_db_identity
 
 
+class TestWhatFleetCommandsLoad:
+    def test_compare_loads_no_inventory_hashlib_or_logging(self, tmp_path):
+        (tmp_path / "factors.txt").write_text(samples.SAMPLE_FACTOR_FILE, encoding="utf-8")
+        (tmp_path / "fleet.csv").write_text(samples.sample_fleet_csv(), encoding="utf-8")
+        reports = [str(tmp_path / f"report_{year}.json") for year in (2019, 2020)]
+        for year, report in zip((2019, 2020), reports):
+            assert cli.main(["compute", "--inventory", str(tmp_path / "fleet.csv"),
+                             "--factors", str(tmp_path / "factors.txt"), "--year", str(year),
+                             "--perimeter", "demo", "--format", "json", "--out", report]) == 0
+        code, modules = run_fresh(LOADED_AFTER_MAIN, "compare", *reports)
+        assert code == 0
+        assert "ecodiag.report" in modules
+        assert [m for m in ("ecodiag.inventory", "hashlib", "logging") if m in modules] == []
+
+    def test_validate_loads_no_engine_or_report(self, tmp_path):
+        (tmp_path / "factors.txt").write_text(samples.SAMPLE_FACTOR_FILE, encoding="utf-8")
+        (tmp_path / "fleet.csv").write_text(samples.sample_fleet_csv(), encoding="utf-8")
+        code, modules = run_fresh(
+            LOADED_AFTER_MAIN, "validate", "--inventory", str(tmp_path / "fleet.csv"),
+            "--factors", str(tmp_path / "factors.txt"), "--year", "2019", "--perimeter", "demo",
+        )
+        assert code == 0
+        assert [m for m in modules if m.startswith("ecodiag.")] == [
+            "ecodiag.cli", "ecodiag.errors", "ecodiag.factors", "ecodiag.inventory",
+        ]
+
+    @pytest.mark.parametrize("module", ["ecodiag.engine", "ecodiag.report"])
+    def test_a_fresh_import_loads_no_inventory(self, module):
+        modules = run_fresh(f"import json, sys, {module}; print(json.dumps(sorted(sys.modules)))")
+        assert module in modules and "ecodiag.inventory" not in modules
+
+
 WRAPPED_BEFORE_VALIDATE = """
 import contextlib, io, json, sys
 from ecodiag import cli

@@ -1,6 +1,7 @@
 """compute shows the first SHOWN_PER_KIND warnings of each kind and counts the
 rest; validate lists every one. Both read the one walk of the per-asset rules."""
 
+import logging
 import random
 
 import pytest
@@ -149,6 +150,65 @@ class TestGlpiRowsNotImported:
             f"warning: GLPI row {2 * k + 3} not imported (unparsable purchase_date: 'date {k}')"
             for k in range(5) for j in (0, 1)
         ]
+
+
+#: A record no rule claims, five laptops with an unknown status, then another
+#: record no rule claims: rows 2 to 8.
+UNKNOWN_STATUSES = "\n".join([
+    GLPI_HEADER, "mf-1,Mainframe,Z,2019-03-01,used",
+    *(f"pc-{k},Laptop,L,2018-01-01,odd {k}" for k in range(1, 6)),
+    "mf-2,Mainframe,Z,2019-03-01,used",
+]) + "\n"
+
+
+def unknown_status_line(row):
+    return f"WARNING: GLPI row {row}: unknown status 'odd {row - 2}', assuming in_use"
+
+
+class TestGlpiUnknownStatuses:
+    @pytest.fixture
+    def glpi(self, workdir):
+        (workdir / "glpi.csv").write_text(UNKNOWN_STATUSES, encoding="utf-8")
+        (workdir / "actions.csv").write_text("", encoding="utf-8")
+        return ["--glpi", "--rules", str(workdir / "rules.csv")]
+
+    @pytest.mark.parametrize("command", ["compute", "scenario"])
+    def test_compute_and_scenario_show_three_then_the_rows_not_imported(self, workdir, glpi,
+                                                                        capsys, command):
+        extra = [*glpi, "--actions", str(workdir / "actions.csv")] if command == "scenario" else glpi
+        assert main(fleet_args(command, workdir, "glpi.csv", *extra)) == 0
+        assert capsys.readouterr().err.splitlines() == [
+            *map(unknown_status_line, (3, 4, 5)),
+            "warning: 2 more GLPI rows with an unknown status; ecodiag validate lists them all",
+            "warning: GLPI row 2 not imported (no matching rule)",
+            "warning: GLPI row 8 not imported (no matching rule)",
+        ]
+
+    def test_validate_lists_all_five(self, workdir, glpi, capsys):
+        assert main(fleet_args("validate", workdir, "glpi.csv", *glpi)) == 0
+        assert capsys.readouterr() == ("no issues\n", "".join(
+            f"{line}\n" for line in [
+                *map(unknown_status_line, range(3, 8)),
+                "warning: GLPI row 2 not imported (no matching rule)",
+                "warning: GLPI row 8 not imported (no matching rule)",
+            ]
+        ))
+
+    @pytest.mark.parametrize("command", ["compute", "validate"])
+    def test_a_failed_import_still_writes_the_warnings_before_its_error(self, workdir, glpi,
+                                                                        capsys, command):
+        # A control character in row 3's name stops the import before row 4's
+        # malformed line; row 2's warning comes first, as the import logged it.
+        (workdir / "glpi.csv").write_text(
+            f"{GLPI_HEADER}\npc-1,Laptop,X,2018,odd\n\"pc\a\",Laptop,X,2018,used\n"
+            "pc-3,lap\rtop,X,2018,used\n", encoding="utf-8",
+        )
+        assert main(fleet_args(command, workdir, "glpi.csv", *glpi)) == 1
+        assert capsys.readouterr().err == (
+            "WARNING: GLPI row 2: unknown status 'odd', assuming in_use\n"
+            "ecodiag: error: row 3: asset id must not contain control characters: 'pc\\x07'\n"
+        )
+        assert logging.getLogger("ecodiag.inventory").handlers == []
 
 
 #: The kind of a warning, told from the start of its message as validate writes it.
