@@ -25,8 +25,8 @@ SHOWN_PER_KIND = 3
 #: The names the fleet commands (compute, validate, scenario, compare) use, by
 #: module. A command binds here the names of the modules it runs when it
 #: starts, so that `factors`, `init` and `--help` load none of these modules
-#: and `compare` no inventory. compute_fleet is the name under which benchmark
-#: tracers time the engine.
+#: and `compare` no inventory. No command calls compute_fleet here: it is bound
+#: for perfbench/spans.py, and only the scenario's report.compute_fleet is timed.
 _FLEET_NAMES = {
     "inventory": ("Fleet", "Issue", "blocking_issues", "first_asset_warnings", "first_of_each_kind",
                   "missing_factors", "parse_fleet_csv", "parse_glpi_export",

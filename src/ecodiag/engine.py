@@ -14,7 +14,7 @@ Rules in force:
 from __future__ import annotations
 
 from bisect import bisect_right
-from collections.abc import Iterable, Iterator
+from collections.abc import Callable, Iterable, Iterator
 from itertools import chain
 from operator import itemgetter
 from typing import TYPE_CHECKING, NamedTuple
@@ -232,18 +232,21 @@ def asset_lines(fleet: Fleet, assets: tuple[Asset, ...], db: FactorDatabase) -> 
     return _lines(assets, plans, fleet.reporting_year, db.default_grid_factor_kgco2e_per_kwh)
 
 
-def merge_lines(lines: list[EmissionLine], others: list[EmissionLine]) -> list[EmissionLine]:
-    """A new list of the lines, in key order, with the others, in key order
-    too, merged in; each goes after the lines of an equal key: the same list
-    as a stable sort of lines + others."""
-    merged, start = [], 0
-    for line in others:
-        end = bisect_right(lines, _KEY(line), start, key=_KEY)
-        merged += lines[start:end]
-        merged.append(line)
-        start = end
-    merged += lines[start:]
-    return merged
+def merged_chunks(chunks: Iterable[list], side: list, key: Callable) -> Iterator[list]:
+    """Each non-empty chunk, its lines in key order and no key in two chunks,
+    with the side lines, in key order too, up to its last key merged in, then
+    the rest of side: the lines of a stable sort of all of them, chunk lines
+    first at an equal key. No input is modified; a chunk that takes no side
+    line is yielded as is."""
+    done = 0
+    for chunk in chunks:
+        if chunk:
+            # sorted is stable and merges the two sorted runs.
+            end = bisect_right(side, key(chunk[-1]), done, key=key)
+            yield sorted(chunk + side[done:end], key=key) if end > done else chunk
+            done = end
+        del chunk  # before the next chunk is computed
+    yield side[done:]
 
 
 #: Assets evaluated at a time by asset_part: one chunk of lines, about 0.6 MB.
@@ -258,10 +261,11 @@ def asset_part(fleet: Fleet, db: FactorDatabase,
     The pool is the S2 lines of the server_room group in the order of the
     assets, left empty when no room has a UPS overhead fraction to charge on
     it; otherwise its assets are evaluated first, in that order, and their
-    lines merged in by subject. The others are evaluated _CHUNK_ASSETS at a
-    time in id order (the fleet's assets_by_id, or the given assets sorted):
-    key order, as asset ids are unique."""
-    subject, pooled, done = itemgetter(0), [], 0
+    lines merged by subject into the chunks of the others (merged_chunks).
+    The others are evaluated _CHUNK_ASSETS at a time in id order (the fleet's
+    assets_by_id, or the given assets sorted): key order, as asset ids are
+    unique."""
+    subject, pooled = itemgetter(0), []
     given, by_id = ((fleet.assets, fleet.assets_by_id) if assets is None
                     else (assets, sorted(assets, key=subject)))
     charged = any(r.ups_overhead_fraction != 0 for r in fleet.rooms)
@@ -269,33 +273,18 @@ def asset_part(fleet: Fleet, db: FactorDatabase,
         pooled = asset_lines(fleet, [a for a in given if a[1] in _POOL_CATEGORIES], db)
     yield [line for line in pooled if line.scope == "S2"]  # none under a room meter
     pooled.sort(key=subject)
-    for i in range(0, len(by_id), _CHUNK_ASSETS):
-        chunk = by_id[i:i + _CHUNK_ASSETS]
-        if charged:
-            chunk = [a for a in chunk if a[1] not in _POOL_CATEGORIES]
-        chunk = asset_lines(fleet, chunk, db)
-        if chunk:
-            # The pool's lines up to the chunk's last subject merge in by subject
-            # alone: sorted merges the two sorted runs.
-            end = bisect_right(pooled, chunk[-1].subject_id, done, key=subject)
-            if end > done:
-                chunk, done = sorted(chunk + pooled[done:end], key=subject), end
-            yield chunk
-        del chunk  # before the next chunk is computed
-    yield pooled[done:]
+    skipped = _POOL_CATEGORIES if charged else ()
+    yield from merged_chunks(
+        (asset_lines(fleet, [a for a in by_id[i:i + _CHUNK_ASSETS] if a[1] not in skipped], db)
+         for i in range(0, len(by_id), _CHUNK_ASSETS)), pooled, subject)
 
 
 def fleet_lines(fleet: Fleet, db: FactorDatabase,
                 part: Iterable[list[EmissionLine]] | None = None) -> Iterator[EmissionLine]:
     """The lines of compute_fleet(fleet, db, part), as they are computed: the
-    room, campaign, cable and external lines are merged into each list of
-    asset lines by key, so only they, the pool's lines and one chunk of asset
-    lines are held at once."""
-    return chain.from_iterable(_line_chunks(fleet, db, part))
-
-
-def _line_chunks(fleet, db, part):
-    """The lists of lines that fleet_lines chains."""
+    pool is summed and the room, campaign, cable and external lines built at
+    the call, then merged by key into each list of asset lines (merged_chunks),
+    so only they, the pool's lines and one chunk of asset lines are held."""
     part = iter(asset_part(fleet, db) if part is None else part)
     # The pool is summed in the order of the assets; an empty one charges nothing.
     pool_kgco2e = pool_uncertainty = 0.0
@@ -310,15 +299,7 @@ def _line_chunks(fleet, db, part):
     others += [scope2_campaign(c, grid) for c in fleet.campaigns]
     others += [scope3_cables(b, lookup_factor(db, b.category)) for b in fleet.cable_bulks]
     others += map(declared_external, fleet.external_services)
-    others = sorted(filter(None, others), key=_KEY)
-    done = 0
-    for chunk in part:
-        if chunk:
-            end = bisect_right(others, _KEY(chunk[-1]), done, key=_KEY)
-            yield merge_lines(chunk, others[done:end]) if end > done else chunk
-            done = end
-        del chunk  # before the next chunk is computed
-    yield others[done:]
+    return chain.from_iterable(merged_chunks(part, sorted(filter(None, others), key=_KEY), _KEY))
 
 
 def compute_fleet(fleet: Fleet, db: FactorDatabase,
@@ -327,7 +308,7 @@ def compute_fleet(fleet: Fleet, db: FactorDatabase,
     grid factor, sorted by (subject_id, scope, phase), lines of an equal key in
     the order assets, rooms, campaigns, cables, external services, so identical
     inputs always give identical output. part, by default asset_part(fleet, db),
-    is the pool and the lists of asset lines to report, shaped as asset_part
-    gives them, of assets that need not be the fleet's; its lists are not
-    modified. The fleet supplies the rest."""
+    is any iterable of lists shaped as asset_part gives them: the pool, then
+    asset lines in key order, of assets that need not be the fleet's; its
+    lists are not modified. The fleet supplies the rest."""
     return list(fleet_lines(fleet, db, part))

@@ -23,7 +23,7 @@ from .engine import (
     EmissionLine,
     asset_part,
     compute_fleet,
-    merge_lines,
+    merged_chunks,
 )
 from .errors import FleetParseError, ScenarioError
 # factor_db_identity is defined in factors and kept importable from here.
@@ -235,21 +235,23 @@ def evaluate_scenario(
     factor set.
 
     The actions are walked once, before any line is computed, and no variant
-    fleet is built: the variant differs only in its assets. Its asset lines
-    are the baseline's, in key order from asset_part, filtered to the
-    subjects the actions do not drop, with the new assets' lines merged in;
-    its pool is the baseline's, filtered the same way, followed by the new
-    assets'. Only the new assets are evaluated, and both reports are exactly
-    those of a full compute of each fleet.
+    fleet is built: the variant differs only in its assets. The baseline's
+    part stays as asset_part's chunks. The variant's pool is the baseline's,
+    filtered to the subjects the actions do not drop, then the new assets';
+    each of its chunks is the baseline's, filtered the same way, with the new
+    assets' lines merged in by subject (merged_chunks; no new id equals a
+    kept one). Only the new assets are evaluated, and both reports are
+    exactly those of a full compute of each fleet.
     """
     dropped, added = _edits(fleet, actions)
     base, new = asset_part(fleet, db), asset_part(fleet, db, tuple(added.values()))
-    pool, lines = next(base), list(chain.from_iterable(base))
+    pool, chunks = next(base), list(base)
     new_pool, new_lines = next(new), list(chain.from_iterable(new))
-    baseline_lines = compute_fleet(fleet, db, (pool, lines))
-    variant_lines = compute_fleet(fleet, db, (
-        [l for l in pool if l.subject_id not in dropped] + new_pool,
-        merge_lines([l for l in lines if l.subject_id not in dropped], new_lines),
+    baseline_lines = compute_fleet(fleet, db, (pool, *chunks))
+    kept = ([l for l in chunk if l.subject_id not in dropped] for chunk in chunks)
+    variant_lines = compute_fleet(fleet, db, chain(
+        ([l for l in pool if l.subject_id not in dropped] + new_pool,),
+        merged_chunks(kept, new_lines, itemgetter(0)),
     ))
     baseline = aggregate(baseline_lines, fleet, factor_db_hash)
     variant = aggregate(variant_lines, fleet, factor_db_hash)

@@ -4,6 +4,8 @@ import dataclasses
 import random
 import tracemalloc
 from collections import Counter
+from itertools import chain
+from operator import itemgetter
 
 import pytest
 from hypothesis import given, settings
@@ -573,6 +575,43 @@ class TestSeedComputeFleet:
             )
             seen["lines of an equal key"] += len({l[:3] for l in lines}) < len(lines)
         assert len(seen) == 10 and min(seen.values()) >= 30, seen
+
+
+def test_merged_chunks_is_the_stable_sort_chunk_by_chunk():
+    """merged_chunks merges sorted side lines into sorted chunks of lines, no
+    key in two chunks, one chunk at a time: chained, its lists are the stable
+    sort of every line, chunk lines first at an equal key; it modifies no
+    input, yields a chunk that takes no side line as is and an empty chunk
+    not at all."""
+    rng, key, seen = random.Random(32), itemgetter(0), Counter()
+    for _ in range(500):
+        keys = sorted(rng.choices(range(20), k=rng.randint(0, 30)))
+        lines = [(k, "chunk", i) for i, k in enumerate(keys)]
+        cuts = sorted(c for c in rng.choices(range(len(lines) + 1), k=rng.randint(0, 6))
+                      if c in (0, len(lines)) or keys[c - 1] != keys[c])
+        chunks = [lines[a:b] for a, b in zip([0, *cuts], [*cuts, len(lines)])]
+        side_keys = sorted(rng.choices(range(-2, 23), k=rng.randint(0, 10)))
+        side = [(k, "side", j) for j, k in enumerate(side_keys)]
+        given = [list(c) for c in chunks], list(side)
+        out = list(engine.merged_chunks(iter(chunks), side, key))
+        assert (chunks, side) == given
+        assert list(chain(*out)) == sorted([*chain(*chunks), *side], key=key)
+        filled = [c for c in chunks if c]
+        assert len(out) == len(filled) + 1
+        low = -3  # a chunk takes the side keys above the chunk before's last key, to its own
+        for chunk, merged in zip(filled, out):
+            taken = [line for line in side if low < line[0] <= chunk[-1][0]]
+            assert merged == sorted(chunk + taken, key=key)
+            assert (merged is chunk) == (len(merged) == len(chunk))
+            low = chunk[-1][0]
+            seen["chunk taking no side line"] += merged is chunk
+            seen["chunk taking side lines"] += merged is not chunk
+        seen["empty chunk"] += len(filled) < len(chunks)
+        seen["side key before the first chunk's"] += bool(filled and side_keys
+                                                          and side_keys[0] < keys[0])
+        seen["side key after the last chunk's"] += bool(filled and out[-1])
+        seen["side key equal to a chunk key"] += bool(set(side_keys) & set(keys))
+    assert len(seen) == 6 and min(seen.values()) >= 30, seen
 
 
 class TestFleetLines:

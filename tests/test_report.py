@@ -531,10 +531,12 @@ class TestEvaluateScenario:
         assert len(seen) == 2 and min(seen.values()) >= 5, seen
 
 
-def test_variant_lines_equal_the_seed_on_fleets_with_shared_ids(monkeypatch):
-    """The variant's lines, merged into the baseline's sorted lines, are the
-    seed compute of the variant fleet, float for float, on fleets whose ids
-    coincide across kinds."""
+@pytest.mark.parametrize("chunk", [1, 2, 3, engine._CHUNK_ASSETS])
+def test_variant_lines_equal_the_seed_on_fleets_with_shared_ids(chunk, monkeypatch):
+    """The variant's lines, merged into the baseline's sorted lines chunk by
+    chunk, are the seed compute of the variant fleet, float for float, on
+    fleets whose ids coincide across kinds, at every chunk size."""
+    monkeypatch.setattr(engine, "_CHUNK_ASSETS", chunk)
     rng = random.Random(31)
     computed = []
 
