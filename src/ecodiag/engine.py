@@ -16,6 +16,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from collections.abc import Callable, Iterable, Iterator
 from itertools import chain
+from math import fsum, inf
 from operator import itemgetter
 from typing import TYPE_CHECKING, NamedTuple
 
@@ -258,25 +259,19 @@ def asset_part(fleet: Fleet, db: FactorDatabase,
     """The server-room pool, then the lines of the fleet's assets, or of the
     given ones, in key order, one list at a time.
 
-    The pool is the S2 lines of the server_room group in the order of the
-    assets, left empty when no room has a UPS overhead fraction to charge on
-    it; otherwise its assets are evaluated first, in that order, and their
-    lines merged by subject into the chunks of the others (merged_chunks).
-    The others are evaluated _CHUNK_ASSETS at a time in id order (the fleet's
-    assets_by_id, or the given assets sorted): key order, as asset ids are
-    unique."""
+    The assets are taken in one order, the fleet's assets_by_id or the given
+    ones sorted by id: key order, as asset ids are unique. The pool is the S2
+    lines of the server_room group, empty when no room has a UPS overhead to
+    charge on it; else its assets go first, their lines merged by subject into
+    the chunks of the others, _CHUNK_ASSETS at a time (merged_chunks)."""
     subject, pooled = itemgetter(0), []
-    given, by_id = ((fleet.assets, fleet.assets_by_id) if assets is None
-                    else (assets, sorted(assets, key=subject)))
-    charged = any(r.ups_overhead_fraction != 0 for r in fleet.rooms)
-    if charged:
-        pooled = asset_lines(fleet, [a for a in given if a[1] in _POOL_CATEGORIES], db)
+    by_id = fleet.assets_by_id if assets is None else sorted(assets, key=subject)
+    if any(r.ups_overhead_fraction != 0 for r in fleet.rooms):
+        pooled = asset_lines(fleet, [a for a in by_id if a[1] in _POOL_CATEGORIES], db)
+        by_id = [a for a in by_id if a[1] not in _POOL_CATEGORIES]
     yield [line for line in pooled if line.scope == "S2"]  # none under a room meter
-    pooled.sort(key=subject)
-    skipped = _POOL_CATEGORIES if charged else ()
-    yield from merged_chunks(
-        (asset_lines(fleet, [a for a in by_id[i:i + _CHUNK_ASSETS] if a[1] not in skipped], db)
-         for i in range(0, len(by_id), _CHUNK_ASSETS)), pooled, subject)
+    yield from merged_chunks((asset_lines(fleet, by_id[i:i + _CHUNK_ASSETS], db)
+                              for i in range(0, len(by_id), _CHUNK_ASSETS)), pooled, subject)
 
 
 def fleet_lines(fleet: Fleet, db: FactorDatabase,
@@ -284,18 +279,18 @@ def fleet_lines(fleet: Fleet, db: FactorDatabase,
     """The lines of compute_fleet(fleet, db, part), as they are computed: the
     pool is summed and the room, campaign, cable and external lines built at
     the call, then merged by key into each list of asset lines (merged_chunks),
-    so only they, the pool's lines and one chunk of asset lines are held."""
+    so only they, the pool's lines and one chunk of asset lines are held. The
+    pool's sums are exactly rounded (fsum), so the order of its lines is moot."""
     part = iter(asset_part(fleet, db) if part is None else part)
-    # The pool is summed in the order of the assets; an empty one charges nothing.
-    pool_kgco2e = pool_uncertainty = 0.0
-    for line in next(part):
-        pool_kgco2e += line.kgco2e
-        pool_uncertainty += line.abs_uncertainty_kgco2e
+    pool = next(part)
+    try:
+        pool_sums = fsum(l.kgco2e for l in pool), fsum(l.abs_uncertainty_kgco2e for l in pool)
+    except OverflowError:  # a finite pool whose sum is past the largest float
+        pool_sums = inf, inf
     grid = db.default_grid_factor_kgco2e_per_kwh
     others = []  # lines of an equal key go: assets, rooms, campaigns, cables, external services
     for room in fleet.rooms:
-        others += [scope1_refrigerant(room, db.gwp_table),
-                   *_room_lines(room, (pool_kgco2e, pool_uncertainty), grid)]
+        others += [scope1_refrigerant(room, db.gwp_table), *_room_lines(room, pool_sums, grid)]
     others += [scope2_campaign(c, grid) for c in fleet.campaigns]
     others += [scope3_cables(b, lookup_factor(db, b.category)) for b in fleet.cable_bulks]
     others += map(declared_external, fleet.external_services)
@@ -306,8 +301,8 @@ def compute_fleet(fleet: Fleet, db: FactorDatabase,
                   part: Iterable[list[EmissionLine]] | None = None) -> list[EmissionLine]:
     """Every emission line of a fleet under a merged factor database, at its
     grid factor, sorted by (subject_id, scope, phase), lines of an equal key in
-    the order assets, rooms, campaigns, cables, external services, so identical
-    inputs always give identical output. part, by default asset_part(fleet, db),
+    the order assets, rooms, campaigns, cables, external services: the same
+    rows in any order give the same output. part, by default asset_part(fleet, db),
     is any iterable of lists shaped as asset_part gives them: the pool, then
     asset lines in key order, of assets that need not be the fleet's; its
     lists are not modified. The fleet supplies the rest."""

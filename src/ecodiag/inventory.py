@@ -15,7 +15,7 @@ import re
 from collections.abc import Callable, Iterable, Iterator
 from dataclasses import MISSING, dataclass, field
 from itertools import compress, islice, pairwise, repeat, starmap
-from operator import eq, ge, is_not, itemgetter
+from operator import attrgetter, eq, ge, is_not, itemgetter
 from typing import NamedTuple
 
 from .errors import FleetParseError, MissingFactorError
@@ -280,19 +280,21 @@ class Fleet:
         for name in ("assets", "rooms", "campaigns", "external_services", "cable_bulks"):
             object.__setattr__(self, name, tuple(getattr(self, name)))
         object.__setattr__(self, "assets_by_id", tuple(sorted(self.assets, key=itemgetter(0))))
-        for label, sorted_ids, items in (  # in id order, a repeat has an equal neighbour
-            ("asset", map(itemgetter(0), self.assets_by_id), self.assets),
-            ("room", sorted(i.id for i in self.rooms), self.rooms),
-            ("campaign", sorted(i.id for i in self.campaigns), self.campaigns),
-            ("external service", sorted(i.id for i in self.external_services), self.external_services),
+        id_of = attrgetter("id")
+        for label, key, items in (  # a cable row's identity is its category
+            ("asset id", itemgetter(0), self.assets), ("room id", id_of, self.rooms),
+            ("campaign id", id_of, self.campaigns),
+            ("external service id", id_of, self.external_services),
+            ("cable category", attrgetter("category"), self.cable_bulks),
         ):
-            if not any(starmap(eq, pairwise(sorted_ids))):
+            in_order = map(key, self.assets_by_id) if items is self.assets else sorted(map(key, items))
+            if not any(starmap(eq, pairwise(in_order))):  # a repeat has an equal neighbour
                 continue
             seen: set[str] = set()
             for item in items:  # name the first duplicate
-                if item.id in seen:
-                    raise ValueError(f"duplicate {label} id: {item.id}")
-                seen.add(item.id)
+                if key(item) in seen:
+                    raise ValueError(f"duplicate {label}: {key(item)}")
+                seen.add(key(item))
 
 
 @dataclass(frozen=True)
@@ -520,18 +522,20 @@ def _block_objects(block: list[str], memos: dict) -> list[tuple[str, list | tupl
 
 def _first_bad_row(text: str, rows: range) -> FleetParseError | None:
     """The error of the first bad row of a fleet CSV, in one walk of its rows:
-    a kind and id an earlier row has, or, among the rows numbered in rows (a
-    failing block's), a malformed line, a wrong field count or a row that
-    parse_fleet_row rejects. None if no row is bad."""
-    seen = {kind: set() for kind in ("asset", "room", "campaign", "external")}
+    a kind and id (a cable's category) an earlier row has, or, among the rows
+    numbered in rows (a failing block's), a malformed line, a wrong field
+    count or a row that parse_fleet_row rejects. None if no row is bad."""
+    seen = {kind: set() for kind in ("asset", "room", "campaign", "external", "cable")}
     width = len(FLEET_CSV_COLUMNS)
     for rownum, fields in islice(csv_rows(text), 1, None):  # after the header
         if rownum in rows and len(fields) != width:
             return FleetParseError(f"expected {width} fields, got {len(fields)}", row=rownum)
-        ids = seen.get(fields[0], set())
-        if fields[1] in ids:
-            return FleetParseError(f"duplicate {fields[0]} id: {fields[1]}", row=rownum)
-        ids.add(fields[1])
+        ids, cable = seen.get(fields[0], set()), fields[0] == "cable"
+        key = fields[2] if cable else fields[1]  # a cable row is keyed by its category
+        if key in ids:
+            label = "cable category" if cable else f"{fields[0]} id"
+            return FleetParseError(f"duplicate {label}: {key}", row=rownum)
+        ids.add(key)
         if rownum in rows:
             try:
                 parse_fleet_row(fields[0], fields[1:], rownum)
@@ -726,8 +730,8 @@ def parse_glpi_export(
 
 def validate_fleet(fleet: Fleet, db: FactorDatabase) -> list[Issue]:
     """Check a fleet against a merged factor database: the blocking issues,
-    then the per-asset warnings (see blocking_issues and asset_warnings)."""
-    return blocking_issues(fleet, db) + asset_warnings(fleet, db)
+    then every per-asset warning (see blocking_issues and first_asset_warnings)."""
+    return blocking_issues(fleet, db) + first_asset_warnings(fleet, db, math.inf)[0]
 
 
 def blocking_issues(fleet: Fleet, db: FactorDatabase) -> list[Issue]:
@@ -796,11 +800,6 @@ def _asset_warning_walk(fleet: Fleet, db: FactorDatabase) -> Iterator[tuple[str,
         if (asset.status == "in_use" and asset.measured_power_w is None
                 and asset.category in zero_power_categories):
             yield zero_power, asset
-
-
-def asset_warnings(fleet: Fleet, db: FactorDatabase) -> list[Issue]:
-    """Warnings that flag asset data worth a second look; none blocks computation."""
-    return first_asset_warnings(fleet, db, math.inf)[0]
 
 
 def first_of_each_kind(pairs: Iterable[tuple[str, object]],

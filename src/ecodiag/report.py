@@ -236,12 +236,12 @@ def evaluate_scenario(
 
     The actions are walked once, before any line is computed, and no variant
     fleet is built: the variant differs only in its assets. The baseline's
-    part stays as asset_part's chunks. The variant's pool is the baseline's,
-    filtered to the subjects the actions do not drop, then the new assets';
-    each of its chunks is the baseline's, filtered the same way, with the new
-    assets' lines merged in by subject (merged_chunks; no new id equals a
-    kept one). Only the new assets are evaluated, and both reports are
-    exactly those of a full compute of each fleet.
+    part stays as asset_part's chunks. The variant's pool, summed exactly as
+    every pool is, is the baseline's less the subjects the actions drop, plus
+    the new assets'; each of its chunks is the baseline's, filtered the same
+    way, with the new assets' lines merged in by subject (merged_chunks; no
+    new id equals a kept one). Only the new assets are evaluated, and both
+    reports are exactly those of a full compute of each fleet.
     """
     dropped, added = _edits(fleet, actions)
     base, new = asset_part(fleet, db), asset_part(fleet, db, tuple(added.values()))

@@ -186,3 +186,28 @@ def colliding_fleet(rng: random.Random, max_assets: int = 20) -> Fleet:
             for cat in rng.sample(("cable_cat5", "cable_hdmi"), rng.randint(0, 2))
         ),
     )
+
+
+def edge_case_fleet(rng: random.Random) -> Fleet:
+    """A random fleet whose assets often sit on an edge of the engine's rules:
+    acquired or disposed of in the reporting year, stored, with either hour
+    override, a measured power of 0 or a vendor fabrication value. Its rooms
+    are kept, or replaced by one metered room or by unmetered ones."""
+    fleet = random_fleet(rng, max_entries=30)
+    year = fleet.reporting_year
+    bought = {"acquisition_year": year, "disposal_year": None}
+    edits = (
+        {}, bought, {"acquisition_year": year, "disposal_year": year},
+        {"acquisition_year": year - 3, "disposal_year": year}, {"status": "stored"},
+        {"hour_profile_override": "work_year"}, {"hour_profile_override": "continuous"},
+        {"measured_power_w": 0.0}, {"status": "stored", "measured_power_w": 0.0},
+        {**bought, "vendor_fab_transport_kgco2e": rng.uniform(0.0, 800.0)},
+    )
+    assets = tuple(a._replace(**rng.choice(edits)) for a in fleet.assets)
+    rooms = rng.choice((
+        fleet.rooms,
+        (ServerRoom("metered", measured_room_kwh_per_year=rng.uniform(0.0, 5e4)),),
+        tuple(dataclasses.replace(random_room(rng, i), measured_room_kwh_per_year=None)
+              for i in range(rng.randint(1, 3))),
+    ))
+    return dataclasses.replace(fleet, assets=assets, rooms=rooms)

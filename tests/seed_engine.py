@@ -3,9 +3,11 @@ asset_lines ran through per-category plans, and compute_fleet as it was
 before each asset's lines came in key order and only the other lines were
 merged into them, kept as the reference that the engine is compared against;
 like the engine, they take the grid from the factor database. seed_compute_fleet
-runs over the seed's asset lines."""
+runs over the seed's asset lines and sums the server-room pool with math.fsum,
+as the engine does since the pool's sum stopped following the fleet's order."""
 from __future__ import annotations
 
+import math
 from operator import itemgetter
 
 from ecodiag.engine import (
@@ -161,15 +163,13 @@ def seed_compute_fleet(
     grid = db.default_grid_factor_kgco2e_per_kwh
     metered = any(r.measured_room_kwh_per_year is not None for r in fleet.rooms)
 
-    # The pool's usage lines are the asset lines of the server_room group in S2.
+    # The pool's usage lines are the asset lines of the server_room group in S2,
+    # summed exactly rounded, so in no particular order.
     pool = None
     if not metered and any(r.ups_overhead_fraction != 0 for r in fleet.rooms):
-        pool_kgco2e = pool_uncertainty = 0.0
-        for line in lines:
-            if line.group == "server_room" and line.scope == "S2":
-                pool_kgco2e += line.kgco2e
-                pool_uncertainty += line.abs_uncertainty_kgco2e
-        pool = pool_kgco2e, pool_uncertainty
+        pool_lines = [l for l in lines if l.group == "server_room" and l.scope == "S2"]
+        pool = (math.fsum(l.kgco2e for l in pool_lines),
+                math.fsum(l.abs_uncertainty_kgco2e for l in pool_lines))
     for room in fleet.rooms:
         line = scope1_refrigerant(room, db.gwp_table)
         if line is not None:

@@ -98,6 +98,16 @@ class TestCompute:
         err = capsys.readouterr().err
         assert f"ecodiag: error: row {len(rows) + 1}: " in err and "at most 2**53" in err
 
+    def test_repeated_cable_category_exits_one_naming_the_second_row(self, workdir, capsys):
+        fleet = workdir / "fleet.csv"
+        rows = fleet.read_text(encoding="utf-8").splitlines()
+        assert [r for r in rows if r.startswith("cable,")] == ["cable,,cable_cat5,20,,,,,,"]
+        fleet.write_text("\n".join([*rows, "cable,,cable_cat5,3,,,,,,"]) + "\n", encoding="utf-8")
+        assert main(compute_args(workdir)) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"ecodiag: error: row {len(rows) + 1}: duplicate cable category: cable_cat5\n"
+
     def test_byte_identical_output_files(self, workdir):
         out1, out2 = workdir / "r1.md", workdir / "r2.md"
         assert main(compute_args(workdir, "--out", str(out1))) == 0
@@ -477,7 +487,8 @@ class TestGoldenOutputs:
 @pytest.mark.usefixtures("compensated_sum")
 class TestGoldenOutputsUnderACompensatedSum(TestGoldenOutputs):
     """The golden outputs do not depend on how the interpreter's sum() adds
-    floats: the engine and the report add them left to right themselves."""
+    floats: the engine and the report add them themselves, exactly rounded
+    (the server-room pool, math.fsum) or left to right."""
 
 
 class TestTotalsOverflow:
@@ -504,6 +515,24 @@ class TestTotalsOverflow:
         assert out == ""
         assert f"ecodiag: error: report totals are not finite: {cause}" in err
         assert "Infinity" not in err
+
+    @pytest.mark.parametrize("command", ["compute", "scenario"])
+    def test_a_server_room_pool_past_the_largest_float_exits_one(self, workdir, capsys, command):
+        # At a grid of 1000, two usage lines of 1.3e308 kgCO2e: each is finite,
+        # their pool's sum, which the room's UPS overhead is charged on, is not.
+        fleet = workdir / "fleet.csv"
+        rows = [f"asset,huge-{i},server,1,2015,,in_use,1.5e304,," for i in (1, 2)]
+        fleet.write_text(fleet.read_text(encoding="utf-8") + "\n".join(rows) + "\n", encoding="utf-8")
+        (workdir / "actions.csv").write_text("remove,srv-old\n", encoding="utf-8")
+        args = compute_args(workdir, "--grid-factor", "1000")
+        args[0] = command
+        if command == "scenario":
+            args += ["--actions", str(workdir / "actions.csv")]
+        assert main(args) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.endswith("ecodiag: error: report totals are not finite: "
+                            "the emission line of server-room overflows\n")
 
 
 def _glpi_args(w):

@@ -1,6 +1,7 @@
 """Tests for the emission engine: hour profiles, per-scope rules, composition."""
 
 import dataclasses
+import math
 import random
 import tracemalloc
 from collections import Counter
@@ -34,7 +35,7 @@ from ecodiag.inventory import (
 from ecodiag.report import aggregate
 from fleet_strategies import fleets
 from oracle import oracle_totals
-from randgen import colliding_fleet, random_db, random_fleet, random_room
+from randgen import colliding_fleet, edge_case_fleet, random_db, random_fleet
 from seed_engine import (
     seed_asset_lines,
     seed_compute_fleet,
@@ -169,19 +170,16 @@ def room_lines(fleet, db):
 
 def room_lines_from_its_own_pool(room, fleet, db):
     """The room's electricity lines, with the server-room pool summed here,
-    asset by asset and in fleet order, apart from compute_fleet's own pass."""
+    asset by asset and exactly rounded, apart from compute_fleet's own pass."""
     pool, grid = None, db.default_grid_factor_kgco2e_per_kwh
     if room.ups_overhead_fraction != 0 and all(
         r.measured_room_kwh_per_year is None for r in fleet.rooms
     ):
-        pool_kgco2e = pool_uncertainty = 0.0
-        for a in fleet.assets:
-            if a.category in engine._POOL_CATEGORIES:
-                line = scope2_usage(a, lookup_factor(db, a.category), grid)
-                if line is not None:
-                    pool_kgco2e += line.kgco2e
-                    pool_uncertainty += line.abs_uncertainty_kgco2e
-        pool = pool_kgco2e, pool_uncertainty
+        lines = [scope2_usage(a, lookup_factor(db, a.category), grid)
+                 for a in fleet.assets if a.category in engine._POOL_CATEGORIES]
+        lines = [line for line in lines if line is not None]
+        pool = (math.fsum(l.kgco2e for l in lines),
+                math.fsum(l.abs_uncertainty_kgco2e for l in lines))
     return engine._room_lines(room, pool, grid)
 
 
@@ -480,31 +478,6 @@ class TestComputeFleet:
             assert max(calls.values(), default=1) == 1
 
 
-def edge_case_fleet(rng):
-    """A random fleet whose assets often sit on an edge of the engine's rules:
-    acquired or disposed of in the reporting year, stored, with either hour
-    override, a measured power of 0 or a vendor fabrication value. Its rooms
-    are kept, or replaced by one metered room or by unmetered ones."""
-    fleet = random_fleet(rng, max_entries=30)
-    year = fleet.reporting_year
-    bought = {"acquisition_year": year, "disposal_year": None}
-    edits = (
-        {}, bought, {"acquisition_year": year, "disposal_year": year},
-        {"acquisition_year": year - 3, "disposal_year": year}, {"status": "stored"},
-        {"hour_profile_override": "work_year"}, {"hour_profile_override": "continuous"},
-        {"measured_power_w": 0.0}, {"status": "stored", "measured_power_w": 0.0},
-        {**bought, "vendor_fab_transport_kgco2e": rng.uniform(0.0, 800.0)},
-    )
-    assets = tuple(a._replace(**rng.choice(edits)) for a in fleet.assets)
-    rooms = rng.choice((
-        fleet.rooms,
-        (ServerRoom("metered", measured_room_kwh_per_year=rng.uniform(0.0, 5e4)),),
-        tuple(dataclasses.replace(random_room(rng, i), measured_room_kwh_per_year=None)
-              for i in range(rng.randint(1, 3))),
-    ))
-    return dataclasses.replace(fleet, assets=assets, rooms=rooms)
-
-
 class TestSeedEngine:
     """The per-category plans give the lines of the per-asset functions they
     replace, with the same floats, in the same order."""
@@ -615,7 +588,7 @@ def test_merged_chunks_is_the_stable_sort_chunk_by_chunk():
 
 
 class TestFleetLines:
-    """fleet_lines evaluates the pool's assets in fleet order, then the other
+    """fleet_lines evaluates the pool's assets in id order, then the other
     assets a chunk at a time in id order, and merges the pool's lines and the
     room, campaign, cable and external lines in by key: at every chunk size it
     gives the seed's stable sort of every line and the list of a given asset
@@ -630,7 +603,7 @@ class TestFleetLines:
             db = random_db(rng)
             fleet = rng.choice((colliding_fleet, edge_case_fleet))(rng)
             assets = list(fleet.assets)
-            rng.shuffle(assets)  # the pool is summed in fleet order, not id order
+            rng.shuffle(assets)  # neither the pool's sum nor the lines follow fleet order
             fleet = dataclasses.replace(fleet, assets=tuple(assets))
             streamed = engine.fleet_lines(fleet, db)
             assert not isinstance(streamed, list)

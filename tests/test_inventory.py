@@ -98,6 +98,10 @@ class TestParseFleetCsv:
         with pytest.raises(FleetParseError, match="duplicate asset id: a1"):
             parse("asset,a1,laptop,1,2019,,in_use,,,\nasset,a1,laptop,1,2019,,in_use,,,")
 
+    def test_repeated_cable_category_names_its_row(self):
+        with pytest.raises(FleetParseError, match="^row 4: duplicate cable category: cable_cat5$"):
+            parse("cable,,cable_cat5,20,,,,,,\ncable,,cable_hdmi,1,,,,,,\ncable,,cable_cat5,3,,,,,,")
+
     def test_field_count(self):
         with pytest.raises(FleetParseError, match="expected 10 fields"):
             parse("asset,a1,laptop")
@@ -623,6 +627,21 @@ def first_repeat(items) -> str | None:
             return item.id
         seen.add(item.id)
     return None
+
+
+class TestRepeatedCableCategory:
+    """A cable row's identity is its category: two rows of one category would
+    make two lines of an equal key, whose sum follows their order."""
+
+    def test_fleet_raises(self):
+        with pytest.raises(ValueError, match="^duplicate cable category: cable_hdmi$"):
+            Fleet("p", 2019, cable_bulks=(CableBulk("cable_hdmi", 1), CableBulk("cable_cat5", 2),
+                                          CableBulk("cable_hdmi", 3)))
+
+    def test_other_kinds_are_named_first(self):
+        with pytest.raises(ValueError, match="^duplicate room id: sr$"):
+            Fleet("p", 2019, rooms=(ServerRoom("sr"), ServerRoom("sr")),
+                  cable_bulks=(CableBulk("cable_cat5", 1), CableBulk("cable_cat5", 1)))
 
 
 class TestFleetIdOrder:

@@ -5,6 +5,8 @@ import json
 import math
 import random
 from collections import Counter
+from functools import reduce
+from operator import add
 
 import pytest
 from hypothesis import given, settings
@@ -16,7 +18,8 @@ from ecodiag.engine import EXTERNAL_GROUP, EmissionLine, compute_fleet
 from ecodiag.errors import FleetParseError, ScenarioError
 from ecodiag.factors import GROUPS
 from ecodiag.inventory import (
-    Asset, CableBulk, ComputeCampaign, ExternalServiceEntry, Fleet, ServerRoom,
+    Asset, CableBulk, ComputeCampaign, ExternalServiceEntry, Fleet, ServerRoom, parse_fleet_csv,
+    render_fleet_csv,
 )
 from ecodiag.report import (
     GENERATED_NOTE,
@@ -34,7 +37,8 @@ from ecodiag.report import (
 )
 from fleet_strategies import fleets
 from randgen import (
-    SHARED_IDS, colliding_asset, colliding_fleet, random_asset, random_db, random_fleet,
+    SHARED_IDS, colliding_asset, colliding_fleet, edge_case_fleet, random_asset, random_db,
+    random_fleet,
 )
 from seed_engine import seed_compute_fleet
 from seed_renderers import seed_render
@@ -577,10 +581,65 @@ def test_variant_lines_equal_the_seed_on_fleets_with_shared_ids(chunk, monkeypat
     assert len(seen) == 5 and min(seen.values()) >= 30, seen
 
 
+def shuffled_rows(rng, fleet):
+    """The fleet written as a fleet CSV and read back, with its rows as written
+    and with its body rows shuffled."""
+    header, *body = render_fleet_csv(fleet).splitlines(keepends=True)
+    shuffled = rng.sample(body, len(body))
+    return [parse_fleet_csv("".join([header, *rows]), fleet.reporting_year,
+                            fleet.perimeter_description) for rows in (body, shuffled)]
+
+
+def left_to_right_pool(fleet, db):
+    """The pool's (kgco2e, uncertainty) added left to right in fleet order."""
+    pool = [l for l in engine.asset_lines(fleet, fleet.assets, db)
+            if l.group == "server_room" and l.scope == "S2"]
+    return (reduce(add, (l.kgco2e for l in pool), 0.0),
+            reduce(add, (l.abs_uncertainty_kgco2e for l in pool), 0.0))
+
+
+def test_reports_do_not_depend_on_the_row_order():
+    """A fleet with a room charging a UPS overhead, its body rows shuffled, gives
+    the same yearly report and scenario result, byte for byte in JSON, though
+    its server-room pool added left to right in fleet order often differs."""
+    rng = random.Random(33)
+    seen = Counter()
+    for _ in range(300):
+        db, make = random_db(rng), rng.choice((random_fleet, colliding_fleet, edge_case_fleet))
+        fleet = make(rng) if make is edge_case_fleet else make(rng, 60)
+        if not any(r.ups_overhead_fraction for r in fleet.rooms):
+            charged = ServerRoom("ups-room", ups_overhead_fraction=rng.uniform(0.01, 0.3))
+            fleet = dataclasses.replace(fleet, rooms=(*fleet.rooms, charged))
+        as_written, shuffled = shuffled_rows(rng, fleet)
+        assert shuffled.assets_by_id == as_written.assets_by_id
+        report = render(aggregate(engine.fleet_lines(as_written, db), as_written), "json")
+        assert render(aggregate(engine.fleet_lines(shuffled, db), shuffled), "json") == report
+        year, actions = fleet.reporting_year, []
+        for k, target in enumerate(rng.sample(sorted(a.id for a in fleet.assets),
+                                              min(len(fleet.assets), rng.randint(0, 4)))):
+            taken = {a.id for a in fleet.assets} | {a.new_asset.id for a in actions if a.new_asset}
+            new = colliding_asset(rng, 1000 + k, year, taken)._replace(disposal_year=None)
+            actions.append(rng.choice((ScenarioAction("remove", target),
+                                       ScenarioAction("replace", target, new))))
+        for k in range(rng.randint(0, 3)):
+            taken = {a.id for a in fleet.assets} | {a.new_asset.id for a in actions if a.new_asset}
+            actions.append(ScenarioAction("add", new_asset=colliding_asset(rng, 2000 + k, year, taken)))
+        result = evaluate_scenario(as_written, actions, db)
+        shuffled_result = evaluate_scenario(shuffled, actions, db)
+        assert shuffled_result == result and render(shuffled_result, "json") == render(result, "json")
+        seen[make.__name__] += 1
+        seen["fleet-order pool sums differ"] += (left_to_right_pool(as_written, db)
+                                                 != left_to_right_pool(shuffled, db))
+        seen["pool asset added"] += any(a.new_asset and a.new_asset.category in engine._POOL_CATEGORIES
+                                        for a in actions)
+    assert len(seen) == 5 and min(seen.values()) >= 30, seen
+
+
 class TestFloatSumsUnderACompensatedSum:
-    """Every float sum of the engine and the report adds left to right, as
-    sum() did before Python 3.12: 2**54 + 1.5 rounds back to 2**54 at each
-    step, where a compensated sum keeps the halves and gives 2**54 + 4."""
+    """Every float sum of the engine and the report but the server-room pool's
+    exact one adds left to right, as sum() did before Python 3.12: 2**54 + 1.5
+    rounds back to 2**54 at each step, where a compensated sum keeps the
+    halves and gives 2**54 + 4."""
 
     BIG = 2.0**54
 
@@ -706,7 +765,8 @@ class TestScenarioVariantLines:
         assert phases == ["usage", "fabrication_transport"]
 
     def test_new_pool_assets_are_summed_in_append_order(self, sample_db):
-        # In id order (a, m, z) the pool's float sum, and so the UPS overhead, differs.
+        # The new assets come in append order (z, a, m), the variant fleet's in
+        # id order (a, m, z); left to right, the pool's float sums would differ.
         fleet = Fleet("p", 2019, assets=(Asset("s0", "server", 1, 2015, measured_power_w=115.2),),
                       rooms=(ServerRoom("r", ups_overhead_fraction=0.1),))
         actions = [ScenarioAction("add", new_asset=Asset(id_, "server", 1, 2019, measured_power_w=w))
@@ -715,29 +775,30 @@ class TestScenarioVariantLines:
         result = evaluate_scenario(fleet, actions, sample_db)
         assert result.variant == aggregate(compute_fleet(variant, sample_db), variant)
 
-    def test_baseline_pool_is_summed_in_fleet_order(self, sample_db, monkeypatch):
-        # In id order (a, m, z) the pool's float sum, and so the UPS overhead, differs.
+    def test_baseline_pool_sum_does_not_depend_on_the_asset_order(self, sample_db, monkeypatch):
         fleet = Fleet("p", 2019, rooms=(ServerRoom("r", ups_overhead_fraction=0.1),), assets=(
             *(Asset(id_, "server", 1, 2015, measured_power_w=w)
               for id_, w in (("z", 257.6), ("a", 298.6), ("m", 26.9))),
             Asset("pc", "laptop", 1, 2015),
         ))
         by_id = dataclasses.replace(fleet, assets=fleet.assets_by_id)
-        in_fleet_order = aggregate(seed_compute_fleet(fleet, sample_db), fleet)
-        assert in_fleet_order != aggregate(seed_compute_fleet(by_id, sample_db), by_id)
+        # Left to right, the pool's float sum, and so the UPS overhead, differs
+        # between fleet order (z, a, m) and id order (a, m, z).
+        kg = {l.subject_id: l.kgco2e for l in engine.asset_lines(fleet, fleet.assets, sample_db)}
+        assert kg["z"] + kg["a"] + kg["m"] != kg["a"] + kg["m"] + kg["z"]
         calls = []
         real = engine.asset_lines
 
         def recording(f, assets, *args):
-            calls.extend(assets)
+            calls.append([a.id for a in assets])
             return real(f, assets, *args)
 
         monkeypatch.setattr(engine, "asset_lines", recording)
         result = evaluate_scenario(fleet, [], sample_db)
-        assert [a.id for a in calls] == ["z", "a", "m", "pc"]
+        assert [ids for ids in calls if ids] == [["a", "m", "z"], ["pc"]]
         monkeypatch.undo()
+        assert result == evaluate_scenario(by_id, [], sample_db)
         assert result.baseline == aggregate(compute_fleet(fleet, sample_db), fleet)
-        assert result.baseline == in_fleet_order
 
     def test_usage_evaluated_once_per_baseline_asset_and_once_per_new_one(
         self, monkeypatch
