@@ -13,8 +13,7 @@ Rules in force:
 """
 from __future__ import annotations
 
-from bisect import bisect_right
-from collections.abc import Callable, Iterable, Iterator
+from collections.abc import Iterable, Iterator
 from itertools import chain
 from math import fsum, inf
 from operator import itemgetter
@@ -31,7 +30,7 @@ if TYPE_CHECKING:
 #: Pseudo-group of declared external entries, kept apart from equipment groups.
 EXTERNAL_GROUP = "external"
 
-#: Emission lines are kept in the order of this key: subject, scope, phase.
+#: compute_fleet sorts the emission lines by this key: subject, scope, phase.
 _KEY = itemgetter(0, 1, 2)
 
 #: Categories whose assets make up the server-room pool. Assets are not tied
@@ -153,7 +152,7 @@ def _room_lines(
     if room.measured_room_kwh_per_year is not None:
         kgco2e = room.measured_room_kwh_per_year * grid
         return [EmissionLine(room.id, "S2", "usage", kgco2e, 0.0, MEASURED_SOURCE, "server_room")]
-    if pool is None:
+    if pool is None or room.ups_overhead_fraction == 0:  # 0 x an infinite pool is nan
         return []
     pool_kgco2e, pool_uncertainty = pool
     overhead = room.ups_overhead_fraction * pool_kgco2e
@@ -233,21 +232,21 @@ def asset_lines(fleet: Fleet, assets: tuple[Asset, ...], db: FactorDatabase) -> 
     return _lines(assets, plans, fleet.reporting_year, db.default_grid_factor_kgco2e_per_kwh)
 
 
-def merged_chunks(chunks: Iterable[list], side: list, key: Callable) -> Iterator[list]:
-    """Each non-empty chunk, its lines in key order and no key in two chunks,
-    with the side lines, in key order too, up to its last key merged in, then
-    the rest of side: the lines of a stable sort of all of them, chunk lines
-    first at an equal key. No input is modified; a chunk that takes no side
-    line is yielded as is."""
-    done = 0
-    for chunk in chunks:
-        if chunk:
-            # sorted is stable and merges the two sorted runs.
-            end = bisect_right(side, key(chunk[-1]), done, key=key)
-            yield sorted(chunk + side[done:end], key=key) if end > done else chunk
-            done = end
-        del chunk  # before the next chunk is computed
-    yield side[done:]
+def exact_parts(parts: Iterable[float]) -> list[float]:
+    """A few floats whose exact sum is that of the parts: their fsum, exactly
+    rounded (Shewchuk 1997), then that of what it leaves, until none is left;
+    so a sum folded through it chunk by chunk does not depend on value order.
+    An inf or nan sum is the one part, as is inf for a finite sum that overflows."""
+    parts, exact = list(parts), []
+    try:
+        while total := fsum(parts):
+            exact.append(total)
+            if total - total:  # inf or nan
+                break
+            parts.append(-total)
+    except OverflowError:
+        return [inf]
+    return exact
 
 
 #: Assets evaluated at a time by asset_part: one chunk of lines, about 0.6 MB.
@@ -256,54 +255,43 @@ _CHUNK_ASSETS = 4096
 
 def asset_part(fleet: Fleet, db: FactorDatabase,
                assets: tuple[Asset, ...] | None = None) -> Iterator[list[EmissionLine]]:
-    """The server-room pool, then the lines of the fleet's assets, or of the
-    given ones, in key order, one list at a time.
-
-    The assets are taken in one order, the fleet's assets_by_id or the given
-    ones sorted by id: key order, as asset ids are unique. The pool is the S2
-    lines of the server_room group, empty when no room has a UPS overhead to
-    charge on it; else its assets go first, their lines merged by subject into
-    the chunks of the others, _CHUNK_ASSETS at a time (merged_chunks)."""
-    subject, pooled = itemgetter(0), []
-    by_id = fleet.assets_by_id if assets is None else sorted(assets, key=subject)
-    if any(r.ups_overhead_fraction != 0 for r in fleet.rooms):
-        pooled = asset_lines(fleet, [a for a in by_id if a[1] in _POOL_CATEGORIES], db)
-        by_id = [a for a in by_id if a[1] not in _POOL_CATEGORIES]
-    yield [line for line in pooled if line.scope == "S2"]  # none under a room meter
-    yield from merged_chunks((asset_lines(fleet, by_id[i:i + _CHUNK_ASSETS], db)
-                              for i in range(0, len(by_id), _CHUNK_ASSETS)), pooled, subject)
+    """The lines of the fleet's assets, or of the given ones, _CHUNK_ASSETS
+    assets at a time in their own order: one list of lines per chunk."""
+    assets = fleet.assets if assets is None else assets
+    return (asset_lines(fleet, assets[i:i + _CHUNK_ASSETS], db)
+            for i in range(0, len(assets), _CHUNK_ASSETS))
 
 
 def fleet_lines(fleet: Fleet, db: FactorDatabase,
                 part: Iterable[list[EmissionLine]] | None = None) -> Iterator[EmissionLine]:
-    """The lines of compute_fleet(fleet, db, part), as they are computed: the
-    pool is summed and the room, campaign, cable and external lines built at
-    the call, then merged by key into each list of asset lines (merged_chunks),
-    so only they, the pool's lines and one chunk of asset lines are held. The
-    pool's sums are exactly rounded (fsum), so the order of its lines is moot."""
-    part = iter(asset_part(fleet, db) if part is None else part)
-    pool = next(part)
-    try:
-        pool_sums = fsum(l.kgco2e for l in pool), fsum(l.abs_uncertainty_kgco2e for l in pool)
-    except OverflowError:  # a finite pool whose sum is past the largest float
-        pool_sums = inf, inf
-    grid = db.default_grid_factor_kgco2e_per_kwh
-    others = []  # lines of an equal key go: assets, rooms, campaigns, cables, external services
+    """Every emission line of a fleet, as it is computed: the asset lines of
+    part, by default asset_part(fleet, db), one list at a time, then the room,
+    campaign, cable and external lines. part is any iterable of lists of
+    asset lines, not modified, of assets that need not be the fleet's; the
+    fleet supplies the rest. The server-room pool, the S2 lines of the
+    server_room group that a UPS overhead is charged on, is summed exactly
+    (exact_parts) as the lists go by, so only one list is held at a time."""
+    kg, unc = [], []
+    for lines in asset_part(fleet, db) if part is None else part:
+        pool = [l for l in lines if l.group == "server_room" and l.scope == "S2"]
+        kg = exact_parts(chain(kg, (l.kgco2e for l in pool)))
+        unc = exact_parts(chain(unc, (l.abs_uncertainty_kgco2e for l in pool)))
+        yield from lines
+        del lines, pool  # before the next list is computed
+    pool_sums, grid = (fsum(kg), fsum(unc)), db.default_grid_factor_kgco2e_per_kwh
     for room in fleet.rooms:
-        others += [scope1_refrigerant(room, db.gwp_table), *_room_lines(room, pool_sums, grid)]
-    others += [scope2_campaign(c, grid) for c in fleet.campaigns]
-    others += [scope3_cables(b, lookup_factor(db, b.category)) for b in fleet.cable_bulks]
-    others += map(declared_external, fleet.external_services)
-    return chain.from_iterable(merged_chunks(part, sorted(filter(None, others), key=_KEY), _KEY))
+        yield from filter(None, (scope1_refrigerant(room, db.gwp_table),
+                                 *_room_lines(room, pool_sums, grid)))
+    yield from (scope2_campaign(c, grid) for c in fleet.campaigns)
+    yield from filter(None, (scope3_cables(b, lookup_factor(db, b.category))
+                             for b in fleet.cable_bulks))
+    yield from map(declared_external, fleet.external_services)
 
 
 def compute_fleet(fleet: Fleet, db: FactorDatabase,
                   part: Iterable[list[EmissionLine]] | None = None) -> list[EmissionLine]:
-    """Every emission line of a fleet under a merged factor database, at its
-    grid factor, sorted by (subject_id, scope, phase), lines of an equal key in
-    the order assets, rooms, campaigns, cables, external services: the same
-    rows in any order give the same output. part, by default asset_part(fleet, db),
-    is any iterable of lists shaped as asset_part gives them: the pool, then
-    asset lines in key order, of assets that need not be the fleet's; its
-    lists are not modified. The fleet supplies the rest."""
-    return list(fleet_lines(fleet, db, part))
+    """The lines of fleet_lines(fleet, db, part) sorted by (subject_id, scope,
+    phase). The sort is stable, so lines of an equal key keep the order
+    assets, rooms, campaigns, cables, external services: the same rows in
+    any order give the same list."""
+    return sorted(fleet_lines(fleet, db, part), key=_KEY)

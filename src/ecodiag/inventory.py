@@ -271,15 +271,12 @@ class Fleet:
     campaigns: tuple[ComputeCampaign, ...] = ()
     external_services: tuple[ExternalServiceEntry, ...] = ()
     cable_bulks: tuple[CableBulk, ...] = ()
-    #: The assets sorted by id, derived once here: the fleet's one id order.
-    assets_by_id: tuple[Asset, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.perimeter_description.strip():
             raise ValueError("perimeter_description must be non-empty")
         for name in ("assets", "rooms", "campaigns", "external_services", "cable_bulks"):
             object.__setattr__(self, name, tuple(getattr(self, name)))
-        object.__setattr__(self, "assets_by_id", tuple(sorted(self.assets, key=itemgetter(0))))
         id_of = attrgetter("id")
         for label, key, items in (  # a cable row's identity is its category
             ("asset id", itemgetter(0), self.assets), ("room id", id_of, self.rooms),
@@ -287,8 +284,8 @@ class Fleet:
             ("external service id", id_of, self.external_services),
             ("cable category", attrgetter("category"), self.cable_bulks),
         ):
-            in_order = map(key, self.assets_by_id) if items is self.assets else sorted(map(key, items))
-            if not any(starmap(eq, pairwise(in_order))):  # a repeat has an equal neighbour
+            # Sorted, a repeated key has an equal neighbour.
+            if not any(starmap(eq, pairwise(sorted(map(key, items))))):
                 continue
             seen: set[str] = set()
             for item in items:  # name the first duplicate

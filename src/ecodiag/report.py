@@ -13,17 +13,13 @@ import sys
 from collections import defaultdict
 from collections.abc import Iterable
 from dataclasses import dataclass
-from functools import reduce
 from itertools import chain
-from operator import add, itemgetter
+from operator import itemgetter
 from typing import TYPE_CHECKING
 
-from .engine import (
-    EXTERNAL_GROUP,
-    EmissionLine,
-    asset_part,
-    compute_fleet,
-    merged_chunks,
+# compute_fleet is not called here, and kept importable: perfbench/spans.py wraps it.
+from .engine import (  # noqa: F401
+    EXTERNAL_GROUP, EmissionLine, asset_lines, asset_part, compute_fleet, exact_parts, fleet_lines,
 )
 from .errors import FleetParseError, ScenarioError
 # factor_db_identity is defined in factors and kept importable from here.
@@ -100,30 +96,42 @@ class ScenarioResult:
     verdict: str
 
 
+#: Lines aggregate takes before it folds its sums (exact_parts): about one chunk.
+_FOLD_LINES = 4096
+
+
 def aggregate(lines: Iterable[EmissionLine], fleet: Fleet, factor_db_hash: str = "") -> Report:
-    """Fold emission lines, any iterable of them, into per-scope and per-group
-    totals and the uncertainty, walking them once.
+    """Fold emission lines, any iterable of them in any order, into per-scope
+    and per-group totals and the uncertainty, walking them once.
 
     Declared external entries land in the pseudo-group 'external', kept apart
     from equipment groups so grand_total = sum(scopes) = sum(groups) + external.
     Uncertainties add within a factor_source; the sources combine in quadrature.
-    The one check on computed values: a grand total or uncertainty that is
-    not finite raises ValueError, naming the first non-finite line if any.
+    Every sum is exactly rounded: each scope, group and source keeps its
+    values, folded into their exact parts every _FOLD_LINES lines, so the
+    order of the lines is moot. The one check on computed values: a grand
+    total or uncertainty that is not finite raises ValueError, naming the
+    first non-finite line if any.
     """
-    by_scope = dict.fromkeys(SCOPES, 0.0)
-    by_group = dict.fromkeys((*GROUPS, EXTERNAL_GROUP), 0.0)
-    by_source: defaultdict[str, float] = defaultdict(float)
+    by_scope, by_group = {s: [] for s in SCOPES}, {g: [] for g in (*GROUPS, EXTERNAL_GROUP)}
+    by_source: defaultdict[str, list] = defaultdict(list)
+    sums = (by_scope, by_group, by_source)
     count, bad = 0, None
     for count, line in enumerate(lines, 1):
         kgco2e = line.kgco2e
-        by_scope[line.scope] += kgco2e
-        by_group[line.group] += kgco2e
-        by_source[line.factor_source] += line.abs_uncertainty_kgco2e
+        by_scope[line.scope].append(kgco2e)
+        by_group[line.group].append(kgco2e)
+        by_source[line.factor_source].append(line.abs_uncertainty_kgco2e)
         if kgco2e - kgco2e and bad is None:  # nan for an infinite or nan kgco2e, else 0
             bad = line.subject_id
-    external = by_group.pop(EXTERNAL_GROUP)
-    uncertainty = math.sqrt(reduce(add, (u * u for u in by_source.values()), 0.0))
-    grand_total = reduce(add, by_scope.values(), 0.0)
+        if not count % _FOLD_LINES:
+            for parts in chain.from_iterable(map(dict.values, sums)):
+                parts[:] = exact_parts(parts)
+    scope_totals, group_totals, source_totals = (
+        {key: math.fsum(exact_parts(parts)) for key, parts in totals.items()} for totals in sums)
+    external = group_totals.pop(EXTERNAL_GROUP)
+    uncertainty = math.sqrt(math.fsum(exact_parts(u * u for u in source_totals.values())))
+    grand_total = math.fsum(exact_parts(chain.from_iterable(by_scope.values())))
     if not (math.isfinite(grand_total) and math.isfinite(uncertainty)):
         # A line's uncertainty never exceeds its kgco2e (rel_uncertainty <= 1).
         cause = "the sum of the emission lines" if bad is None else f"the emission line of {bad}"
@@ -131,8 +139,8 @@ def aggregate(lines: Iterable[EmissionLine], fleet: Fleet, factor_db_hash: str =
     return Report(
         reporting_year=fleet.reporting_year,
         perimeter_description=fleet.perimeter_description,
-        totals_by_scope=by_scope,
-        totals_by_group=by_group,
+        totals_by_scope=scope_totals,
+        totals_by_group=group_totals,
         external_total_kgco2e=external,
         grand_total_kgco2e=grand_total,
         abs_uncertainty_kgco2e=uncertainty,
@@ -236,30 +244,20 @@ def evaluate_scenario(
 
     The actions are walked once, before any line is computed, and no variant
     fleet is built: the variant differs only in its assets. The baseline's
-    part stays as asset_part's chunks. The variant's pool, summed exactly as
-    every pool is, is the baseline's less the subjects the actions drop, plus
-    the new assets'; each of its chunks is the baseline's, filtered the same
-    way, with the new assets' lines merged in by subject (merged_chunks; no
-    new id equals a kept one). Only the new assets are evaluated, and both
-    reports are exactly those of a full compute of each fleet.
+    asset lines are kept as asset_part's chunks; the variant's are those
+    chunks filtered of the subjects the actions drop, then the new assets'
+    lines. Only the new assets are evaluated, and as every sum is exactly
+    rounded, both reports are exactly those of a full compute of each fleet.
     """
     dropped, added = _edits(fleet, actions)
-    base, new = asset_part(fleet, db), asset_part(fleet, db, tuple(added.values()))
-    pool, chunks = next(base), list(base)
-    new_pool, new_lines = next(new), list(chain.from_iterable(new))
-    baseline_lines = compute_fleet(fleet, db, (pool, *chunks))
+    chunks = list(asset_part(fleet, db))
+    new_lines = asset_lines(fleet, tuple(added.values()), db)
     kept = ([l for l in chunk if l.subject_id not in dropped] for chunk in chunks)
-    variant_lines = compute_fleet(fleet, db, chain(
-        ([l for l in pool if l.subject_id not in dropped] + new_pool,),
-        merged_chunks(kept, new_lines, itemgetter(0)),
-    ))
-    baseline = aggregate(baseline_lines, fleet, factor_db_hash)
-    variant = aggregate(variant_lines, fleet, factor_db_hash)
+    baseline = aggregate(fleet_lines(fleet, db, chunks), fleet, factor_db_hash)
+    variant = aggregate(fleet_lines(fleet, db, chain(kept, [new_lines])), fleet, factor_db_hash)
 
-    # In subject_id order, as they come in the sorted variant lines.
-    added_fabrication = reduce(
-        add, (l.kgco2e for l in new_lines if l.phase == "fabrication_transport"), 0.0
-    )
+    added_fabrication = math.fsum(l.kgco2e for l in new_lines
+                                  if l.phase == "fabrication_transport")
     savings = baseline.totals_by_scope["S2"] - variant.totals_by_scope["S2"]
     # No payback without savings, nor from savings so small that it overflows.
     payback = p if savings > 0 and math.isfinite(p := added_fabrication / savings) else None

@@ -77,6 +77,7 @@ def neumaier_sum(values, start=0):
 
 @pytest.fixture
 def compensated_sum(monkeypatch):
-    """The engine and the report run with neumaier_sum as their sum()."""
+    """The engine and the report run with neumaier_sum, Python 3.12's way of
+    adding floats, as their sum(); their exactly rounded sums must not move."""
     for module in (engine, report):
         monkeypatch.setattr(module, "sum", neumaier_sum, raising=False)

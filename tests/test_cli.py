@@ -487,8 +487,8 @@ class TestGoldenOutputs:
 @pytest.mark.usefixtures("compensated_sum")
 class TestGoldenOutputsUnderACompensatedSum(TestGoldenOutputs):
     """The golden outputs do not depend on how the interpreter's sum() adds
-    floats: the engine and the report add them themselves, exactly rounded
-    (the server-room pool, math.fsum) or left to right."""
+    floats: every sum of the engine and the report is exactly rounded
+    (math.fsum), with no sum()."""
 
 
 class TestTotalsOverflow:
@@ -533,6 +533,26 @@ class TestTotalsOverflow:
         assert out == ""
         assert err.endswith("ecodiag: error: report totals are not finite: "
                             "the emission line of server-room overflows\n")
+
+
+@pytest.mark.parametrize("command", ["compute", "scenario"])
+def test_a_room_charging_no_overhead_gets_no_line_from_an_infinite_pool(workdir, capsys, command):
+    # 0 x an infinite pool is nan: a room with no UPS overhead must give no
+    # line, so the error names the room that charges the overhead.
+    fleet = workdir / "fleet.csv"
+    rows = ["room,a-room,,,,,,,,",
+            *(f"asset,huge-{i},server,1,2015,,in_use,1.5e304,," for i in (1, 2))]
+    fleet.write_text(fleet.read_text(encoding="utf-8") + "\n".join(rows) + "\n", encoding="utf-8")
+    (workdir / "actions.csv").write_text("remove,srv-old\n", encoding="utf-8")
+    args = compute_args(workdir, "--grid-factor", "1000")
+    args[0] = command
+    if command == "scenario":
+        args += ["--actions", str(workdir / "actions.csv")]
+    assert main(args) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.endswith("ecodiag: error: report totals are not finite: "
+                        "the emission line of server-room overflows\n")
 
 
 def _glpi_args(w):

@@ -369,10 +369,9 @@ class TestComputeFleet:
             seed_lines, seed_pool_lines = seed_asset_lines(fleet, fleet.assets, db)
             assert lines == seed_key_order(fleet.assets, seed_lines)
             assert pool_of(lines) == seed_pool_lines
-            assert [l for chunk in part[1:] for l in chunk] == sorted(
-                seed_lines, key=lambda l: (l.subject_id, l.scope, l.phase))
-            charged = any(r.ups_overhead_fraction != 0 for r in fleet.rooms)
-            assert part[0] == (seed_pool_lines if charged else [])
+            # A part is the assets' lines in their order, one list per chunk.
+            assert all(type(chunk) is list for chunk in part)
+            assert list(chain.from_iterable(part)) == lines
 
     def test_deterministic_and_sorted(self):
         rng = random.Random(7)
@@ -550,49 +549,33 @@ class TestSeedComputeFleet:
         assert len(seen) == 10 and min(seen.values()) >= 30, seen
 
 
-def test_merged_chunks_is_the_stable_sort_chunk_by_chunk():
-    """merged_chunks merges sorted side lines into sorted chunks of lines, no
-    key in two chunks, one chunk at a time: chained, its lists are the stable
-    sort of every line, chunk lines first at an equal key; it modifies no
-    input, yields a chunk that takes no side line as is and an empty chunk
-    not at all."""
-    rng, key, seen = random.Random(32), itemgetter(0), Counter()
-    for _ in range(500):
-        keys = sorted(rng.choices(range(20), k=rng.randint(0, 30)))
-        lines = [(k, "chunk", i) for i, k in enumerate(keys)]
-        cuts = sorted(c for c in rng.choices(range(len(lines) + 1), k=rng.randint(0, 6))
-                      if c in (0, len(lines)) or keys[c - 1] != keys[c])
-        chunks = [lines[a:b] for a, b in zip([0, *cuts], [*cuts, len(lines)])]
-        side_keys = sorted(rng.choices(range(-2, 23), k=rng.randint(0, 10)))
-        side = [(k, "side", j) for j, k in enumerate(side_keys)]
-        given = [list(c) for c in chunks], list(side)
-        out = list(engine.merged_chunks(iter(chunks), side, key))
-        assert (chunks, side) == given
-        assert list(chain(*out)) == sorted([*chain(*chunks), *side], key=key)
-        filled = [c for c in chunks if c]
-        assert len(out) == len(filled) + 1
-        low = -3  # a chunk takes the side keys above the chunk before's last key, to its own
-        for chunk, merged in zip(filled, out):
-            taken = [line for line in side if low < line[0] <= chunk[-1][0]]
-            assert merged == sorted(chunk + taken, key=key)
-            assert (merged is chunk) == (len(merged) == len(chunk))
-            low = chunk[-1][0]
-            seen["chunk taking no side line"] += merged is chunk
-            seen["chunk taking side lines"] += merged is not chunk
-        seen["empty chunk"] += len(filled) < len(chunks)
-        seen["side key before the first chunk's"] += bool(filled and side_keys
-                                                          and side_keys[0] < keys[0])
-        seen["side key after the last chunk's"] += bool(filled and out[-1])
-        seen["side key equal to a chunk key"] += bool(set(side_keys) & set(keys))
-    assert len(seen) == 6 and min(seen.values()) >= 30, seen
+def test_exact_parts_fold_to_the_exact_sum_in_any_order():
+    """Folded through exact_parts a chunk at a time, in any order and any
+    chunks, values give a few parts whose fsum is that of all the values;
+    inf and nan stand alone, and a finite sum that overflows is inf."""
+    rng = random.Random(34)
+    for _ in range(300):
+        values = [rng.choice((1.0, 1e-9, 1e16, 2.0**54)) * rng.random()
+                  for _ in range(rng.randint(0, 60))]
+        expected = math.fsum(values)
+        rng.shuffle(values)
+        parts, done = [], 0
+        while done < len(values):
+            step = rng.randint(1, 9)
+            parts = engine.exact_parts(parts + values[done:done + step])
+            done += step
+        assert math.fsum(parts) == expected and len(parts) <= 3
+    assert engine.exact_parts([]) == engine.exact_parts([1.0, -1.0]) == []
+    assert engine.exact_parts([1.0, math.inf, 2.0]) == [math.inf]
+    assert math.isnan(*engine.exact_parts([1.0, math.nan]))
+    assert engine.exact_parts([1e308, 1e308]) == [math.inf]
 
 
 class TestFleetLines:
-    """fleet_lines evaluates the pool's assets in id order, then the other
-    assets a chunk at a time in id order, and merges the pool's lines and the
-    room, campaign, cable and external lines in by key: at every chunk size it
-    gives the seed's stable sort of every line and the list of a given asset
-    part, float for float."""
+    """fleet_lines evaluates the assets a chunk at a time in fleet order, then
+    builds the room, campaign, cable and external lines: at every chunk size,
+    its lines sorted are the seed's stable sort of every line, compute_fleet's
+    list and that of a given asset part, float for float."""
 
     @pytest.mark.parametrize("chunk", [1, 2, 3, engine._CHUNK_ASSETS])
     def test_equals_the_seed_and_the_part_path_on_random_fleets(self, chunk, monkeypatch):
@@ -603,13 +586,14 @@ class TestFleetLines:
             db = random_db(rng)
             fleet = rng.choice((colliding_fleet, edge_case_fleet))(rng)
             assets = list(fleet.assets)
-            rng.shuffle(assets)  # neither the pool's sum nor the lines follow fleet order
+            rng.shuffle(assets)  # neither the pool's sum nor the sorted lines follow it
             fleet = dataclasses.replace(fleet, assets=tuple(assets))
             streamed = engine.fleet_lines(fleet, db)
             assert not isinstance(streamed, list)
-            lines = list(streamed)
+            lines = sorted(streamed, key=itemgetter(0, 1, 2))
             expected = seed_compute_fleet(fleet, db)
             assert lines == expected and repr(lines) == repr(expected)
+            assert repr(compute_fleet(fleet, db)) == repr(lines)
             part = engine.asset_part(fleet, db, fleet.assets)
             assert repr(compute_fleet(fleet, db, part)) == repr(lines)
             metered = any(r.measured_room_kwh_per_year is not None for r in fleet.rooms)

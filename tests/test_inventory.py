@@ -645,9 +645,9 @@ class TestRepeatedCableCategory:
 
 
 class TestFleetIdOrder:
-    """Fleet(...) sorts its assets by id once, into assets_by_id, and a repeated
-    id raises for the first one that repeats in the given order, of the first
-    kind, in the order assets, rooms, campaigns, external services, that has one."""
+    """Fleet(...) finds a repeated id among its sorted ids, and raises for the
+    first one that repeats in the given order, of the first kind, in the order
+    assets, rooms, campaigns, external services, that has one."""
 
     KINDS = (("asset", "assets"), ("room", "rooms"), ("campaign", "campaigns"),
              ("external service", "external_services"))
@@ -686,24 +686,9 @@ class TestFleetIdOrder:
                 continue
             built = build()
             assert built.assets == given["assets"]
-            assert built.assets_by_id == tuple(sorted(given["assets"], key=lambda a: a.id))
-            assert "assets_by_id" not in repr(built)
-            others = list(given["assets"])
-            rng.shuffle(others)
-            replaced = dataclasses.replace(built, assets=others[: rng.randint(0, len(others))])
-            assert replaced.assets_by_id == tuple(sorted(replaced.assets, key=lambda a: a.id))
             assert dataclasses.replace(built) == built
             seen["no repeat"] += 1
         assert len(seen) == 6 and min(seen.values()) >= 10, seen
-
-    def test_assets_by_id_takes_no_part_in_equality(self):
-        assets = (Asset("b", "laptop", 1, 2015), Asset("a", "laptop", 1, 2015))
-        fleet = Fleet("p", 2019, assets=assets)
-        assert fleet.assets_by_id == assets[::-1]
-        assert fleet == dataclasses.replace(fleet) and hash(fleet) == hash(Fleet("p", 2019, assets))
-        assert [f.name for f in dataclasses.fields(Fleet) if not f.init] == ["assets_by_id"]
-        with pytest.raises(ValueError, match="init=False"):
-            dataclasses.replace(fleet, assets_by_id=assets)
 
 
 @contextlib.contextmanager

@@ -6,7 +6,7 @@ import math
 import random
 from collections import Counter
 from functools import reduce
-from operator import add
+from operator import add, itemgetter
 
 import pytest
 from hypothesis import given, settings
@@ -44,6 +44,8 @@ from seed_engine import seed_compute_fleet
 from seed_renderers import seed_render
 from seed_scenario import seed_apply_scenario
 
+KEY = itemgetter(0, 1, 2)  # compute_fleet's sort key: subject, scope, phase
+
 REL = 1e-9
 
 
@@ -58,6 +60,16 @@ def simple_report(year=2019, total=1000.0, perimeter="Lab X") -> Report:
         abs_uncertainty_kgco2e=0.0,
         line_count=1,
     )
+
+
+def left_to_right(lines):
+    """The scope, group and source sums of the lines, added left to right."""
+    sums = Counter()
+    for l in lines:
+        sums["scope", l.scope] += l.kgco2e
+        sums["group", l.group] += l.kgco2e
+        sums["source", l.factor_source] += l.abs_uncertainty_kgco2e
+    return sums
 
 
 class TestAggregate:
@@ -88,6 +100,25 @@ class TestAggregate:
         shuffled = list(lines)
         rng.shuffle(shuffled)
         assert aggregate(shuffled, fleet) == aggregate(lines, fleet)
+
+    def test_the_line_order_is_moot(self):
+        """Every sum is exactly rounded: compute_fleet's lines and the same lines
+        shuffled give one report, and one JSON, on random fleets and on fleets
+        with lines of an equal key, where left-to-right sums often differ."""
+        rng = random.Random(5)
+        seen = Counter()
+        for _ in range(300):
+            db = random_db(rng)
+            for make in (random_fleet, colliding_fleet):
+                fleet = make(rng)
+                lines = compute_fleet(fleet, db)
+                shuffled = rng.sample(lines, len(lines))
+                report, again = aggregate(lines, fleet), aggregate(shuffled, fleet)
+                assert again == report and render(again, "json") == render(report, "json")
+                seen[make.__name__] += 1
+                seen["left-to-right sums differ"] += left_to_right(lines) != left_to_right(shuffled)
+                seen["lines of an equal key"] += len({l[:3] for l in lines}) < len(lines)
+        assert len(seen) == 4 and min(seen.values()) >= 100, seen
 
     def test_external_kept_out_of_groups(self):
         fleet = Fleet("p", 2019, external_services=(ExternalServiceEntry("x", 42.0, "S3"),))
@@ -537,18 +568,19 @@ class TestEvaluateScenario:
 
 @pytest.mark.parametrize("chunk", [1, 2, 3, engine._CHUNK_ASSETS])
 def test_variant_lines_equal_the_seed_on_fleets_with_shared_ids(chunk, monkeypatch):
-    """The variant's lines, merged into the baseline's sorted lines chunk by
-    chunk, are the seed compute of the variant fleet, float for float, on
-    fleets whose ids coincide across kinds, at every chunk size."""
+    """The variant's lines, the baseline's chunks filtered of the dropped
+    subjects and then the new assets' lines, are once sorted the seed compute
+    of the variant fleet, float for float, on fleets whose ids coincide across
+    kinds, at every chunk size."""
     monkeypatch.setattr(engine, "_CHUNK_ASSETS", chunk)
     rng = random.Random(31)
     computed = []
 
     def recording(*args):
-        computed.append(compute_fleet(*args))
+        computed.append(sorted(engine.fleet_lines(*args), key=KEY))
         return computed[-1]
 
-    monkeypatch.setattr("ecodiag.report.compute_fleet", recording)
+    monkeypatch.setattr("ecodiag.report.fleet_lines", recording)
     seen = Counter()
     for _ in range(300):
         db, fleet = random_db(rng), colliding_fleet(rng)
@@ -611,7 +643,6 @@ def test_reports_do_not_depend_on_the_row_order():
             charged = ServerRoom("ups-room", ups_overhead_fraction=rng.uniform(0.01, 0.3))
             fleet = dataclasses.replace(fleet, rooms=(*fleet.rooms, charged))
         as_written, shuffled = shuffled_rows(rng, fleet)
-        assert shuffled.assets_by_id == as_written.assets_by_id
         report = render(aggregate(engine.fleet_lines(as_written, db), as_written), "json")
         assert render(aggregate(engine.fleet_lines(shuffled, db), shuffled), "json") == report
         year, actions = fleet.reporting_year, []
@@ -636,10 +667,10 @@ def test_reports_do_not_depend_on_the_row_order():
 
 
 class TestFloatSumsUnderACompensatedSum:
-    """Every float sum of the engine and the report but the server-room pool's
-    exact one adds left to right, as sum() did before Python 3.12: 2**54 + 1.5
-    rounds back to 2**54 at each step, where a compensated sum keeps the
-    halves and gives 2**54 + 4."""
+    """Every float sum of the engine and the report is exactly rounded, whatever
+    the interpreter's sum() does: 2**54 + 1.5 + 1.5 gives 2**54 + 4, as a
+    compensated sum (Python 3.12's) does, where a left-to-right sum rounds
+    back to 2**54 at each step."""
 
     BIG = 2.0**54
 
@@ -648,7 +679,7 @@ class TestFloatSumsUnderACompensatedSum:
             EmissionLine("a", "S1", "fugitive", self.BIG, 2.0**27, "big", "server_room"),
             EmissionLine("b", "S2", "usage", 1.5, 0.0, "measured", "office"),
             EmissionLine("c", "S3", "declared", 1.5, 0.0, "declared", EXTERNAL_GROUP),
-            # 2**54 + 1000 under the root would add 3.7e-6 to the uncertainty.
+            # 2**54 + 1000 under the root adds 3.7e-6 to the uncertainty.
             *(EmissionLine(f"d{i}", "S2", "usage", 0.0, 1.0, f"src{i}", "office")
               for i in range(1000)),
         ]
@@ -658,7 +689,8 @@ class TestFloatSumsUnderACompensatedSum:
 
     def test_aggregate(self, compensated_sum):
         result = aggregate(self.lines(), Fleet("p", 2019))
-        assert (result.grand_total_kgco2e, result.abs_uncertainty_kgco2e) == (self.BIG, 2.0**27)
+        assert (result.grand_total_kgco2e, result.abs_uncertainty_kgco2e) == (
+            self.BIG + 4, math.sqrt(self.BIG + 1000))
 
     def test_added_fabrication(self, compensated_sum):
         fleet = Fleet("p", 2019, assets=(Asset("old", "laptop", 1, 2015, measured_power_w=500.0),))
@@ -669,19 +701,19 @@ class TestFloatSumsUnderACompensatedSum:
         ]
         result = evaluate_scenario(fleet, actions, make_db(make_factor()))
         savings = result.baseline.totals_by_scope["S2"] - result.variant.totals_by_scope["S2"]
-        assert result.payback_years == self.BIG / savings
+        assert result.payback_years == (self.BIG + 4) / savings
 
 
 def variant_lines_checked(fleet, actions, db, monkeypatch):
-    """The variant's lines from evaluate_scenario, checked equal (lines and
-    report) to a full compute of the variant fleet."""
+    """The variant's lines from evaluate_scenario, sorted, checked equal (lines
+    and report) to a full compute of the variant fleet."""
     computed = []
 
     def recording(*args):
-        computed.append(compute_fleet(*args))
+        computed.append(sorted(engine.fleet_lines(*args), key=KEY))
         return computed[-1]
 
-    monkeypatch.setattr("ecodiag.report.compute_fleet", recording)
+    monkeypatch.setattr("ecodiag.report.fleet_lines", recording)
     result = evaluate_scenario(fleet, actions, db)
     monkeypatch.undo()
     variant = seed_apply_scenario(fleet, actions)
@@ -781,7 +813,7 @@ class TestScenarioVariantLines:
               for id_, w in (("z", 257.6), ("a", 298.6), ("m", 26.9))),
             Asset("pc", "laptop", 1, 2015),
         ))
-        by_id = dataclasses.replace(fleet, assets=fleet.assets_by_id)
+        by_id = dataclasses.replace(fleet, assets=tuple(sorted(fleet.assets, key=itemgetter(0))))
         # Left to right, the pool's float sum, and so the UPS overhead, differs
         # between fleet order (z, a, m) and id order (a, m, z).
         kg = {l.subject_id: l.kgco2e for l in engine.asset_lines(fleet, fleet.assets, sample_db)}
@@ -795,7 +827,7 @@ class TestScenarioVariantLines:
 
         monkeypatch.setattr(engine, "asset_lines", recording)
         result = evaluate_scenario(fleet, [], sample_db)
-        assert [ids for ids in calls if ids] == [["a", "m", "z"], ["pc"]]
+        assert [ids for ids in calls if ids] == [["z", "a", "m", "pc"]]
         monkeypatch.undo()
         assert result == evaluate_scenario(by_id, [], sample_db)
         assert result.baseline == aggregate(compute_fleet(fleet, sample_db), fleet)
@@ -816,11 +848,12 @@ class TestScenarioVariantLines:
             calls.extend(assets)
             return real(f, assets, *args)
 
-        # asset_part and compute_fleet both call it by this name, so a full
-        # pass inside compute_fleet would be counted too.
+        # asset_part and evaluate_scenario both call it by this name, so a
+        # second pass over the fleet would be counted too.
         monkeypatch.setattr(engine, "asset_lines", recording)
+        monkeypatch.setattr("ecodiag.report.asset_lines", recording)
         evaluate_scenario(fleet, actions, ROOM_DB)
-        assert [a.id for a in calls] == ["sr1", "srv-a", "srv-b", "pc", "srv-c", "ws"]
+        assert [a.id for a in calls] == ["sr1", "srv-a", "pc", "srv-b", "srv-c", "ws"]
 
     def test_no_variant_fleet_is_built(self, monkeypatch):
         fleet = server_fleet(ServerRoom("room", ups_overhead_fraction=0.2))
