@@ -11,6 +11,7 @@ import gc
 import math
 import os
 import sys
+from collections.abc import Callable, Iterable
 from pathlib import Path
 
 from .errors import EcodiagError, FactorParseError, FleetParseError, ScenarioError
@@ -28,7 +29,7 @@ SHOWN_PER_KIND = 3
 #: and `compare` no inventory. No command calls compute_fleet: it is bound here,
 #: as report imports it, only because perfbench/spans.py wraps both names.
 _FLEET_NAMES = {
-    "inventory": ("Fleet", "Issue", "blocking_issues", "first_asset_warnings", "first_of_each_kind",
+    "inventory": ("Fleet", "Issue", "asset_warning", "asset_warning_walk", "blocking_issues",
                   "missing_factors", "parse_fleet_csv", "parse_glpi_export",
                   "parse_mapping_rules", "validate_fleet"),
     "engine": ("compute_fleet", "fleet_lines"),
@@ -194,14 +195,14 @@ def _load_fleet(args, shown: float = math.inf) -> Fleet:
     finally:
         logger.removeHandler(keep)
         # A record's kind is its message template; the import logs one kind.
-        kept, counts = first_of_each_kind(((r.msg, r) for r in records), shown)
-        sys.stderr.write("".join(f"{r.levelname}: {r.getMessage()}\n" for _, r in kept)
-                         + _left_out(counts, shown, "GLPI rows with an unknown status"))
+        sys.stderr.write(_summary(((r.msg, r) for r in records), shown,
+                                  lambda _, r: f"{r.levelname}: {r.getMessage()}\n",
+                                  "GLPI rows with an unknown status"))
     # A reason's kind is its text before the value it may quote.
-    kept, counts = first_of_each_kind(((r.reason.partition(":")[0], r) for r in unmapped), shown)
-    sys.stderr.write("".join(
-        f"warning: GLPI row {r.row_number} not imported ({r.reason})\n" for _, r in kept
-    ) + _left_out(counts, shown, "GLPI rows not imported ({})"))
+    sys.stderr.write(_summary(
+        ((r.reason.partition(":")[0], r) for r in unmapped), shown,
+        lambda _, r: f"warning: GLPI row {r.row_number} not imported ({r.reason})\n",
+        "GLPI rows not imported ({})"))
     return fleet
 
 
@@ -209,13 +210,18 @@ def _issue_lines(issues: list[Issue]) -> str:
     return "".join(f"{i.severity}: {i.subject_id}: {i.message}\n" for i in issues)
 
 
-def _left_out(counts: dict[str, int], shown: float, what: str) -> str:
-    """A line for each kind counted more than `shown` times, with the number left
-    out; `what`, formatted with the kind, names them."""
-    return "".join(
+def _summary(pairs: Iterable[tuple[str, object]], shown: float,
+             line: Callable[[str, object], str], what: str) -> str:
+    """line(kind, item) of the first `shown` pairs of each kind, in their order, then a
+    count of each kind's rest, kinds as first seen, named by `what` formatted with it."""
+    lines, counts = [], {}
+    for kind, item in pairs:
+        counts[kind] = n = counts.get(kind, 0) + 1
+        if n <= shown:
+            lines.append(line(kind, item))
+    return "".join(lines) + "".join(
         f"warning: {n - shown} more {what.format(kind)}; ecodiag validate lists them all\n"
-        for kind, n in counts.items() if n > shown
-    )
+        for kind, n in counts.items() if n > shown)
 
 
 def _emit(text: str, out_path: str | None) -> None:
@@ -230,10 +236,10 @@ def cmd_compute(args) -> int:
     db, db_id = _load_db(args)
     fleet = _load_fleet(args, SHOWN_PER_KIND)
     # validate's errors and warnings, with the warnings capped as the GLPI rows are.
-    errors = blocking_issues(fleet, db)
-    warnings, counts = first_asset_warnings(fleet, db, SHOWN_PER_KIND)
-    sys.stderr.write(_issue_lines(errors + warnings)
-                     + _left_out(counts, SHOWN_PER_KIND, "'{}' warnings"))
+    errors, year = blocking_issues(fleet, db), fleet.reporting_year
+    sys.stderr.write(_issue_lines(errors) + _summary(
+        asset_warning_walk(fleet, db), SHOWN_PER_KIND,
+        lambda kind, asset: _issue_lines([asset_warning(kind, asset, year)]), "'{}' warnings"))
     if errors:
         return 2
     lines = fleet_lines(fleet, db)

@@ -253,13 +253,10 @@ def exact_parts(parts: Iterable[float]) -> list[float]:
 _CHUNK_ASSETS = 4096
 
 
-def asset_part(fleet: Fleet, db: FactorDatabase,
-               assets: tuple[Asset, ...] | None = None) -> Iterator[list[EmissionLine]]:
-    """The lines of the fleet's assets, or of the given ones, _CHUNK_ASSETS
-    assets at a time in their own order: one list of lines per chunk."""
-    assets = fleet.assets if assets is None else assets
-    return (asset_lines(fleet, assets[i:i + _CHUNK_ASSETS], db)
-            for i in range(0, len(assets), _CHUNK_ASSETS))
+def asset_part(fleet: Fleet, db: FactorDatabase) -> Iterator[list[EmissionLine]]:
+    """The lines of the fleet's assets: one list per _CHUNK_ASSETS assets, in fleet order."""
+    return (asset_lines(fleet, fleet.assets[i:i + _CHUNK_ASSETS], db)
+            for i in range(0, len(fleet.assets), _CHUNK_ASSETS))
 
 
 def fleet_lines(fleet: Fleet, db: FactorDatabase,
@@ -288,10 +285,9 @@ def fleet_lines(fleet: Fleet, db: FactorDatabase,
     yield from map(declared_external, fleet.external_services)
 
 
-def compute_fleet(fleet: Fleet, db: FactorDatabase,
-                  part: Iterable[list[EmissionLine]] | None = None) -> list[EmissionLine]:
-    """The lines of fleet_lines(fleet, db, part) sorted by (subject_id, scope,
-    phase). The sort is stable, so lines of an equal key keep the order
-    assets, rooms, campaigns, cables, external services: the same rows in
-    any order give the same list."""
-    return sorted(fleet_lines(fleet, db, part), key=_KEY)
+def compute_fleet(fleet: Fleet, db: FactorDatabase) -> list[EmissionLine]:
+    """The lines of fleet_lines(fleet, db) sorted by (subject_id, scope, phase).
+    The sort is stable, so lines of an equal key keep the order assets, rooms,
+    campaigns, cables, external services: the same rows in any order give the
+    same list."""
+    return sorted(fleet_lines(fleet, db), key=_KEY)

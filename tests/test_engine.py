@@ -360,10 +360,10 @@ class TestComputeFleet:
         for _ in range(20):
             db = random_db(rng)
             fleet = random_fleet(rng)
-            part = tuple(engine.asset_part(fleet, db, fleet.assets))
+            part = tuple(engine.asset_part(fleet, db))
             kept = tuple(map(list, part))
             full = compute_fleet(fleet, db)
-            assert compute_fleet(fleet, db, part) == full
+            assert sorted(engine.fleet_lines(fleet, db, part), key=itemgetter(0, 1, 2)) == full
             assert part == kept
             lines = engine.asset_lines(fleet, fleet.assets, db)
             seed_lines, seed_pool_lines = seed_asset_lines(fleet, fleet.assets, db)
@@ -594,8 +594,9 @@ class TestFleetLines:
             expected = seed_compute_fleet(fleet, db)
             assert lines == expected and repr(lines) == repr(expected)
             assert repr(compute_fleet(fleet, db)) == repr(lines)
-            part = engine.asset_part(fleet, db, fleet.assets)
-            assert repr(compute_fleet(fleet, db, part)) == repr(lines)
+            part = engine.asset_part(fleet, db)
+            from_part = sorted(engine.fleet_lines(fleet, db, part), key=itemgetter(0, 1, 2))
+            assert repr(from_part) == repr(lines)
             metered = any(r.measured_room_kwh_per_year is not None for r in fleet.rooms)
             pool = pool_of(engine.asset_lines(fleet, fleet.assets, db))
             seen["no assets"] += not fleet.assets

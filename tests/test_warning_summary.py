@@ -11,7 +11,8 @@ from ecodiag.cli import main
 from ecodiag.inventory import (
     ASSET_WARNINGS,
     FLEET_CSV_COLUMNS,
-    first_asset_warnings,
+    asset_warning,
+    asset_warning_walk,
     validate_fleet,
 )
 from randgen import random_db, random_fleet
@@ -235,13 +236,32 @@ class TestOneWalkAgreesWithValidate:
         for _ in range(10):
             db, fleet = random_db(rng), random_fleet(rng, max_entries=60)
             warnings = [i for i in validate_fleet(fleet, db) if i.severity == "warning"]
-            shown, counts = first_asset_warnings(fleet, db, cli.SHOWN_PER_KIND)
+            # compute's writer over the one walk, recording each warning it formats.
+            shown = []
+
+            def line(kind, asset):
+                shown.append(asset_warning(kind, asset, fleet.reporting_year))
+                return cli._issue_lines(shown[-1:])
+
+            text = cli._summary(asset_warning_walk(fleet, db), cli.SHOWN_PER_KIND, line,
+                                "'{}' warnings")
+            written = cli._issue_lines(shown)
+            assert text.startswith(written)
+            left_out = {}
+            for count_line in text[len(written):].splitlines():
+                n, rest = count_line.removeprefix("warning: ").split(" more '")
+                kind, end = rest.split("' ")
+                assert end == "warnings; ecodiag validate lists them all"
+                left_out[kind] = int(n)
             for kind in ASSET_WARNINGS:
                 of_kind = [i for i in warnings if kind_of(i) == kind]
-                assert [i for i in shown if kind_of(i) == kind] == of_kind[:cli.SHOWN_PER_KIND]
-                assert counts.get(kind, 0) == len(of_kind)
-            # In validate's order across kinds too.
+                shown_of_kind = [i for i in shown if kind_of(i) == kind]
+                assert shown_of_kind == of_kind[:cli.SHOWN_PER_KIND]
+                assert len(shown_of_kind) + left_out.get(kind, 0) == len(of_kind)
+            # In validate's order across kinds too, and the counts as kinds first come.
             assert shown == [i for i in warnings if i in shown]
+            assert list(left_out) == [k for k in dict.fromkeys(map(kind_of, warnings))
+                                      if k in left_out]
 
     def test_counts_seen_by_a_random_fleet_exceed_the_cap(self):
         # The fleets above are large enough that some kind is counted, not only shown.
@@ -249,6 +269,8 @@ class TestOneWalkAgreesWithValidate:
         counted = 0
         for _ in range(20):
             db, fleet = random_db(rng), random_fleet(rng, max_entries=60)
-            _, counts = first_asset_warnings(fleet, db, cli.SHOWN_PER_KIND)
-            counted += sum(n > cli.SHOWN_PER_KIND for n in counts.values())
+            # With no line per warning shown, the writer writes only the count lines.
+            text = cli._summary(asset_warning_walk(fleet, db), cli.SHOWN_PER_KIND,
+                                lambda kind, asset: "", "'{}' warnings")
+            counted += len(text.splitlines())
         assert counted > 0
