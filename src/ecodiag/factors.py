@@ -299,6 +299,13 @@ def csv_rows(text: str, error: type[FactorParseError | FleetParseError] = FleetP
             raise error(f"malformed CSV: {exc}", rownum) from None
 
 
+def csv_text(rows) -> str:
+    """The rows as csv.writer writes them, one line each: a cell that needs it is quoted."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows(rows)
+    return buf.getvalue()
+
+
 _GRID_KEY = "grid_factor_kgco2e_per_kwh"
 #: Converters of the cells that hold one of a few words; like int and float,
 #: they raise on any other text.
@@ -393,9 +400,5 @@ def render_factor_file(db: FactorDatabase) -> str:
     """Serialize a database back to factor-file text; load_factor_db reads it back equal."""
     grid = (db.default_grid_factor_kgco2e_per_kwh,)
     items = {"factors": db.factors, "gwp": db.gwp_table, "grid": grid}
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    for name, (_, _, cells, _) in _SECTIONS.items():
-        buf.write(f"[{name}]\n")
-        writer.writerows(map(cells, items[name]))
-    return buf.getvalue()
+    return csv_text(chain.from_iterable(  # each section: its one-cell '[name]' row, then its rows
+        [(f"[{name}]",), *map(cells, items[name])] for name, (_, _, cells, _) in _SECTIONS.items()))

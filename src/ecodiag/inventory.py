@@ -30,6 +30,7 @@ from .factors import (
     category,
     check_text_field,
     csv_rows,
+    csv_text,
     lookup_factor,
     splits_plainly,
     text_lines,
@@ -523,7 +524,7 @@ def _first_bad_row(text: str, rows: range) -> FleetParseError | None:
     a kind and id (a cable's category) an earlier row has, or, among the rows
     numbered in rows (a failing block's), a malformed line, a wrong field
     count or a row that parse_fleet_row rejects. None if no row is bad."""
-    seen = {kind: set() for kind in ("asset", "room", "campaign", "external", "cable")}
+    seen = {kind: set() for kind in FLEET_SCHEMA}
     width = len(FLEET_CSV_COLUMNS)
     for rownum, fields in islice(csv_rows(text), 1, None):  # after the header
         if rownum in rows and len(fields) != width:
@@ -552,14 +553,10 @@ def parse_fleet_csv(text: str, reporting_year: int, perimeter_description: str) 
     Repeated ids are left to the Fleet's check. When a block or that check
     fails, the text is read once more (_first_bad_row) to name the first bad
     row in file order."""
-    lines = text_lines(text)
-    row = 0
-    for row, line in enumerate(lines, 1):  # the header is the first line kept
-        if line.lstrip()[:1] not in ("", "#"):
-            for _, header in csv_rows(line, lambda message, _: FleetParseError(message, row)):
-                if header != FLEET_CSV_COLUMNS:
-                    raise FleetParseError(f"expected header {','.join(FLEET_CSV_COLUMNS)!r}", row)
-            break
+    row, header = next(csv_rows(text), (0, FLEET_CSV_COLUMNS))  # the header is the first row
+    if header != FLEET_CSV_COLUMNS:
+        raise FleetParseError(f"expected header {','.join(FLEET_CSV_COLUMNS)!r}", row)
+    lines = islice(text_lines(text), row, None)
     items, memos = {k: [] for k in FLEET_SCHEMA}, {}  # memos: see _convert_block
     try:
         while block := list(islice(lines, _BLOCK_ROWS)):
@@ -576,24 +573,23 @@ def parse_fleet_csv(text: str, reporting_year: int, perimeter_description: str) 
 
 def render_fleet_csv(fleet: Fleet) -> str:
     """Serialize a fleet to canonical CSV; inverse of parse_fleet_csv."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(FLEET_CSV_COLUMNS)
-    for kind, (_, attr, fields) in FLEET_SCHEMA.items():
-        for item in getattr(fleet, attr):
-            row = dict.fromkeys(FLEET_CSV_COLUMNS, "")
-            row["kind"] = kind
-            extra = []
-            for f in fields:
-                value = getattr(item, f.attr)
-                text = "" if value == f.default else str(value)
-                if f.key in row:
-                    row[f.key] = text
-                elif text:
-                    extra.append(f"{f.key}={text}")
-            row["extra"] = ";".join(extra)
-            writer.writerow(row.values())
-    return buf.getvalue()
+    def rows():  # made one at a time, as csv_text writes them
+        yield FLEET_CSV_COLUMNS
+        for kind, (_, attr, fields) in FLEET_SCHEMA.items():
+            for item in getattr(fleet, attr):
+                row = dict.fromkeys(FLEET_CSV_COLUMNS, "")
+                row["kind"] = kind
+                extra = []
+                for f in fields:
+                    value = getattr(item, f.attr)
+                    text = "" if value == f.default else str(value)
+                    if f.key in row:
+                        row[f.key] = text
+                    elif text:
+                        extra.append(f"{f.key}={text}")
+                row["extra"] = ";".join(extra)
+                yield row.values()
+    return csv_text(rows())
 
 
 def parse_mapping_rules(text: str) -> tuple[MappingRule, ...]:

@@ -23,7 +23,9 @@ from .engine import (  # noqa: F401
 )
 from .errors import FleetParseError, ScenarioError
 # factor_db_identity is defined in factors and kept importable from here.
-from .factors import GROUPS, SCOPES, FactorDatabase, csv_rows, factor_db_identity  # noqa: F401
+from .factors import (  # noqa: F401
+    GROUPS, SCOPES, FactorDatabase, csv_rows, csv_text, factor_db_identity,
+)
 
 if TYPE_CHECKING:
     from .inventory import Asset, Fleet
@@ -386,9 +388,13 @@ def parse_report_json(text: str) -> Report:
     return Report(**values)
 
 
-def _csv_table(header, rows) -> str:
-    # Every cell is a number or a fixed name, so none needs CSV quoting.
-    return "".join(",".join(map(str, cells)) + "\n" for cells in (header, *rows))
+def _markdown(title: str, perimeter: str, *blocks: list[str]) -> str:
+    """A markdown report: its title, its perimeter, then each block of lines,
+    a blank line before each; the document ends with a newline."""
+    lines = [f"# {title}", "", f"**Perimeter:** {perimeter}"]
+    for block in blocks:
+        lines += ["", *block]
+    return "\n".join(lines) + "\n"
 
 
 def _md_table(header, align: str, rows) -> list[str]:
@@ -410,24 +416,16 @@ def _render_report_markdown(report: Report) -> str:
     rows = _report_rows(report)
     scopes = [(label, f"{kg:.1f}") for scope, _, label, kg in rows if scope]
     groups = [(label, f"{kg:.1f}") for scope, _, label, kg in rows if not scope]
-    return "\n".join([
-        f"# Annual IT fleet CO₂e assessment ({report.reporting_year})",
-        "",
-        f"**Perimeter:** {report.perimeter_description}",
-        "",
-        *_md_table(("Scope", "kgCO₂e"), "lr", scopes),
-        "",
-        *_md_table(("Equipment group", "kgCO₂e"), "lr", groups),
-        "",
-        f"**Grand total: {report.grand_total_kgco2e:.1f} "
-        f"± {report.abs_uncertainty_kgco2e:.1f} kgCO₂e** "
-        f"({report.line_count} emission lines)",
-        "",
-        GENERATED_NOTE,
-        "",
-        f"Factor set: {report.factor_db_hash or 'unspecified'}",
-        "",
-    ])
+    return _markdown(
+        f"Annual IT fleet CO₂e assessment ({report.reporting_year})",
+        report.perimeter_description,
+        _md_table(("Scope", "kgCO₂e"), "lr", scopes),
+        _md_table(("Equipment group", "kgCO₂e"), "lr", groups),
+        [f"**Grand total: {report.grand_total_kgco2e:.1f} "
+         f"± {report.abs_uncertainty_kgco2e:.1f} kgCO₂e** ({report.line_count} emission lines)"],
+        [GENERATED_NOTE],
+        [f"Factor set: {report.factor_db_hash or 'unspecified'}"],
+    )
 
 
 def _render_report_csv(report: Report) -> str:
@@ -436,7 +434,7 @@ def _render_report_csv(report: Report) -> str:
     rows.append(
         (year, "", "", f"{report.grand_total_kgco2e:.1f}", f"{report.abs_uncertainty_kgco2e:.1f}")
     )
-    return _csv_table(("year", "scope", "group", "kgco2e", "uncertainty"), rows)
+    return csv_text([("year", "scope", "group", "kgco2e", "uncertainty"), *rows])
 
 
 def _comparison_rows(cmp: YearComparison, delta_spec: str) -> list[list[str]]:
@@ -454,24 +452,16 @@ def _comparison_rows(cmp: YearComparison, delta_spec: str) -> list[list[str]]:
 
 
 def _render_comparison_markdown(cmp: YearComparison) -> str:
-    out = [
-        "# Year-over-year comparison",
-        "",
-        f"**Perimeter:** {cmp.perimeter_description}",
-        "",
-        *_md_table(
-            ("Year", *SCOPES, "Total", "Delta", "Delta %"), "r" * 7, _comparison_rows(cmp, "+.1f")
-        ),
-        "",
-    ]
+    header = ("Year", *SCOPES, "Total", "Delta", "Delta %")
+    blocks = [_md_table(header, "r" * 7, _comparison_rows(cmp, "+.1f"))]
     if cmp.warnings:
-        out += [*(f"Warning: {w}" for w in cmp.warnings), ""]
-    return "\n".join(out)
+        blocks.append([f"Warning: {w}" for w in cmp.warnings])
+    return _markdown("Year-over-year comparison", cmp.perimeter_description, *blocks)
 
 
 def _render_comparison_csv(cmp: YearComparison) -> str:
     header = ("year", *SCOPES, "grand_total", "delta_kgco2e", "delta_pct")
-    return _csv_table(header, _comparison_rows(cmp, ".1f"))
+    return csv_text([header, *_comparison_rows(cmp, ".1f")])
 
 
 def _comparison_dict(cmp: YearComparison) -> dict:
@@ -505,20 +495,14 @@ def _scenario_rows(res: ScenarioResult) -> list[tuple]:
 def _render_scenario_markdown(res: ScenarioResult) -> str:
     payback = "n/a" if res.payback_years is None else f"{res.payback_years:.2f} years"
     rows = [(label, f"{b:.1f}", f"{v:.1f}") for _, label, b, v in _scenario_rows(res)]
-    return "\n".join([
-        f"# Replacement scenario ({res.baseline.reporting_year})",
-        "",
-        f"**Perimeter:** {res.baseline.perimeter_description}",
-        "",
-        *_md_table(("Metric", "Baseline", "Variant"), "lrr", rows),
-        "",
-        f"Delta: {res.delta_kgco2e:+.1f} kgCO₂e for the reporting year",
-        f"Payback: {payback}",
-        f"Verdict: {res.verdict}",
-        "",
-        f"Factor set: {res.baseline.factor_db_hash or 'unspecified'}",
-        "",
-    ])
+    return _markdown(
+        f"Replacement scenario ({res.baseline.reporting_year})",
+        res.baseline.perimeter_description,
+        _md_table(("Metric", "Baseline", "Variant"), "lrr", rows),
+        [f"Delta: {res.delta_kgco2e:+.1f} kgCO₂e for the reporting year",
+         f"Payback: {payback}", f"Verdict: {res.verdict}"],
+        [f"Factor set: {res.baseline.factor_db_hash or 'unspecified'}"],
+    )
 
 
 def _render_scenario_csv(res: ScenarioResult) -> str:
@@ -530,7 +514,7 @@ def _render_scenario_csv(res: ScenarioResult) -> str:
     ]
     payback = "n/a" if res.payback_years is None else f"{res.payback_years:.2f}"
     rows += [("delta_kgco2e", f"{res.delta_kgco2e:.1f}"), ("payback_years", payback)]
-    return _csv_table(("metric", "value"), rows)
+    return csv_text([("metric", "value"), *rows])
 
 
 def _scenario_dict(res: ScenarioResult) -> dict:

@@ -18,6 +18,8 @@ from ecodiag.factors import (
     SourceMeta,
     category,
     check_text_field,
+    csv_rows,
+    csv_text,
     gwp_value,
     load_factor_db,
     lookup_factor,
@@ -295,6 +297,13 @@ class TestRoundTrip:
             return
         db = make_db(gwps=(entry, GwpEntry("R410A", 2088.0)))
         assert load_factor_db(render_factor_file(db)) == db
+
+    # No '#', whitespace or line break: csv_rows skips comment and blank lines.
+    @given(st.lists(st.lists(st.text(alphabet='ab,";=x', max_size=4), min_size=1, max_size=4),
+                    max_size=5))
+    @settings(max_examples=500, derandomize=True, database=None)
+    def test_csv_text_reads_back_through_csv_rows(self, rows):
+        assert list(csv_rows(csv_text(rows))) == list(enumerate(rows, 1))
 
 
 #: Lines, cells and rows of factor files: valid rows and near misses of each rule.

@@ -749,6 +749,22 @@ class TestSlicedLines:
         assert outcome(parse_fleet_csv, bad) == outcome(row_walk_parse, bad) == (
             FleetParseError, f"row 2011: expected header {','.join(FLEET_CSV_COLUMNS)!r}", 2011)
 
+    @pytest.mark.parametrize("text, expected", [
+        ("# a\n\n  # b\n", Fleet("Lab X", 2019)),
+        ("\r\r\n# c\n" + body("asset,a1,laptop,1,2015,,in_use,,,"),
+         Fleet("Lab X", 2019, assets=(Asset("a1", "laptop", 1, 2015),))),
+        ("# c\n" + HEADER, Fleet("Lab X", 2019)),
+        ("# c\n\n" + "x" * 131073 + "\nasset,a1,laptop,1,2015,,in_use,,,",
+         (FleetParseError, "row 3: malformed CSV: field larger than field limit (131072)", 3)),
+        ("# a\n# b\n" + HEADER.replace("kind", "kinds"),
+         (FleetParseError, f"row 3: expected header {','.join(FLEET_CSV_COLUMNS)!r}", 3)),
+        ("# a\n\n" + body("# b", "asset,a1,laptop,0,2015,,in_use,,,"),
+         (FleetParseError, "row 5: quantity must be >= 1, got 0", 5)),
+    ], ids=["comments_only", "header_after_line_ends", "header_only", "header_over_field_limit",
+            "bad_header", "bad_row_after_a_comment"])
+    def test_the_header_is_the_first_row_kept(self, text, expected):
+        assert outcome(parse_fleet_csv, text) == outcome(row_walk_parse, text) == expected
+
     def test_a_form_feed_in_a_comment_starts_a_row(self):
         # A documented limit: str.splitlines ends a line at '\f', so the rest of
         # the comment is a row of its own, numbered as a line of its own.
